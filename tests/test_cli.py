@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -194,6 +195,8 @@ def test_suite_runs_full_grid(tmp_path, capsys, monkeypatch):
     cells = {(r["case"], r["d"], r["m"]) for r in payload["rows"]}
     assert len(cells) == 28
     assert ("c", 5, 3) in cells and ("a", 3, 2) in cells
+    golden = Path(__file__).parent / "golden" / "suite-seed0.json"
+    assert out_path.read_bytes() == golden.read_bytes()
 
 
 def test_suite_rejects_bad_thread_cap(capsys, monkeypatch):

@@ -9,12 +9,14 @@ import pytest
 from waringlab.binary import BinaryForm, complex_rank, real_rank
 from waringlab.factory import (CASE_A, CASE_B, CASE_C, ConstraintViolation,
                                Instance, conjugate_pair_form,
-                               generate_instance, make_case_a)
+                               generate_instance, make_case_a, make_case_b,
+                               make_case_b_reducible, make_case_c)
 from waringlab.forms import HomogeneousForm
 from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
                               ProjectivePoint)
 from waringlab.scalars import ONE, ZERO, Scalar
+from waringlab.spans import parametrize_conic
 
 
 def P(*vals) -> ProjectivePoint:
@@ -90,6 +92,59 @@ def test_case_a_rejects_bad_inputs():
     with pytest.raises(ConstraintViolation) as exc:
         make_case_a(2, 3, gap, [], conic)
     assert exc.value.certificate == "curve"
+
+
+def _rejects(certificate, build, *args):
+    with pytest.raises(ConstraintViolation) as exc:
+        build(*args)
+    assert exc.value.certificate == certificate
+
+
+def test_case_b_rejects_bad_inputs():
+    # the conic xz = y^2 in P^2, parametrized from the point [0:0:1]
+    conic = CurveSpec.conic([P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)],
+                            [ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO])
+    param = parametrize_conic(conic, P(0, 0, 1))
+    gap = conjugate_pair_form(6)
+    assert make_case_b(2, 3, gap, [], param).case_label == CASE_B
+    _rejects("off-curve", make_case_b, 2, 3, gap, [P(1, 0, 0)], param)
+    _rejects("gap-ranks", make_case_b, 2, 3, conjugate_pair_form(3), [],
+             param)
+    _rejects("budget", make_case_b, 2, 3, gap, [P(1, 1, 0)], param)
+    _rejects("curve", make_case_b, 3, 3, gap, [], param)
+
+
+def test_case_b_reducible_rejects_bad_inputs():
+    # the lines z = 0 and 7x - y - 7z = 0 meet in the node [1:7:0], which
+    # no decomposition point of the gap form lands on
+    left = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
+    right = CurveSpec.line(P(1, 7, 0), P(1, 0, 1))
+    gap = conjugate_pair_form(5)
+    inst = make_case_b_reducible(2, 5, gap, gap, [], left, right)
+    assert inst.curve.kind == REDUCIBLE_CONIC
+    _rejects("off-curve", make_case_b_reducible, 2, 5, gap, gap,
+             [P(1, 0, 1)], left, right)
+    _rejects("gap-ranks", make_case_b_reducible, 2, 5, gap,
+             conjugate_pair_form(4), [], left, right)
+    _rejects("budget", make_case_b_reducible, 2, 5, gap, gap,
+             [P(1, 1, 1)], left, right)
+    _rejects("curve", make_case_b_reducible, 3, 5, gap, gap, [], left,
+             right)
+
+
+def test_case_c_rejects_bad_inputs():
+    left = CurveSpec.line(P(1, 0, 0, 0), P(0, 1, 0, 0))
+    right = CurveSpec.line(P(0, 0, 1, 0), P(0, 0, 0, 1))
+    gap = conjugate_pair_form(5)
+    inst = make_case_c(3, 5, gap, gap, [], left, right)
+    assert inst.curve.kind == TWO_DISJOINT_LINES
+    _rejects("off-curve", make_case_c, 3, 5, gap, gap, [P(0, 0, 2, 3)],
+             left, right)
+    _rejects("gap-ranks", make_case_c, 3, 5, conjugate_pair_form(6), gap,
+             [], left, right)
+    _rejects("budget", make_case_c, 3, 5, gap, gap, [P(1, 1, 1, 1)], left,
+             right)
+    _rejects("curve", make_case_c, 2, 5, gap, gap, [], left, right)
 
 
 def test_constraint_violation_is_a_value_error():

@@ -1,0 +1,98 @@
+"""Golden corpus: the exact bytes the command line writes.
+
+tests/golden/ holds the output of `generate` and `verify` for every cell
+of `suite --seed 0`, of `rank` on three forms and of `h1` on two point
+sets; test_cli.py::test_suite_runs_full_grid compares the suite bytes.
+Criterion 8 only compares a run with itself, so these files are what
+holds a refactor to the same output.  Regenerate them only for a change
+that is meant to alter output, and read the diff:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from waringlab.cli import _suite_grid, main
+
+GOLDEN = Path(__file__).parent / "golden"
+SUITE = GOLDEN / "suite-seed0.json"
+
+# rank inputs carry scaled coefficients: f = sum C(d,k) c_k x^(d-k) y^k
+RANK_INPUTS = {
+    # 2x^3 - 6xy^2, plain coefficients [2, 0, -6, 0]
+    "gap-cubic": {"d": 3, "c": ["2", "0", "-2", "0"]},
+    # x^2 y^2 and x y^5: both complex ranks end in implicit mode
+    "x2y2": {"d": 4, "c": ["0", "0", "1/6", "0", "0"]},
+    "xy5": {"d": 6, "c": ["0", "0", "0", "0", "0", "1/6", "0"]},
+}
+H1_INPUTS = {
+    "collinear5": (3, [[0, 1, t] for t in range(5)]),
+    "generic6": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
+                     [1, 2, 3], [1, -1, 2]]),
+}
+
+
+def _input_files() -> dict[str, dict]:
+    files = {f"rank-{name}.json": obj for name, obj in RANK_INPUTS.items()}
+    for name, (_d, pts) in H1_INPUTS.items():
+        files[f"h1-{name}.json"] = {
+            "m": 2, "points": [[str(c) for c in p] for p in pts]}
+    return files
+
+
+def _jobs() -> list[tuple[str, list[str]]]:
+    """(golden file, argv without --out) for every command in the corpus."""
+    inputs = GOLDEN / "inputs"
+    jobs = []
+    for case, d, m in _suite_grid():
+        name = f"{case}-d{d}-m{m}.json"
+        jobs.append((f"generate/{name}",
+                     ["generate", "--case", case, "--d", str(d),
+                      "--m", str(m), "--seed", "0"]))
+        jobs.append((f"verify/{name}",
+                     ["verify", str(GOLDEN / "generate" / name)]))
+    for name in RANK_INPUTS:
+        jobs.append((f"rank/{name}.json",
+                     ["rank", str(inputs / f"rank-{name}.json")]))
+    for name, (d, _pts) in H1_INPUTS.items():
+        jobs.append((f"h1/{name}-d{d}.json",
+                     ["h1", str(inputs / f"h1-{name}.json"), "--d", str(d)]))
+    return jobs
+
+
+JOBS = _jobs()
+
+
+@pytest.mark.parametrize("golden, argv", JOBS, ids=[j[0] for j in JOBS])
+def test_output_matches_golden_bytes(golden, argv, tmp_path):
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_inputs_match_their_definitions():
+    for name, obj in _input_files().items():
+        text = (GOLDEN / "inputs" / name).read_text(encoding="utf-8")
+        assert json.loads(text) == obj
+
+
+def regenerate() -> None:
+    for sub in ("inputs", "generate", "verify", "rank", "h1"):
+        (GOLDEN / sub).mkdir(parents=True, exist_ok=True)
+    for name, obj in _input_files().items():
+        (GOLDEN / "inputs" / name).write_text(json.dumps(obj) + "\n",
+                                              encoding="utf-8")
+    for golden, argv in JOBS:
+        if main(argv + ["--out", str(GOLDEN / golden)]) != 0:
+            raise SystemExit(f"{golden}: command did not exit 0")
+    if main(["suite", "--seed", "0", "--out", str(SUITE)]) != 0:
+        raise SystemExit("suite: command did not exit 0")
+
+
+if __name__ == "__main__":
+    regenerate()
