@@ -43,14 +43,6 @@ from .univariate import (BoxScalar, RootBox, all_roots_real, as_real_poly,
 Point1 = tuple[Scalar, Scalar]
 
 
-def _canonical_point1(a: Scalar, b: Scalar) -> Point1:
-    if not a.is_zero:
-        return (ONE, b / a)
-    if b.is_zero:
-        raise ValueError("not a projective point")
-    return (ZERO, ONE)
-
-
 @dataclass(frozen=True)
 class BinaryForm:
     degree: int
@@ -348,10 +340,11 @@ def _real_boxes(g: Sequence[Scalar], radius: Fraction) -> list[RootBox]:
     return out
 
 
-def _exact_decomposition(f: BinaryForm, h: BinaryForm, field_tag: str,
+def _exact_decomposition(f: BinaryForm, h: BinaryForm,
+                         pts: Optional[list[Point1]], field_tag: str,
                          certified: bool,
                          notes: tuple[str, ...]) -> BinaryDecomposition:
-    pts = binary_roots_exact(h)
+    """Decomposition on the roots pts of h; implicit when pts is None."""
     if pts is None:
         return _implicit_decomposition(f, h, field_tag, certified, notes)
     coeffs = _solve_exact_coeffs(f, pts)
@@ -563,24 +556,31 @@ def pullback_conic(form, images: Sequence[BinaryForm]) -> BinaryForm:
 
 # -- the two rank engines --------------------------------------------------------
 
-def complex_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
-    """Smallest r whose apolar kernel holds a squarefree form, with witness."""
+def _steps(f: BinaryForm):
+    """(r, kernel, gcd) for each step r whose apolar kernel is nonempty
+    with a squarefree gcd; the first such r is the complex rank, and no
+    real decomposition exists at any other r."""
     if f.is_zero:
         raise ValueError("rank of the zero form is undefined")
-    d = f.degree
-    for r in range(1, d + 1):
+    for r in range(1, f.degree + 1):
         kernel = hankel_kernel(f, r)
         if not kernel:
             continue
         x_mult, g = binary_gcd(kernel)
-        if not _binary_squarefree(x_mult, g):
-            continue
+        if _binary_squarefree(x_mult, g):
+            yield r, kernel, g
+
+
+def complex_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
+    """Smallest r whose apolar kernel holds a squarefree form, with witness."""
+    for r, kernel, _g in _steps(f):
         first: Optional[BinaryForm] = None
         for n, h in enumerate(_squarefree_elements(kernel)):
             if first is None:
                 first = h
-            if binary_roots_exact(h) is not None:
-                return r, _exact_decomposition(f, h, "C", True, ())
+            pts = binary_roots_exact(h)
+            if pts is not None:
+                return r, _exact_decomposition(f, h, pts, "C", True, ())
             if n >= 23:
                 break
         if first is None:
@@ -593,32 +593,24 @@ def complex_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
 
 def real_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
     """Smallest certified r admitting a real decomposition; see module doc."""
-    if f.is_zero:
-        raise ValueError("rank of the zero form is undefined")
     if not f.is_real:
         raise ValueError("real rank needs a real form")
-    d = f.degree
-    start, _ = complex_rank(f)
     certified = True
     notes: tuple[str, ...] = ()
-    for r in range(start, d + 1):
-        kernel = hankel_kernel(f, r)
-        if not kernel:
-            continue
-        x_mult, g = binary_gcd(kernel)
-        if not _binary_squarefree(x_mult, g):
-            continue
+    for r, kernel, g in _steps(f):
         if not _binary_all_real(g):
             continue
         if len(kernel) == 1:
             h = kernel[0]
             hx, hg = _split_plain(h.plain_coeffs())
             if _binary_squarefree(hx, hg) and _binary_all_real(hg):
-                return r, _exact_decomposition(f, h, "R", certified, notes)
+                return r, _exact_decomposition(
+                    f, h, binary_roots_exact(h), "R", certified, notes)
             continue
         h = _real_rooted_search(f, kernel, r)
         if h is not None:
-            return r, _exact_decomposition(f, h, "R", certified, notes)
+            return r, _exact_decomposition(
+                f, h, binary_roots_exact(h), "R", certified, notes)
         certified = False
         notes = ("search exhausted without certificate at step %d" % r,)
     raise ArithmeticError("no real-rooted apolar form up to degree d")

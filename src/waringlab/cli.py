@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .binary import BinaryForm, complex_rank, real_rank
 from .factory import CASE_A, CASE_B, CASE_C, Instance, generate_instance
@@ -44,14 +42,6 @@ def _load(path: str) -> dict:
         return json.load(fh)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("WARINGLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"WARINGLAB_THREADS must be an integer, got {raw!r}")
-
-
 def _parse_overrides(text: str | None) -> tuple[int | None, int | None]:
     if not text:
         return None, None
@@ -60,10 +50,11 @@ def _parse_overrides(text: str | None) -> tuple[int | None, int | None]:
         raise ValueError(
             'threshold overrides must be a JSON object with keys in '
             '{"line", "conic"}')
-    line = obj.get("line")
-    conic = obj.get("conic")
-    return (None if line is None else int(line),
-            None if conic is None else int(conic))
+    for key, value in obj.items():
+        if value is not None and type(value) is not int:
+            raise ValueError(f"threshold override {key!r} must be an "
+                             f"integer, got {value!r}")
+    return obj.get("line"), obj.get("conic")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -91,7 +82,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     payload = report.to_json()
     payload["seed"] = seed
     _emit(payload, args.out)
-    return 0 if report.overall_pass else 1
+    return 0 if report.overall_pass and report.label_match is not False else 1
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -113,6 +104,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_h1(args: argparse.Namespace) -> int:
+    if args.d < 1:
+        raise ValueError(f"--d must be at least 1, got {args.d}")
     s = PointSet.from_json(_load(args.input))
     report = h1_ideal(s, args.d)
     payload = report.to_json()
@@ -147,13 +140,7 @@ def _suite_cell(cell: tuple[str, int, int], seed: int) -> dict:
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    cells = _suite_grid()
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            rows = list(pool.map(lambda c: _suite_cell(c, args.seed), cells))
-    else:
-        rows = [_suite_cell(c, args.seed) for c in cells]
+    rows = [_suite_cell(c, args.seed) for c in _suite_grid()]
     failures = [r for r in rows if not (r["overall_pass"]
                                         and r["label_match"])]
     payload = {

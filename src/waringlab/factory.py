@@ -21,7 +21,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .binary import BinaryForm, complex_rank, real_rank
 from .forms import HomogeneousForm, LinearForm, power_of_linear
@@ -32,6 +32,7 @@ from .spans import (ConicParametrization, catalecticant_rank,
                     conic_power_basis, curve_power_basis, h1_ideal,
                     line_power_basis, membership, power_row,
                     restrict_to_conic, restrict_to_line, spans_disjoint)
+from .univariate import poly_mul
 
 CASE_A = "a"
 CASE_B = "b"
@@ -95,6 +96,8 @@ class Instance:
 
     @staticmethod
     def from_json(obj: dict) -> "Instance":
+        if obj["case"] not in (CASE_A, CASE_B, CASE_C):
+            raise ValueError(f"unknown case label {obj['case']!r}")
         return Instance(
             m=int(obj["m"]), d=int(obj["d"]), case_label=obj["case"],
             seed=int(obj["seed"]),
@@ -144,22 +147,12 @@ def _compose_gl2(f: BinaryForm, a: int, b: int, c: int, e: int) -> BinaryForm:
             continue
         prod = [coeff]
         for _ in range(d - k):
-            prod = _plain_mul(prod, img_x)
+            prod = poly_mul(prod, img_x)
         for _ in range(k):
-            prod = _plain_mul(prod, img_y)
+            prod = poly_mul(prod, img_y)
         for i, cc in enumerate(prod):
             acc[i] = acc[i] + cc
     return BinaryForm.from_plain(acc)
-
-
-def _plain_mul(a: list[Scalar], b: list[Scalar]) -> list[Scalar]:
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 # -- embedding decompositions on curves --------------------------------------------
@@ -188,69 +181,58 @@ def _embedded_power_sum(raw_points: Sequence[tuple[Scalar, ...]],
     return total, points, fixed
 
 
-def _line_raw(line: CurveSpec, s: Scalar, t: Scalar) -> tuple[Scalar, ...]:
+@dataclass(frozen=True)
+class _Piece:
+    """A gap form transplanted onto one curve component."""
+    part: HomogeneousForm
+    rc: int
+    rr: int
+    pts_c: list[ProjectivePoint]
+    lam_c: list[Scalar]
+    pts_r: list[ProjectivePoint]
+    lam_r: list[Scalar]
+
+
+def _transplant(gap: BinaryForm, embed: Callable, restrict: Callable,
+                d: int) -> _Piece:
+    """Embed both certified decompositions of a gap form on a curve.
+
+    embed(s, t) gives the ambient coordinates of the parameter point [s:t];
+    restrict(form) reads a form on the curve back as a binary form.
+    """
+    rc, dec_c = complex_rank(gap)
+    rr, dec_r = real_rank(gap)
+    if dec_c.mode != "exact" or dec_r.mode != "exact":
+        raise ConstraintViolation(
+            "gap-ranks", "gap form needs exact rational decompositions")
+    if not dec_c.minimality_certified or not dec_r.minimality_certified:
+        raise ConstraintViolation(
+            "gap-ranks", "gap form ranks are not certified")
+    if rr <= rc:
+        raise ConstraintViolation(
+            "gap-ranks", f"need a real rank gap, got ({rc}, {rr})")
+    qc, pts_c, lam_c = _embedded_power_sum(
+        [embed(s, t) for s, t in dec_c.points], dec_c.coeffs, d)
+    qr, pts_r, lam_r = _embedded_power_sum(
+        [embed(s, t) for s, t in dec_r.points], dec_r.coeffs, d)
+    if qc != qr:
+        raise ArithmeticError("two transplants of one form disagree")
+    if restrict(qc) != gap:
+        raise ArithmeticError("transplant does not restrict back")
+    return _Piece(qc, rc, rr, pts_c, lam_c, pts_r, lam_r)
+
+
+def _line_maps(line: CurveSpec) -> tuple[Callable, Callable]:
+    """[s:t] -> s*b1 + t*b2 along the line basis, and restriction back."""
     b1, b2 = line.line_basis
-    return tuple(s * a + t * b for a, b in zip(b1.coords, b2.coords))
+    return (lambda s, t: tuple(s * a + t * b
+                               for a, b in zip(b1.coords, b2.coords)),
+            lambda form: restrict_to_line(form, line))
 
 
-def _conic_raw(param: ConicParametrization, s: Scalar,
-               t: Scalar) -> tuple[Scalar, ...]:
-    return tuple(q.evaluate(s, t) for q in param.quadrics)
-
-
-def _transplant_on_line(gap: BinaryForm, line: CurveSpec,
-                        d: int) -> tuple[HomogeneousForm, dict]:
-    """Embed a degree-d binary gap form on a line; return parts and data."""
-    rc, dec_c = complex_rank(gap)
-    rr, dec_r = real_rank(gap)
-    data = {"rc": rc, "rr": rr, "dec_c": dec_c, "dec_r": dec_r}
-    if dec_c.mode != "exact" or dec_r.mode != "exact":
-        raise ConstraintViolation(
-            "gap-ranks", "gap form needs exact rational decompositions")
-    if not dec_c.minimality_certified or not dec_r.minimality_certified:
-        raise ConstraintViolation(
-            "gap-ranks", "gap form ranks are not certified")
-    if rr <= rc:
-        raise ConstraintViolation(
-            "gap-ranks", f"need a real rank gap, got ({rc}, {rr})")
-    qc, pts_c, lam_c = _embedded_power_sum(
-        [_line_raw(line, s, t) for s, t in dec_c.points], dec_c.coeffs, d)
-    qr, pts_r, lam_r = _embedded_power_sum(
-        [_line_raw(line, s, t) for s, t in dec_r.points], dec_r.coeffs, d)
-    if qc != qr:
-        raise ArithmeticError("two transplants of one form disagree")
-    if restrict_to_line(qc, line) != gap:
-        raise ArithmeticError("transplant does not restrict back")
-    data.update(curve_part=qc, pts_c=pts_c, lam_c=lam_c,
-                pts_r=pts_r, lam_r=lam_r)
-    return qc, data
-
-
-def _transplant_on_conic(gap: BinaryForm, param: ConicParametrization,
-                         d: int) -> tuple[HomogeneousForm, dict]:
-    rc, dec_c = complex_rank(gap)
-    rr, dec_r = real_rank(gap)
-    data = {"rc": rc, "rr": rr, "dec_c": dec_c, "dec_r": dec_r}
-    if dec_c.mode != "exact" or dec_r.mode != "exact":
-        raise ConstraintViolation(
-            "gap-ranks", "gap form needs exact rational decompositions")
-    if not dec_c.minimality_certified or not dec_r.minimality_certified:
-        raise ConstraintViolation(
-            "gap-ranks", "gap form ranks are not certified")
-    if rr <= rc:
-        raise ConstraintViolation(
-            "gap-ranks", f"need a real rank gap, got ({rc}, {rr})")
-    qc, pts_c, lam_c = _embedded_power_sum(
-        [_conic_raw(param, s, t) for s, t in dec_c.points], dec_c.coeffs, d)
-    qr, pts_r, lam_r = _embedded_power_sum(
-        [_conic_raw(param, s, t) for s, t in dec_r.points], dec_r.coeffs, d)
-    if qc != qr:
-        raise ArithmeticError("two transplants of one form disagree")
-    if restrict_to_conic(qc, param) != gap:
-        raise ArithmeticError("transplant does not restrict back")
-    data.update(curve_part=qc, pts_c=pts_c, lam_c=lam_c,
-                pts_r=pts_r, lam_r=lam_r)
-    return qc, data
+def _conic_maps(param: ConicParametrization) -> tuple[Callable, Callable]:
+    return (lambda s, t: tuple(q.evaluate(s, t) for q in param.quadrics),
+            lambda form: restrict_to_conic(form, param))
 
 
 def _check_budget(d: int, size_c: int, size_r: int) -> None:
@@ -358,7 +340,81 @@ def _genericity_certs(e_points: Sequence[ProjectivePoint], d: int,
             Certificate("off-curve-span-disjoint", disjoint)]
 
 
-# -- the three case builders ---------------------------------------------------------
+# -- the case builders ---------------------------------------------------------------
+
+def _on_curve_union(pieces: Sequence[_Piece]) -> PointSet:
+    return PointSet.of([p for pc in pieces for p in pc.pts_c + pc.pts_r])
+
+
+def _union_threshold(pieces: Sequence[_Piece], need: int,
+                     key: str) -> Certificate:
+    count = len(_on_curve_union(pieces))
+    if count < need:
+        raise ConstraintViolation(
+            "curve-threshold",
+            f"on-curve union {count} is below {key} = {need}")
+    return Certificate("curve-threshold", True, "",
+                       (("on_curve_union", str(count)), (key, str(need))))
+
+
+def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
+           e_points: Sequence[ProjectivePoint],
+           e_coeffs: Optional[Sequence[Scalar]], seed: int, rank_note: str,
+           thresholds: Callable[[list[_Piece]], list[Certificate]],
+           param: Optional[ConicParametrization] = None) -> Instance:
+    """The construction every case shares, on a validated real curve.
+
+    arcs lists (gap form, (embed, restrict)) for each curve component
+    that carries a gap; thresholds checks the curve's richness on the
+    transplanted pieces and returns its certificates.
+    """
+    want = 2 * d if curve.kind == SMOOTH_CONIC else d
+    for gap, _maps in arcs:
+        if gap.degree != want or not gap.is_real:
+            raise ConstraintViolation(
+                "gap-ranks", f"gap forms must be real of degree {want}")
+    for p in e_points:
+        if not p.is_real:
+            raise ConstraintViolation("off-curve", "E must be real")
+        if curve.contains(p):
+            raise ConstraintViolation("off-curve", "E must avoid the curve")
+    pieces = [_transplant(gap, *maps, d) for gap, maps in arcs]
+    size_c = sum(pc.rc for pc in pieces) + len(e_points)
+    size_r = sum(pc.rr for pc in pieces) + len(e_points)
+    _check_budget(d, size_c, size_r)
+    rich = thresholds(pieces)
+    if e_coeffs is None:
+        e_coeffs = [ONE] * len(e_points)
+    form = sum((pc.part for pc in pieces[1:]), pieces[0].part)
+    form = form + _e_power_sum(e_points, e_coeffs, m, d)
+    pts_c = [p for pc in pieces for p in pc.pts_c]
+    pts_r = [p for pc in pieces for p in pc.pts_r]
+    s_c = PointSet.of(pts_c + list(e_points))
+    s_r = PointSet.of(pts_r + list(e_points))
+    if len(s_c) != size_c or len(s_r) != size_r:
+        raise ConstraintViolation("off-curve",
+                                  "E collides with curve points")
+    sides = [""] if len(pieces) == 1 else ["_left", "_right"]
+    ranks = tuple((kind + side, str(rank)) for side, pc in zip(sides, pieces)
+                  for kind, rank in (("complex", pc.rc), ("real", pc.rr)))
+    certs = [Certificate("curve-part-ranks", True, rank_note, ranks)]
+    certs += rich
+    certs.append(Certificate(
+        "budget", True, "",
+        (("sizes", f"{size_c}+{size_r}"), ("limit", str(3 * d - 1)))))
+    certs += _genericity_certs(e_points, d,
+                               curve_power_basis(curve, d, param))
+    if not all(c.passed for c in certs):
+        bad = next(c for c in certs if not c.passed)
+        raise ConstraintViolation(bad.name, "genericity failure")
+    certs += _common_certs(form, s_c, s_r, d, curve)
+    certs.append(_minimality_cert(form, size_c))
+    certs += _witness_cert(
+        pts_c, [lam for pc in pieces for lam in pc.lam_c],
+        pts_r, [lam for pc in pieces for lam in pc.lam_r],
+        e_points, e_coeffs, d % 2 == 0)
+    return Instance(m, d, label, seed, form, s_c, s_r, curve, tuple(certs))
+
 
 def make_case_a(m: int, d: int, gap_form: BinaryForm,
                 e_points: Sequence[ProjectivePoint], line: CurveSpec,
@@ -369,51 +425,11 @@ def make_case_a(m: int, d: int, gap_form: BinaryForm,
         raise ConstraintViolation("curve", "need a line in the right space")
     if not line.is_real:
         raise ConstraintViolation("curve", "the line must be real")
-    if gap_form.degree != d or not gap_form.is_real:
-        raise ConstraintViolation("gap-ranks",
-                                  "gap form must be real of degree d")
-    for p in e_points:
-        if not p.is_real:
-            raise ConstraintViolation("off-curve", "E must be real")
-        if line.contains(p):
-            raise ConstraintViolation("off-curve", "E must avoid the line")
-    curve_part, data = _transplant_on_line(gap_form, line, d)
-    size_c = data["rc"] + len(e_points)
-    size_r = data["rr"] + len(e_points)
-    _check_budget(d, size_c, size_r)
-    on_union = PointSet.of(data["pts_c"] + data["pts_r"])
-    if len(on_union) < d + 2:
-        raise ConstraintViolation(
-            "curve-threshold",
-            f"on-line union {len(on_union)} is below d+2 = {d + 2}")
-    if e_coeffs is None:
-        e_coeffs = [ONE] * len(e_points)
-    form = curve_part + _e_power_sum(e_points, e_coeffs, m, d)
-    s_c = PointSet.of(list(data["pts_c"]) + list(e_points))
-    s_r = PointSet.of(list(data["pts_r"]) + list(e_points))
-    if len(s_c) != size_c or len(s_r) != size_r:
-        raise ConstraintViolation("off-curve",
-                                  "E collides with curve points")
-    certs = [Certificate(
-        "curve-part-ranks", True, "certified binary ranks on the line",
-        (("complex", str(data["rc"])), ("real", str(data["rr"]))))]
-    certs.append(Certificate(
-        "curve-threshold", True, "",
-        (("on_curve_union", str(len(on_union))), ("d_plus_2", str(d + 2)))))
-    certs.append(Certificate(
-        "budget", True, "",
-        (("sizes", f"{size_c}+{size_r}"), ("limit", str(3 * d - 1)))))
-    certs += _genericity_certs(e_points, d, line_power_basis(line, d))
-    if not all(c.passed for c in certs):
-        bad = next(c for c in certs if not c.passed)
-        raise ConstraintViolation(bad.name, "genericity failure")
-    inst_certs = certs + _common_certs(form, s_c, s_r, d, line)
-    inst_certs.append(_minimality_cert(form, size_c))
-    inst_certs += _witness_cert(data["pts_c"], data["lam_c"], data["pts_r"],
-                                data["lam_r"], e_points, e_coeffs,
-                                d % 2 == 0)
-    return Instance(m, d, CASE_A, seed, form, s_c, s_r, line,
-                    tuple(inst_certs))
+    return _build(CASE_A, m, d, line, [(gap_form, _line_maps(line))],
+                  e_points, e_coeffs, seed,
+                  "certified binary ranks on the line",
+                  lambda pieces: [_union_threshold(pieces, d + 2,
+                                                   "d_plus_2")])
 
 
 def make_case_b(m: int, d: int, gap_form: BinaryForm,
@@ -429,55 +445,12 @@ def make_case_b(m: int, d: int, gap_form: BinaryForm,
     if not curve.is_real or not param.is_real:
         raise ConstraintViolation("curve", "conic and parametrization "
                                   "must be real")
-    if gap_form.degree != 2 * d or not gap_form.is_real:
-        raise ConstraintViolation(
-            "gap-ranks", "smooth-conic gap form must be real of degree 2d")
-    for p in e_points:
-        if not p.is_real:
-            raise ConstraintViolation("off-curve", "E must be real")
-        if curve.contains(p):
-            raise ConstraintViolation("off-curve", "E must avoid the conic")
-    curve_part, data = _transplant_on_conic(gap_form, param, d)
-    size_c = data["rc"] + len(e_points)
-    size_r = data["rr"] + len(e_points)
-    _check_budget(d, size_c, size_r)
-    on_union = PointSet.of(data["pts_c"] + data["pts_r"])
-    if len(on_union) < 2 * d + 2:
-        raise ConstraintViolation(
-            "curve-threshold",
-            f"on-conic union {len(on_union)} is below 2d+2 = {2 * d + 2}")
-    if data["rc"] >= data["rr"]:
-        raise ConstraintViolation("curve-threshold",
-                                  "on-conic strict inequality fails")
-    if e_coeffs is None:
-        e_coeffs = [ONE] * len(e_points)
-    form = curve_part + _e_power_sum(e_points, e_coeffs, m, d)
-    s_c = PointSet.of(list(data["pts_c"]) + list(e_points))
-    s_r = PointSet.of(list(data["pts_r"]) + list(e_points))
-    if len(s_c) != size_c or len(s_r) != size_r:
-        raise ConstraintViolation("off-curve",
-                                  "E collides with curve points")
-    certs = [Certificate(
-        "curve-part-ranks", True, "certified binary ranks on the conic",
-        (("complex", str(data["rc"])), ("real", str(data["rr"]))))]
-    certs.append(Certificate(
-        "curve-threshold", True, "",
-        (("on_curve_union", str(len(on_union))),
-         ("two_d_plus_2", str(2 * d + 2)))))
-    certs.append(Certificate(
-        "budget", True, "",
-        (("sizes", f"{size_c}+{size_r}"), ("limit", str(3 * d - 1)))))
-    certs += _genericity_certs(e_points, d, conic_power_basis(param, d))
-    if not all(c.passed for c in certs):
-        bad = next(c for c in certs if not c.passed)
-        raise ConstraintViolation(bad.name, "genericity failure")
-    inst_certs = certs + _common_certs(form, s_c, s_r, d, curve)
-    inst_certs.append(_minimality_cert(form, size_c))
-    inst_certs += _witness_cert(data["pts_c"], data["lam_c"], data["pts_r"],
-                                data["lam_r"], e_points, e_coeffs,
-                                d % 2 == 0)
-    return Instance(m, d, CASE_B, seed, form, s_c, s_r, curve,
-                    tuple(inst_certs))
+    return _build(CASE_B, m, d, curve, [(gap_form, _conic_maps(param))],
+                  e_points, e_coeffs, seed,
+                  "certified binary ranks on the conic",
+                  lambda pieces: [_union_threshold(pieces, 2 * d + 2,
+                                                   "two_d_plus_2")],
+                  param)
 
 
 def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
@@ -495,77 +468,29 @@ def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
     node = curve.node
     if node is None:
         raise ArithmeticError("concurrent lines without a node")
-    parts = []
-    for gap, branch in ((gap_left, line_left), (gap_right, line_right)):
-        if gap.degree != d or not gap.is_real:
-            raise ConstraintViolation(
-                "gap-ranks", "branch gap forms must be real of degree d")
-        part, data = _transplant_on_line(gap, branch, d)
-        if node in data["pts_c"] or node in data["pts_r"]:
+
+    def thresholds(pieces: list[_Piece]) -> list[Certificate]:
+        union = _on_curve_union(pieces)
+        if node in union:
             raise ConstraintViolation(
                 "node-avoidance", "a decomposition point hit the node")
-        parts.append((part, data))
-    for p in e_points:
-        if not p.is_real:
-            raise ConstraintViolation("off-curve", "E must be real")
-        if curve.contains(p):
-            raise ConstraintViolation("off-curve", "E must avoid the conic")
-    (part_l, data_l), (part_r, data_r) = parts
-    size_c = data_l["rc"] + data_r["rc"] + len(e_points)
-    size_r = data_l["rr"] + data_r["rr"] + len(e_points)
-    _check_budget(d, size_c, size_r)
-    pts_c = data_l["pts_c"] + data_r["pts_c"]
-    pts_r = data_l["pts_r"] + data_r["pts_r"]
-    on_union = PointSet.of(pts_c + pts_r)
-    if len(on_union) < 2 * d + 2:
-        raise ConstraintViolation(
-            "curve-threshold",
-            f"on-conic union {len(on_union)} is below 2d+2 = {2 * d + 2}")
-    branch_counts = []
-    for branch in (line_left, line_right):
-        cnt = sum(1 for p in on_union
-                  if branch.contains(p) and p != node)
-        branch_counts.append(cnt)
-        if cnt < d + 1:
+        rich = _union_threshold(pieces, 2 * d + 2, "two_d_plus_2")
+        counts = [sum(1 for p in union if branch.contains(p))
+                  for branch in (line_left, line_right)]
+        if min(counts) < d + 1:
             raise ConstraintViolation(
-                "branch-threshold",
-                f"branch holds {cnt} off-node points, below d+1 = {d + 1}")
-    if e_coeffs is None:
-        e_coeffs = [ONE] * len(e_points)
-    form = part_l + part_r + _e_power_sum(e_points, e_coeffs, m, d)
-    s_c = PointSet.of(list(pts_c) + list(e_points))
-    s_r = PointSet.of(list(pts_r) + list(e_points))
-    if len(s_c) != size_c or len(s_r) != size_r:
-        raise ConstraintViolation("off-curve", "point collision")
-    certs = [Certificate(
-        "curve-part-ranks", True, "certified per-branch binary ranks",
-        (("complex_left", str(data_l["rc"])),
-         ("real_left", str(data_l["rr"])),
-         ("complex_right", str(data_r["rc"])),
-         ("real_right", str(data_r["rr"]))))]
-    certs.append(Certificate(
-        "curve-threshold", True, "",
-        (("on_curve_union", str(len(on_union))),
-         ("two_d_plus_2", str(2 * d + 2)))))
-    certs.append(Certificate(
-        "branch-threshold", True, "off-node points per branch",
-        (("left", str(branch_counts[0])),
-         ("right", str(branch_counts[1])),
-         ("d_plus_1", str(d + 1)))))
-    certs.append(Certificate(
-        "budget", True, "",
-        (("sizes", f"{size_c}+{size_r}"), ("limit", str(3 * d - 1)))))
-    certs += _genericity_certs(e_points, d, curve_power_basis(curve, d))
-    if not all(c.passed for c in certs):
-        bad = next(c for c in certs if not c.passed)
-        raise ConstraintViolation(bad.name, "genericity failure")
-    inst_certs = certs + _common_certs(form, s_c, s_r, d, curve)
-    inst_certs.append(_minimality_cert(form, size_c))
-    inst_certs += _witness_cert(
-        pts_c, data_l["lam_c"] + data_r["lam_c"], pts_r,
-        data_l["lam_r"] + data_r["lam_r"], e_points, e_coeffs, d % 2 == 0)
-    return Instance(m, d, CASE_B, seed, form, s_c, s_r, curve,
-                    tuple(inst_certs))
+                "branch-threshold", f"branch holds {min(counts)} off-node "
+                f"points, below d+1 = {d + 1}")
+        return [rich, Certificate(
+            "branch-threshold", True, "off-node points per branch",
+            (("left", str(counts[0])), ("right", str(counts[1])),
+             ("d_plus_1", str(d + 1))))]
+
+    return _build(CASE_B, m, d, curve,
+                  [(gap_left, _line_maps(line_left)),
+                   (gap_right, _line_maps(line_right))],
+                  e_points, e_coeffs, seed,
+                  "certified per-branch binary ranks", thresholds)
 
 
 def make_case_c(m: int, d: int, gap_left: BinaryForm,
@@ -584,64 +509,23 @@ def make_case_c(m: int, d: int, gap_left: BinaryForm,
     if not curve.is_real:
         raise ConstraintViolation("curve", "both lines must be real")
     left, right = curve.branches
-    parts = []
-    for gap, branch in ((gap_left, left), (gap_right, right)):
-        if gap.degree != d or not gap.is_real:
+
+    def thresholds(pieces: list[_Piece]) -> list[Certificate]:
+        sizes = [len(_on_curve_union([pc])) for pc in pieces]
+        if min(sizes) < d + 2:
             raise ConstraintViolation(
-                "gap-ranks", "branch gap forms must be real of degree d")
-        parts.append(_transplant_on_line(gap, branch, d))
-    for p in e_points:
-        if not p.is_real:
-            raise ConstraintViolation("off-curve", "E must be real")
-        if curve.contains(p):
-            raise ConstraintViolation("off-curve", "E must avoid the lines")
-    (part_l, data_l), (part_r, data_r) = parts
-    size_c = data_l["rc"] + data_r["rc"] + len(e_points)
-    size_r = data_l["rr"] + data_r["rr"] + len(e_points)
-    _check_budget(d, size_c, size_r)
-    unions = []
-    for data in (data_l, data_r):
-        u = PointSet.of(data["pts_c"] + data["pts_r"])
-        unions.append(u)
-        if len(u) < d + 2:
-            raise ConstraintViolation(
-                "curve-threshold",
-                f"a line union has {len(u)} points, below d+2 = {d + 2}")
-    if e_coeffs is None:
-        e_coeffs = [ONE] * len(e_points)
-    form = part_l + part_r + _e_power_sum(e_points, e_coeffs, m, d)
-    s_c = PointSet.of(list(data_l["pts_c"]) + list(data_r["pts_c"])
-                      + list(e_points))
-    s_r = PointSet.of(list(data_l["pts_r"]) + list(data_r["pts_r"])
-                      + list(e_points))
-    if len(s_c) != size_c or len(s_r) != size_r:
-        raise ConstraintViolation("off-curve", "point collision")
-    certs = [Certificate(
-        "curve-part-ranks", True, "certified per-line binary ranks",
-        (("complex_left", str(data_l["rc"])),
-         ("real_left", str(data_l["rr"])),
-         ("complex_right", str(data_r["rc"])),
-         ("real_right", str(data_r["rr"]))))]
-    certs.append(Certificate(
-        "curve-threshold", True, "both line unions",
-        (("left", str(len(unions[0]))), ("right", str(len(unions[1]))),
-         ("d_plus_2", str(d + 2)))))
-    certs.append(Certificate(
-        "budget", True, "",
-        (("sizes", f"{size_c}+{size_r}"), ("limit", str(3 * d - 1)))))
-    certs += _genericity_certs(e_points, d, curve_power_basis(curve, d))
-    if not all(c.passed for c in certs):
-        bad = next(c for c in certs if not c.passed)
-        raise ConstraintViolation(bad.name, "genericity failure")
-    inst_certs = certs + _common_certs(form, s_c, s_r, d, curve)
-    inst_certs.append(_minimality_cert(form, size_c))
-    inst_certs += _witness_cert(
-        data_l["pts_c"] + data_r["pts_c"],
-        data_l["lam_c"] + data_r["lam_c"],
-        data_l["pts_r"] + data_r["pts_r"],
-        data_l["lam_r"] + data_r["lam_r"], e_points, e_coeffs, d % 2 == 0)
-    return Instance(m, d, CASE_C, seed, form, s_c, s_r, curve,
-                    tuple(inst_certs))
+                "curve-threshold", f"a line union has {min(sizes)} points, "
+                f"below d+2 = {d + 2}")
+        return [Certificate(
+            "curve-threshold", True, "both line unions",
+            (("left", str(sizes[0])), ("right", str(sizes[1])),
+             ("d_plus_2", str(d + 2))))]
+
+    return _build(CASE_C, m, d, curve,
+                  [(gap_left, _line_maps(left)),
+                   (gap_right, _line_maps(right))],
+                  e_points, e_coeffs, seed,
+                  "certified per-line binary ranks", thresholds)
 
 
 # -- seeded generation ------------------------------------------------------------

@@ -80,13 +80,6 @@ class LinearForm:
             acc = acc + c * v
         return acc
 
-    def as_form(self) -> "HomogeneousForm":
-        return HomogeneousForm.from_coeff_map(
-            self.num_vars, 1,
-            {tuple(1 if i == j else 0 for i in range(self.num_vars)): c
-             for j, c in enumerate(self.coeffs)})
-
-
 @dataclass(frozen=True, eq=False)
 class HomogeneousForm:
     num_vars: int
@@ -248,10 +241,6 @@ def combine(terms: Iterable[tuple[Scalar, LinearForm]],
     if acc is None:
         raise ValueError("combine needs at least one term")
     return acc
-
-
-def conjugate_form(form: HomogeneousForm) -> HomogeneousForm:
-    return form.conjugate()
 
 
 def form_substitute(form: HomogeneousForm,

@@ -10,7 +10,7 @@ so results are deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from typing import Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar
@@ -32,25 +32,17 @@ def _gdiv_exact(a: GInt, b: GInt) -> GInt:
     re = a[0] * b[0] + a[1] * b[1]
     im = a[1] * b[0] - a[0] * b[1]
     # Bareiss guarantees exactness; a nonzero remainder means a logic bug.
-    assert re % n == 0 and im % n == 0
+    if re % n or im % n:
+        raise ArithmeticError("inexact Gaussian integer division")
     return (re // n, im // n)
 
 
 def _clear_row(row: Sequence[Scalar]) -> list[GInt]:
-    lcm = 1
-    for c in row:
-        lcm = lcm * c.re.denominator // _gcd(lcm, c.re.denominator)
-        lcm = lcm * c.im.denominator // _gcd(lcm, c.im.denominator)
-    out = []
-    for c in row:
-        out.append((int(c.re * lcm), int(c.im * lcm)))
-    return out
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    """The row times the lcm of its denominators, as Gaussian integers."""
+    lcm = math.lcm(*(c.re.denominator for c in row),
+                   *(c.im.denominator for c in row))
+    return [(c.re.numerator * (lcm // c.re.denominator),
+             c.im.numerator * (lcm // c.im.denominator)) for c in row]
 
 
 def gaussian_int_rank(rows: list[list[GInt]]) -> int:
@@ -113,11 +105,13 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, tuple[int, ...]]:
             inv = ONE / m[r][col]
             m[r] = [c * inv for c in m[r]]
         row_r = m[r]
+        support = [j for j in range(col, nc) if not row_r[j].is_zero]
         for i in range(nr):
             if i != r and not m[i][col].is_zero:
                 f = m[i][col]
-                m[i] = [a if b.is_zero else a - f * b
-                        for a, b in zip(m[i], row_r)]
+                row = m[i]
+                for j in support:
+                    row[j] = row[j] - f * row_r[j]
         pivots.append(col)
         r += 1
         if r == nr:
@@ -206,6 +200,3 @@ def span_intersection(u_columns: Sequence[Sequence[Scalar]],
         return []
     return row_space_basis(vectors)
 
-
-def scalar_matrix_from_fractions(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [[Scalar.of(x) for x in row] for row in rows]

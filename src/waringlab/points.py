@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -26,11 +27,6 @@ from .scalars import ONE, ZERO, Scalar
 from .univariate import solve_quadratic
 
 GInt = tuple[int, int]
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-    return a // gcd(a, b) * b
 
 
 @dataclass(frozen=True)
@@ -64,18 +60,7 @@ class ProjectivePoint:
     @cached_property
     def zcoords(self) -> tuple[GInt, ...]:
         """Primitive Gaussian-integer representative, for int-only incidence."""
-        from math import gcd
-        lcm = 1
-        for c in self.coords:
-            lcm = _lcm(lcm, c.re.denominator)
-            lcm = _lcm(lcm, c.im.denominator)
-        ints = [(int(c.re * lcm), int(c.im * lcm)) for c in self.coords]
-        content = 0
-        for a, b in ints:
-            content = gcd(content, gcd(abs(a), abs(b)))
-        if content > 1:
-            ints = [(a // content, b // content) for a, b in ints]
-        return tuple(ints)
+        return _primitive(linalg._clear_row(self.coords))
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
@@ -142,9 +127,6 @@ class PointSet:
 
     def is_conjugation_stable(self) -> bool:
         return self.conjugate() == self
-
-    def real_points(self) -> "PointSet":
-        return PointSet(tuple(p for p in self.points if p.is_real))
 
     def to_json(self) -> dict:
         return {"m": self.m, "points": [p.to_json() for p in self.points]}
@@ -275,21 +257,12 @@ class CurveSpec:
     @cached_property
     def _line_equations(self) -> tuple[tuple[GInt, ...], ...]:
         rows = [list(p.coords) for p in self.line_basis]
-        kernel = linalg.nullspace(rows)
-        out = []
-        for vec in kernel:
-            out.append(_clear_to_gauss_ints(vec))
-        return tuple(out)
+        return tuple(tuple(linalg._clear_row(vec))
+                     for vec in linalg.nullspace(rows))
 
     def contains(self, p: ProjectivePoint) -> bool:
         if self.kind == LINE:
-            z = p.zcoords
-            for eq in self._line_equations:
-                re = sum(a * x - b * y for (a, b), (x, y) in zip(eq, z))
-                im = sum(a * y + b * x for (a, b), (x, y) in zip(eq, z))
-                if re or im:
-                    return False
-            return True
+            return _incident(self._line_equations, p.zcoords)
         if self.kind == TWO_DISJOINT_LINES:
             return self.branches[0].contains(p) or self.branches[1].contains(p)
         u = self.plane_coordinates(p)
@@ -356,7 +329,8 @@ class CurveSpec:
             return None
         mat = _conic_matrix(self.conic_coeffs)
         kernel = linalg.nullspace([list(r) for r in mat])
-        assert len(kernel) == 1
+        if len(kernel) != 1:
+            raise ArithmeticError("a reducible conic needs a single node")
         return self.point_from_plane(kernel[0])
 
     def branch_lines(self) -> Optional[tuple["CurveSpec", "CurveSpec"]]:
@@ -443,12 +417,22 @@ def _conj_line(l: CurveSpec) -> CurveSpec:
     return CurveSpec.line(*(p.conjugate() for p in l.line_basis))
 
 
-def _clear_to_gauss_ints(vec: Sequence[Scalar]) -> tuple[GInt, ...]:
-    lcm = 1
-    for c in vec:
-        lcm = _lcm(lcm, c.re.denominator)
-        lcm = _lcm(lcm, c.im.denominator)
-    return tuple((int(c.re * lcm), int(c.im * lcm)) for c in vec)
+def _primitive(vec: Sequence[GInt]) -> tuple[GInt, ...]:
+    """vec divided by the gcd of all its integer parts."""
+    content = gcd(*(abs(x) for pair in vec for x in pair))
+    if content > 1:
+        return tuple((a // content, b // content) for a, b in vec)
+    return tuple(vec)
+
+
+def _incident(eqs: Sequence[Sequence[GInt]], z: Sequence[GInt]) -> bool:
+    """Whether the Gaussian-integer point z satisfies every equation."""
+    for eq in eqs:
+        re = sum(a * x - b * y for (a, b), (x, y) in zip(eq, z))
+        im = sum(a * y + b * x for (a, b), (x, y) in zip(eq, z))
+        if re or im:
+            return False
+    return True
 
 
 _CONIC_EXPS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
@@ -512,7 +496,8 @@ def _line_equation_in_plane(line: CurveSpec, rows, pivots) -> list[Scalar]:
             raise ValueError("line does not lie in the plane")
         pts.append(list(u))
     kernel = linalg.nullspace(pts)
-    assert len(kernel) == 1
+    if len(kernel) != 1:
+        raise ArithmeticError("line basis does not span a line")
     return kernel[0]
 
 
@@ -568,12 +553,7 @@ def _monomial_eval(u: Sequence[Scalar], exp) -> Scalar:
 
 def _normalize_gvec(vec: Sequence[GInt]) -> tuple[GInt, ...]:
     """Primitive, unit-normalized Gaussian-integer vector (canonical rep)."""
-    from math import gcd
-    content = 0
-    for a, b in vec:
-        content = gcd(content, gcd(abs(a), abs(b)))
-    if content > 1:
-        vec = [(a // content, b // content) for a, b in vec]
+    vec = _primitive(vec)
     best = None
     for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
         cand = tuple((a * u[0] - b * u[1], a * u[1] + b * u[0])
@@ -599,23 +579,12 @@ def _planes_of(s: PointSet,
             continue
         kernel = linalg.nullspace([list(p.coords) for p in triple])
         canon = linalg.row_space_basis(kernel)
-        eqs = [_clear_to_gauss_ints(v) for v in canon]
+        eqs = [tuple(linalg._clear_row(v)) for v in canon]
         sig = tuple(_normalize_gvec(e) for e in eqs)
         if sig in seen:
             continue
         seen.add(sig)
-        members = []
-        for p in pts:
-            z = p.zcoords
-            hit = True
-            for eq in eqs:
-                re = sum(a * x - b * y for (a, b), (x, y) in zip(eq, z))
-                im = sum(a * y + b * x for (a, b), (x, y) in zip(eq, z))
-                if re or im:
-                    hit = False
-                    break
-            if hit:
-                members.append(p)
+        members = [p for p in pts if _incident(eqs, p.zcoords)]
         if len(members) < min_members:
             continue
         reduced, pivots = linalg.rref([list(p.coords) for p in triple])

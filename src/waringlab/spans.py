@@ -54,24 +54,6 @@ def power_row(p: ProjectivePoint, d: int) -> tuple[Scalar, ...]:
     return tuple(out)
 
 
-def veronese_eval_matrix(s: PointSet, d: int) -> list[list[Scalar]]:
-    """Rows of plain degree-d monomial values at canonical representatives."""
-    rows = []
-    for p in s:
-        row = []
-        for exp in monomial_exponents(p.m + 1, d):
-            val = ONE
-            for c, e in zip(p.coords, exp):
-                if e:
-                    if c.is_zero:
-                        val = ZERO
-                        break
-                    val = val * c ** e
-            row.append(val)
-        rows.append(row)
-    return rows
-
-
 @dataclass(frozen=True)
 class SpanReport:
     set_size: int
@@ -128,21 +110,15 @@ def unique_intersection_point(form: HomogeneousForm, e: PointSet,
     projective point, the input form itself when e is empty, and NotUnique
     when the meet is empty or positive-dimensional.  When the inputs are
     real data (real form, conjugation-stable e and t) the result must be
-    real; that invariant is asserted.
+    real; a non-real result raises ArithmeticError.
     """
     if len(e) == 0:
         return form.canonical()
     if any(p in t for p in e):
         raise ValueError("the two point sets must be disjoint")
-    u_cols = [list(form.coeff_vector())] + [list(power_row(p, d)) for p in e]
-    v_cols = [list(power_row(p, d)) for p in t]
-    meet = linalg.span_intersection(u_cols, v_cols)
-    if len(meet) != 1:
-        which = "empty" if not meet else "positive-dimensional"
-        return NotUnique(f"intersection is {which}")
-    found = HomogeneousForm.from_coeff_vector(
-        form.num_vars, d, meet[0]).canonical()
-    if (form.is_real and e.is_conjugation_stable()
+    found = curve_meet_point(form, e, [power_row(p, d) for p in t], d)
+    if (not isinstance(found, NotUnique) and form.is_real
+            and e.is_conjugation_stable()
             and t.is_conjugation_stable() and not found.is_real):
         raise ArithmeticError("real data produced a non-real meet point")
     return found

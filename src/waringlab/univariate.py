@@ -48,10 +48,6 @@ def poly_degree(p: Sequence[Scalar]) -> int:
     return len(q) - 1
 
 
-def poly_is_zero(p: Sequence[Scalar]) -> bool:
-    return all(c.is_zero for c in p)
-
-
 def poly_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
     n = max(len(a), len(b))
     out = []
@@ -60,16 +56,6 @@ def poly_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
         y = b[i] if i < len(b) else ZERO
         out.append(x + y)
     return poly_trim(out)
-
-
-def poly_sub(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
-    return poly_add(a, [-c for c in b])
-
-
-def poly_scale(a: Sequence[Scalar], s: Scalar) -> Poly:
-    if s.is_zero:
-        return []
-    return [c * s for c in a]
 
 
 def poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
@@ -150,7 +136,8 @@ def squarefree_part(a: Sequence[Scalar]) -> Poly:
         return poly_monic(a)
     g = poly_gcd(a, poly_derivative(a))
     q, r = poly_divmod(a, g)
-    assert not r
+    if r:
+        raise ArithmeticError("gcd does not divide the polynomial")
     return poly_monic(q)
 
 
@@ -189,7 +176,8 @@ def gaussian_sqrt(z: Scalar) -> Optional[Scalar]:
         return None
     b = z.im / (2 * a)
     root = Scalar(a, b)
-    assert root * root == z
+    if root * root != z:
+        raise ArithmeticError("square root does not square back")
     return root
 
 
@@ -403,7 +391,8 @@ def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
             return None
         roots.append(found)
         work, rem = poly_divmod(work, [-found, ONE])
-        assert not rem
+        if rem:
+            raise ArithmeticError("confirmed root does not divide")
     roots.sort(key=lambda z: z.sort_key())
     return roots
 

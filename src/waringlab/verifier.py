@@ -213,71 +213,77 @@ def detect_structure(union: PointSet, d: int,
     return DetectedStructure(tuple(lines), tuple(conics), tuple(pairs))
 
 
-# -- case (a) ----------------------------------------------------------------------
+# -- steps every case shares -------------------------------------------------------
 
-def _meet_both_ways(form: HomogeneousForm, off_c: PointSet,
-                    off_r: PointSet, on_c: PointSet, on_r: PointSet,
-                    d: int, real_data: bool,
-                    label: str) -> tuple[Optional[HomogeneousForm],
-                                         list[CheckResult]]:
-    """Intersection point from the complex and the real span data.
+def _split(s_c: PointSet, s_r: PointSet, curve: CurveSpec, check_id: str
+           ) -> tuple[tuple[PointSet, ...], CheckResult]:
+    """(on_c, off_c, on_r, off_r), and the off-curve agreement check."""
+    on_c, off_c = split_on_curve(s_c, curve)
+    on_r, off_r = split_on_curve(s_r, curve)
+    agree = CheckResult(
+        check_id, _sorted_keys(off_c) == _sorted_keys(off_r), "",
+        (("off_complex", str(len(off_c))), ("off_real", str(len(off_r)))))
+    return (on_c, off_c, on_r, off_r), agree
 
-    Both reads must exist, agree, and be real on real-hypothesis input.
+
+def _roll_up(check_id: str, sub: list[CheckResult]) -> list[CheckResult]:
+    """A summary check that passes when every sub-check does, then those."""
+    return [CheckResult(check_id, all(c.passed for c in sub),
+                        "; ".join(c.note for c in sub if c.note))] + sub
+
+
+def _meet_both_ways(read, parts: tuple[PointSet, ...], real_data: bool,
+                    label: str, note: Optional[str] = None
+                    ) -> tuple[Optional[HomogeneousForm], CheckResult]:
+    """The meet point read from the complex and from the real span data.
+
+    read(off, on) returns the point or NotUnique.  Both reads must exist,
+    agree, and be real on real-hypothesis input; note replaces the default
+    note of a passing check.
     """
-    checks: list[CheckResult] = []
+    on_c, off_c, on_r, off_r = parts
     try:
-        p1 = unique_intersection_point(form, off_c, on_c, d)
-        p2 = unique_intersection_point(form, off_r, on_r, d)
+        p1 = read(off_c, on_c)
+        p2 = read(off_r, on_r)
     except (ValueError, ArithmeticError) as err:
-        checks.append(CheckResult(label, False, str(err)))
-        return None, checks
+        return None, CheckResult(label, False, str(err))
     if isinstance(p1, NotUnique) or isinstance(p2, NotUnique):
         reason = p1.reason if isinstance(p1, NotUnique) else p2.reason
-        checks.append(CheckResult(label, False, reason))
-        return None, checks
+        return None, CheckResult(label, False, reason)
     if p1 != p2:
-        checks.append(CheckResult(
-            label, False, "complex and real span reads disagree"))
-        return None, checks
+        return None, CheckResult(label, False,
+                                 "complex and real span reads disagree")
     if real_data and not p1.is_real:
-        checks.append(CheckResult(label, False,
-                                  "meet point is not real"))
-        return None, checks
-    checks.append(CheckResult(
-        label, True,
-        "meet point agrees across both span reads and is real"
-        if real_data else
-        "meet point agrees across both span reads"))
-    return p1, checks
+        return None, CheckResult(label, False, "meet point is not real")
+    if note is None:
+        note = "meet point agrees across both span reads" + (
+            " and is real" if real_data else "")
+    return p1, CheckResult(label, True, note)
 
 
-def _rank_checks(restricted, on_c: PointSet, on_r: PointSet,
-                 prefix: str) -> list[CheckResult]:
-    """Evincing as cardinality: certified binary ranks match the set sizes."""
+def _rank_checks(restrict, part: HomogeneousForm, curve, on_c: PointSet,
+                 on_r: PointSet, prefix: str) -> list[CheckResult]:
+    """Evincing as cardinality: restrict(part, curve) has certified binary
+    ranks equal to the on-curve set sizes."""
+    try:
+        restricted = restrict(part, curve)
+    except (ValueError, ArithmeticError) as err:
+        return [CheckResult(prefix + "restriction", False, str(err))]
     out: list[CheckResult] = []
-    try:
-        rc, dec_c = complex_rank(restricted)
-        ok = rc == len(on_c) and dec_c.minimality_certified
-        note = "" if ok else f"complex rank {rc} vs {len(on_c)} points"
-        if not dec_c.minimality_certified:
-            note = "complex rank not certified"
-        out.append(CheckResult(prefix + "complex-evincing", ok, note,
-                               (("rank", str(rc)),
-                                ("points", str(len(on_c))))))
-    except (ValueError, ArithmeticError) as err:
-        out.append(CheckResult(prefix + "complex-evincing", False,
-                               str(err)))
-    try:
-        rr, dec_r = real_rank(restricted)
-        ok = rr == len(on_r) and dec_r.minimality_certified
-        note = "" if ok else f"real rank {rr} vs {len(on_r)} points"
-        if not dec_r.minimality_certified:
-            note = "real rank not certified"
-        out.append(CheckResult(prefix + "real-evincing", ok, note,
-                               (("rank", str(rr)),
-                                ("points", str(len(on_r))))))
-    except (ValueError, ArithmeticError) as err:
-        out.append(CheckResult(prefix + "real-evincing", False, str(err)))
+    for side, engine, on in (("complex", complex_rank, on_c),
+                             ("real", real_rank, on_r)):
+        try:
+            r, dec = engine(restricted)
+        except (ValueError, ArithmeticError) as err:
+            out.append(CheckResult(prefix + side + "-evincing", False,
+                                   str(err)))
+            continue
+        ok = r == len(on) and dec.minimality_certified
+        note = "" if ok else f"{side} rank {r} vs {len(on)} points"
+        if not dec.minimality_certified:
+            note = f"{side} rank not certified"
+        out.append(CheckResult(prefix + side + "-evincing", ok, note,
+                               (("rank", str(r)), ("points", str(len(on))))))
     return out
 
 
@@ -285,48 +291,43 @@ def _membership_checks(point_form: HomogeneousForm, on_c: PointSet,
                        on_r: PointSet, d: int,
                        prefix: str) -> list[CheckResult]:
     out = []
-    try:
-        ok = membership(point_form, on_c, d, "C")
-        out.append(CheckResult(prefix + "membership-complex", ok))
-    except ValueError as err:
-        out.append(CheckResult(prefix + "membership-complex", False,
-                               str(err)))
-    try:
-        ok = membership(point_form, on_r, d, "R")
-        out.append(CheckResult(prefix + "membership-real", ok))
-    except ValueError as err:
-        out.append(CheckResult(prefix + "membership-real", False,
-                               str(err)))
+    for side, tag, on in (("complex", "C", on_c), ("real", "R", on_r)):
+        try:
+            ok = membership(point_form, on, d, tag)
+            out.append(CheckResult(prefix + "membership-" + side, ok))
+        except ValueError as err:
+            out.append(CheckResult(prefix + "membership-" + side, False,
+                                   str(err)))
     return out
 
 
+def _combine(n: int, d: int, coeffs, vectors) -> HomogeneousForm:
+    """sum coeff * vector, read as a form."""
+    acc = HomogeneousForm.zero(n, d)
+    for lam, vec in zip(coeffs, vectors):
+        acc = acc + HomogeneousForm.from_coeff_vector(
+            n, d, [lam * c for c in vec])
+    return acc
+
+
+# -- case (a) ----------------------------------------------------------------------
+
 def verify_case_a(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
                   line: CurveSpec, d: int) -> CaseAttempt:
-    on_c, off_c = split_on_curve(s_c, line)
-    on_r, off_r = split_on_curve(s_r, line)
-    real_data = _is_real_data(form, s_c, s_r)
-    checks: list[CheckResult] = []
-    checks.append(CheckResult(
-        "a.i", _sorted_keys(off_c) == _sorted_keys(off_r),
-        "", (("off_complex", str(len(off_c))),
-             ("off_real", str(len(off_r))))))
+    parts, agree = _split(s_c, s_r, line, "a.i")
+    on_c, _, on_r, _ = parts
+    checks = [agree]
     meets: list[tuple[str, HomogeneousForm]] = []
-    sub: list[CheckResult] = []
-    point, meet_checks = _meet_both_ways(form, off_c, off_r, on_c, on_r,
-                                         d, real_data, "a.ii.meet")
-    sub.extend(meet_checks)
+    point, meet = _meet_both_ways(
+        lambda off, on: unique_intersection_point(form, off, on, d),
+        parts, _is_real_data(form, s_c, s_r), "a.ii.meet")
+    sub = [meet]
     if point is not None:
         meets.append(("P_l", point))
-        try:
-            restricted = restrict_to_line(point, line)
-            sub.extend(_rank_checks(restricted, on_c, on_r, "a.ii."))
-        except (ValueError, ArithmeticError) as err:
-            sub.append(CheckResult("a.ii.restriction", False, str(err)))
-        sub.extend(_membership_checks(point, on_c, on_r, d, "a.ii."))
-    checks.append(CheckResult(
-        "a.ii", all(c.passed for c in sub),
-        "; ".join(c.note for c in sub if c.note)))
-    checks.extend(sub)
+        sub += _rank_checks(restrict_to_line, point, line, on_c, on_r,
+                            "a.ii.")
+        sub += _membership_checks(point, on_c, on_r, d, "a.ii.")
+    checks += _roll_up("a.ii", sub)
     union = on_c.union(on_r)
     checks.append(CheckResult(
         "a.iii", len(union) >= d + 2 and len(on_c) < len(on_r), "",
@@ -359,9 +360,8 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
     n = point_form.num_vars
     part_l = HomogeneousForm.zero(n, d)
     part_r = HomogeneousForm.zero(n, d)
-    for p, lam in zip(pts, sol):
-        term = HomogeneousForm.from_coeff_vector(
-            n, d, [lam * c for c in power_row(p, d)])
+    for p, lam, col in zip(pts, sol, cols):
+        term = HomogeneousForm.from_coeff_vector(n, d, [lam * c for c in col])
         if left.contains(p):
             part_l = part_l + term
         elif right.contains(p):
@@ -373,31 +373,23 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
 
 def verify_case_b(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
                   conic: CurveSpec, d: int) -> CaseAttempt:
-    on_c, off_c = split_on_curve(s_c, conic)
-    on_r, off_r = split_on_curve(s_r, conic)
-    real_data = _is_real_data(form, s_c, s_r)
-    checks: list[CheckResult] = []
-    checks.append(CheckResult(
-        "b.i", _sorted_keys(off_c) == _sorted_keys(off_r),
-        "", (("off_complex", str(len(off_c))),
-             ("off_real", str(len(off_r))))))
+    parts, agree = _split(s_c, s_r, conic, "b.i")
+    on_c, _, on_r, _ = parts
+    checks = [agree]
     meets: list[tuple[str, HomogeneousForm]] = []
-    sub: list[CheckResult] = []
-    point, meet_checks = _meet_both_ways(form, off_c, off_r, on_c, on_r,
-                                         d, real_data, "b.ii.meet")
-    sub.extend(meet_checks)
+    point, meet = _meet_both_ways(
+        lambda off, on: unique_intersection_point(form, off, on, d),
+        parts, _is_real_data(form, s_c, s_r), "b.ii.meet")
+    sub = [meet]
     if point is not None:
         meets.append(("P_C", point))
         if conic.kind == SMOOTH_CONIC:
-            sub.extend(_smooth_conic_evincing(point, conic, on_c, on_r, d))
+            sub += _smooth_conic_evincing(point, conic, on_c, on_r)
         else:
-            sub.extend(_reducible_conic_evincing(point, conic, on_c, on_r,
-                                                 d, meets))
-        sub.extend(_membership_checks(point, on_c, on_r, d, "b.ii."))
-    checks.append(CheckResult(
-        "b.ii", all(c.passed for c in sub),
-        "; ".join(c.note for c in sub if c.note)))
-    checks.extend(sub)
+            sub += _reducible_conic_evincing(point, conic, on_c, on_r, d,
+                                             meets)
+        sub += _membership_checks(point, on_c, on_r, d, "b.ii.")
+    checks += _roll_up("b.ii", sub)
     union = on_c.union(on_r)
     checks.append(CheckResult(
         "b.iii", len(union) >= 2 * d + 2 and len(on_c) < len(on_r), "",
@@ -407,28 +399,26 @@ def verify_case_b(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
     if conic.kind == SMOOTH_CONIC:
         checks.append(CheckResult("b.iv", True, "smooth conic; no branch "
                                   "condition applies"))
-    else:
-        node = conic.node
-        rows = []
-        ok = True
-        branches = conic.branch_lines()
-        if branches is None or node is None:
-            checks.append(CheckResult("b.iv", False,
-                                      "branches are not rational"))
-        else:
-            for tag, branch in zip(("left", "right"), branches):
-                cnt = sum(1 for p in union
-                          if branch.contains(p) and p != node)
-                rows.append((tag, str(cnt)))
-                ok = ok and cnt >= d + 1
-            rows.append(("d_plus_1", str(d + 1)))
-            checks.append(CheckResult("b.iv", ok, "", tuple(rows)))
+        return CaseAttempt("b", conic, tuple(checks), tuple(meets))
+    node = conic.node
+    branches = conic.branch_lines()
+    if branches is None or node is None:
+        checks.append(CheckResult("b.iv", False,
+                                  "branches are not rational"))
+        return CaseAttempt("b", conic, tuple(checks), tuple(meets))
+    counts = [(tag, sum(1 for p in union
+                        if branch.contains(p) and p != node))
+              for tag, branch in zip(("left", "right"), branches)]
+    checks.append(CheckResult(
+        "b.iv", all(cnt >= d + 1 for _, cnt in counts), "",
+        tuple((tag, str(cnt)) for tag, cnt in counts)
+        + (("d_plus_1", str(d + 1)),)))
     return CaseAttempt("b", conic, tuple(checks), tuple(meets))
 
 
 def _smooth_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
-                           on_c: PointSet, on_r: PointSet,
-                           d: int) -> list[CheckResult]:
+                           on_c: PointSet,
+                           on_r: PointSet) -> list[CheckResult]:
     base = next((p for p in on_r if p.is_real), None)
     if base is None:
         return [CheckResult(
@@ -438,13 +428,8 @@ def _smooth_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
         param = parametrize_conic(conic, base)
     except (ValueError, ArithmeticError) as err:
         return [CheckResult("b.ii.parametrization", False, str(err))]
-    out = [CheckResult("b.ii.parametrization", True)]
-    try:
-        restricted = restrict_to_conic(point, param)
-        out.extend(_rank_checks(restricted, on_c, on_r, "b.ii."))
-    except (ValueError, ArithmeticError) as err:
-        out.append(CheckResult("b.ii.restriction", False, str(err)))
-    return out
+    return [CheckResult("b.ii.parametrization", True)] + _rank_checks(
+        restrict_to_conic, point, param, on_c, on_r, "b.ii.")
 
 
 def _reducible_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
@@ -473,12 +458,8 @@ def _reducible_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
                               ("right.", part_r, right)):
         bc = PointSet.of(p for p in on_c if branch.contains(p))
         br = PointSet.of(p for p in on_r if branch.contains(p))
-        try:
-            restricted = restrict_to_line(part, branch)
-            out.extend(_rank_checks(restricted, bc, br, "b.ii." + tag))
-        except (ValueError, ArithmeticError) as err:
-            out.append(CheckResult("b.ii." + tag + "restriction", False,
-                                   str(err)))
+        out += _rank_checks(restrict_to_line, part, branch, bc, br,
+                            "b.ii." + tag)
     return out
 
 
@@ -487,14 +468,8 @@ def _reducible_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
 def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
                   pair: CurveSpec, d: int) -> CaseAttempt:
     left, right = pair.branches
-    on_c, off_c = split_on_curve(s_c, pair)
-    on_r, off_r = split_on_curve(s_r, pair)
-    real_data = _is_real_data(form, s_c, s_r)
-    checks: list[CheckResult] = []
-    checks.append(CheckResult(
-        "c.i", _sorted_keys(off_c) == _sorted_keys(off_r),
-        "", (("off_complex", str(len(off_c))),
-             ("off_real", str(len(off_r))))))
+    parts, agree = _split(s_c, s_r, pair, "c.i")
+    checks = [agree]
     lc = PointSet.of(p for p in s_c if left.contains(p))
     lr = PointSet.of(p for p in s_r if left.contains(p))
     rc_set = PointSet.of(p for p in s_c if right.contains(p))
@@ -505,47 +480,31 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
         (("left_union", str(len(u_left))),
          ("right_union", str(len(u_right))),
          ("d_plus_2", str(d + 2)))))
-    meets: list[tuple[str, HomogeneousForm]] = []
+    real_data = _is_real_data(form, s_c, s_r)
     try:
         basis = pair_power_basis(pair, d)
     except (ValueError, ArithmeticError) as err:
         checks.append(CheckResult("c.iii", False, str(err)))
         return CaseAttempt("c", pair, tuple(checks), ())
-    o1 = curve_meet_point(form, off_c, basis, d)
-    o2 = curve_meet_point(form, off_r, basis, d)
-    if isinstance(o1, NotUnique) or isinstance(o2, NotUnique):
-        reason = o1.reason if isinstance(o1, NotUnique) else o2.reason
-        checks.append(CheckResult("c.iii", False, reason))
+    point, meet = _meet_both_ways(
+        lambda off, _on: curve_meet_point(form, off, basis, d),
+        parts, real_data, "c.iii", note="")
+    checks.append(meet)
+    if point is None:
         return CaseAttempt("c", pair, tuple(checks), ())
-    if o1 != o2:
-        checks.append(CheckResult(
-            "c.iii", False, "complex and real span reads disagree"))
-        return CaseAttempt("c", pair, tuple(checks), ())
-    if real_data and not o1.is_real:
-        checks.append(CheckResult("c.iii", False,
-                                  "meet point is not real"))
-        return CaseAttempt("c", pair, tuple(checks), ())
-    checks.append(CheckResult("c.iii", True))
-    meets.append(("O_Gamma", o1))
+    meets = [("O_Gamma", point)]
     sub: list[CheckResult] = []
     left_basis = line_power_basis(left, d)
     right_basis = line_power_basis(right, d)
-    sol = linalg.solve_columns(
-        [list(v) for v in left_basis] + [list(v) for v in right_basis],
-        list(o1.coeff_vector()))
+    sol = linalg.solve_columns(left_basis + right_basis,
+                               list(point.coeff_vector()))
     if sol is None:
         sub.append(CheckResult("c.iv.split", False,
                                "meet point left the joint span"))
     else:
         n = form.num_vars
-        o_l = HomogeneousForm.zero(n, d)
-        for lam, vec in zip(sol[:d + 1], left_basis):
-            o_l = o_l + HomogeneousForm.from_coeff_vector(
-                n, d, [lam * c for c in vec])
-        o_r = HomogeneousForm.zero(n, d)
-        for lam, vec in zip(sol[d + 1:], right_basis):
-            o_r = o_r + HomogeneousForm.from_coeff_vector(
-                n, d, [lam * c for c in vec])
+        o_l = _combine(n, d, sol[:d + 1], left_basis)
+        o_r = _combine(n, d, sol[d + 1:], right_basis)
         if real_data and (not o_l.is_real or not o_r.is_real):
             sub.append(CheckResult("c.iv.split", False,
                                    "line components are not real"))
@@ -554,24 +513,14 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
                                    "a line component vanished"))
         else:
             sub.append(CheckResult("c.iv.split", True))
-            meets.append(("O_l", o_l))
-            meets.append(("O_r", o_r))
+            meets += [("O_l", o_l), ("O_r", o_r)]
             for tag, part, line, bc, br in (
                     ("left.", o_l, left, lc, lr),
                     ("right.", o_r, right, rc_set, rr_set)):
-                try:
-                    restricted = restrict_to_line(part, line)
-                    sub.extend(_rank_checks(restricted, bc, br,
-                                            "c.iv." + tag))
-                except (ValueError, ArithmeticError) as err:
-                    sub.append(CheckResult("c.iv." + tag + "restriction",
-                                           False, str(err)))
-                sub.extend(_membership_checks(part, bc, br, d,
-                                              "c.iv." + tag))
-    checks.append(CheckResult(
-        "c.iv", all(c.passed for c in sub),
-        "; ".join(c.note for c in sub if c.note)))
-    checks.extend(sub)
+                sub += _rank_checks(restrict_to_line, part, line, bc, br,
+                                    "c.iv." + tag)
+                sub += _membership_checks(part, bc, br, d, "c.iv." + tag)
+    checks += _roll_up("c.iv", sub)
     return CaseAttempt("c", pair, tuple(checks), tuple(meets))
 
 

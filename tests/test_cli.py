@@ -102,6 +102,44 @@ def test_verify_threshold_overrides(tmp_path, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+def _relabelled(tmp_path, capsys, label):
+    inst_path = tmp_path / "inst.json"
+    run(capsys, "generate", "--case", "a", "--d", "4", "--m", "2",
+        "--seed", "5", "--out", str(inst_path))
+    obj = json.loads(inst_path.read_text())
+    obj["case"] = label
+    inst_path.write_text(json.dumps(obj))
+    return inst_path
+
+
+def test_verify_exits_1_on_label_mismatch(tmp_path, capsys):
+    rc, out, err = run(capsys, "verify", str(_relabelled(tmp_path, capsys,
+                                                         "c")))
+    assert rc == 1 and err == ""
+    report = json.loads(out)
+    assert report["overall_pass"] is True
+    assert report["passing_cases"] == ["a"]
+    assert report["label_match"] is False
+
+
+def test_verify_rejects_unknown_case_label(tmp_path, capsys):
+    rc, out, err = run(capsys, "verify", str(_relabelled(tmp_path, capsys,
+                                                         "z")))
+    assert rc == 2 and out == ""
+    envelope = json.loads(err)
+    assert envelope["error"] == "ValueError"
+    assert "'z'" in envelope["message"]
+
+
+def test_threshold_overrides_must_be_integers(tmp_path, capsys):
+    inst_path = _relabelled(tmp_path, capsys, "a")
+    for text in ('{"line": 3.7}', '{"conic": "8"}', '{"line": true}'):
+        rc, out, err = run(capsys, "verify", str(inst_path),
+                           "--threshold-overrides", text)
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+
 def test_verify_output_file_bytes_stable(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     run(capsys, "generate", "--case", "b", "--d", "4", "--m", "2",
@@ -169,6 +207,15 @@ def test_h1_command_collinear_points(tmp_path, capsys):
     assert payload["d"] == 3
 
 
+def test_h1_rejects_degree_below_one(tmp_path, capsys):
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps(PointSet.of([P(0, 1, 2)]).to_json()))
+    for d in ("-1", "0"):
+        rc, out, err = run(capsys, "h1", str(path), "--d", d)
+        assert rc == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
+
 def test_error_envelope_for_bad_input(tmp_path, capsys):
     rc, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert rc == 2 and out == ""
@@ -182,8 +229,7 @@ def test_error_envelope_for_bad_input(tmp_path, capsys):
     assert json.loads(err)["error"] == "JSONDecodeError"
 
 
-def test_suite_runs_full_grid(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("WARINGLAB_THREADS", "2")
+def test_suite_runs_full_grid(tmp_path, capsys):
     out_path = tmp_path / "suite.json"
     rc, _, _ = run(capsys, "suite", "--seed", "0", "--out", str(out_path))
     assert rc == 0
@@ -197,13 +243,6 @@ def test_suite_runs_full_grid(tmp_path, capsys, monkeypatch):
     assert ("c", 5, 3) in cells and ("a", 3, 2) in cells
     golden = Path(__file__).parent / "golden" / "suite-seed0.json"
     assert out_path.read_bytes() == golden.read_bytes()
-
-
-def test_suite_rejects_bad_thread_cap(capsys, monkeypatch):
-    monkeypatch.setenv("WARINGLAB_THREADS", "many")
-    rc, out, err = run(capsys, "suite")
-    assert rc == 2 and out == ""
-    assert json.loads(err)["error"] == "ValueError"
 
 
 def test_unknown_case_choice_exits_with_usage_error(capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -153,3 +154,10 @@ def test_row_space_basis_is_rref_rows():
             [Scalar.of(0), Scalar.of(1)]]
     basis = linalg.row_space_basis(rows)
     assert basis == [[ONE, ZERO], [ZERO, ONE]]
+
+
+def test_inexact_gaussian_division_raises():
+    # a guard that python -O cannot strip: 1 / 2 is not a Gaussian integer
+    with pytest.raises(ArithmeticError):
+        linalg._gdiv_exact((1, 0), (2, 0))
+    assert linalg._gdiv_exact((2, 4), (1, 1)) == (3, 1)
