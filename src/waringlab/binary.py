@@ -33,7 +33,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import linalg
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, parse_int
 from .univariate import (BoxScalar, RootBox, all_roots_real, as_real_poly,
                          certified_root_boxes, interval_solve,
                          isolate_real_roots, is_squarefree, poly_gcd,
@@ -122,8 +122,10 @@ class BinaryForm:
 
     @staticmethod
     def from_json(obj: dict) -> "BinaryForm":
-        return BinaryForm(int(obj["d"]),
-                          tuple(Scalar.from_json(c) for c in obj["c"]))
+        d = parse_int(obj, "d")
+        if d < 1:
+            raise ValueError(f"a binary form needs 'd' >= 1, got {d}")
+        return BinaryForm(d, tuple(Scalar.from_json(c) for c in obj["c"]))
 
 
 def moment_vector(point: Point1, degree: int) -> list[Scalar]:

@@ -20,6 +20,7 @@ from .binary import BinaryForm, complex_rank, real_rank
 from .factory import CASE_A, CASE_B, CASE_C, Instance, generate_instance
 from .forms import HomogeneousForm
 from .points import PointSet
+from .scalars import parse_int
 from .spans import h1_ideal
 from .verifier import classify, classify_triple
 
@@ -39,7 +40,11 @@ def _emit(payload: dict, out_path: str | None) -> None:
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("the input must be a JSON object, got "
+                         + type(obj).__name__)
+    return obj
 
 
 def _parse_overrides(text: str | None) -> tuple[int | None, int | None]:
@@ -74,9 +79,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         form = HomogeneousForm.from_json(obj["P"])
         s_c = PointSet.from_json(obj["S_C"])
         s_r = PointSet.from_json(obj["S_R"])
-        d = int(obj["d"])
-        m = int(obj["m"])
-        report = classify_triple(form, s_c, s_r, d, m, mode="raw",
+        report = classify_triple(form, s_c, s_r, parse_int(obj, "d"),
+                                 parse_int(obj, "m"), mode="raw",
                                  line_threshold=lt, conic_threshold=ct)
         seed = obj.get("seed")
     payload = report.to_json()

@@ -27,7 +27,7 @@ from .binary import BinaryForm, complex_rank, real_rank
 from .forms import HomogeneousForm, LinearForm, power_of_linear
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
                      ProjectivePoint, spanning_rank, split_on_curve)
-from .scalars import ONE, ZERO, Scalar, format_rational
+from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
 from .spans import (ConicParametrization, catalecticant_rank,
                     conic_power_basis, curve_power_basis, h1_ideal,
                     line_power_basis, membership, power_row,
@@ -99,8 +99,8 @@ class Instance:
         if obj["case"] not in (CASE_A, CASE_B, CASE_C):
             raise ValueError(f"unknown case label {obj['case']!r}")
         return Instance(
-            m=int(obj["m"]), d=int(obj["d"]), case_label=obj["case"],
-            seed=int(obj["seed"]),
+            m=parse_int(obj, "m"), d=parse_int(obj, "d"),
+            case_label=obj["case"], seed=int(obj["seed"]),
             form=HomogeneousForm.from_json(obj["P"]),
             s_c=PointSet.from_json(obj["S_C"]),
             s_r=PointSet.from_json(obj["S_R"]),

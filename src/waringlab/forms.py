@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, parse_int
 
 Exponent = tuple[int, ...]
 
@@ -207,8 +207,8 @@ class HomogeneousForm:
 
     @staticmethod
     def from_json(obj: dict) -> "HomogeneousForm":
-        num_vars = int(obj["m"]) + 1
-        degree = int(obj["d"])
+        num_vars = parse_int(obj, "m") + 1
+        degree = parse_int(obj, "d")
         coeffs = {tuple(int(e) for e in t["exp"]): Scalar.from_json(t)
                   for t in obj["terms"]}
         return HomogeneousForm.from_coeff_map(num_vars, degree, coeffs)

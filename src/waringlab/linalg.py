@@ -1,16 +1,18 @@
-"""Exact linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals, on one kernel.
 
-Two layers.  Rank queries clear denominators row by row and run fraction-free
-(Bareiss) elimination on pairs of Python ints representing Gaussian integers,
-which keeps intermediate growth polynomial and never touches Fraction
-normalization.  Solving, nullspaces and canonical bases run Gauss-Jordan
-directly on Scalar entries; pivots are chosen by position, not magnitude,
-so results are deterministic.
+Each row is cleared of denominators once, into Gaussian integers (pairs
+of ints), and fraction-free (Bareiss) elimination runs on the result, so
+no entry is ever a Fraction.  Rank and span membership read the pivots of
+the forward pass.  The reduced row echelon form also clears the rows above
+each pivot and divides once, at the end; nullspaces, solutions, row space
+bases and span intersections are read off it.  Pivots are chosen by
+position, not magnitude, so results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .scalars import ONE, ZERO, Scalar
@@ -19,11 +21,7 @@ Matrix = list[list[Scalar]]
 GInt = tuple[int, int]
 
 
-# -- Gaussian integer kernel ------------------------------------------------
-
-def _gmul(a: GInt, b: GInt) -> GInt:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
+# -- the kernel ----------------------------------------------------------------
 
 def _gdiv_exact(a: GInt, b: GInt) -> GInt:
     if b == (1, 0):
@@ -39,84 +37,97 @@ def _gdiv_exact(a: GInt, b: GInt) -> GInt:
 
 def _clear_row(row: Sequence[Scalar]) -> list[GInt]:
     """The row times the lcm of its denominators, as Gaussian integers."""
-    lcm = math.lcm(*(c.re.denominator for c in row),
-                   *(c.im.denominator for c in row))
-    return [(c.re.numerator * (lcm // c.re.denominator),
-             c.im.numerator * (lcm // c.im.denominator)) for c in row]
+    parts = [x.as_integer_ratio() for c in row for x in (c.re, c.im)]
+    lcm = math.lcm(*(q for _, q in parts))
+    flat = iter([p * (lcm // q) for p, q in parts])
+    return list(zip(flat, flat))
 
 
-def gaussian_int_rank(rows: list[list[GInt]]) -> int:
-    """Fraction-free elimination rank of a Gaussian integer matrix."""
-    m = [row[:] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nr, nc = len(m), len(m[0])
+def _eliminate(m: list[list[GInt]], reduce: bool
+               ) -> tuple[tuple[int, ...], list[GInt]]:
+    """Bareiss elimination of the Gaussian integer matrix m, in place.
+
+    Each update (pivot * a - head * b) / prev divides exactly by the previous
+    pivot, and touches only the columns right of the pivot.  With reduce,
+    the rows above each pivot are cleared too (Bareiss-Montante): at a free
+    column j, pivot row r then holds divisors[j] times its RREF entry,
+    divisors[j] being the pivot in force when the pass reached j.
+    """
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    pivots: list[int] = []
+    divisors: list[GInt] = []
     prev: GInt = (1, 0)
-    r = 0
     for col in range(nc):
+        divisors.append(prev)
+        r = len(pivots)
         piv = next((i for i in range(r, nr) if m[i][col] != (0, 0)), None)
         if piv is None:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        pivot = m[r][col]
-        for i in range(r + 1, nr):
-            head = m[i][col]
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        pr, pi = top[col]
+        qr, qi = prev
+        for i in (range(nr) if reduce else range(r + 1, nr)):
+            if i == r:
+                continue
+            row = m[i]
+            hr, hi = row[col]
             for j in range(col + 1, nc):
-                a = _gmul(pivot, m[i][j])
-                b = _gmul(head, m[r][j])
-                m[i][j] = _gdiv_exact((a[0] - b[0], a[1] - b[1]), prev)
-            m[i][col] = (0, 0)
-        prev = pivot
-        r += 1
-        if r == nr:
-            break
-    return r
+                ar, ai = row[j]
+                br, bi = top[j]
+                if not (ar or ai or br or bi):
+                    continue
+                xr = pr * ar - pi * ai - hr * br + hi * bi
+                xi = pr * ai + pi * ar - hr * bi - hi * br
+                if qi or xr % qr or xi % qr:
+                    row[j] = _gdiv_exact((xr, xi), prev)
+                else:
+                    row[j] = (xr // qr, xi // qr)
+        prev = top[col]
+        pivots.append(col)
+    return tuple(pivots), divisors
 
+
+def _quotient(a: GInt, b: GInt) -> Scalar:
+    """a / b as a Gaussian rational."""
+    if b[1] == 0:
+        return Scalar(Fraction(a[0], b[0]), Fraction(a[1], b[0]))
+    n = b[0] * b[0] + b[1] * b[1]
+    return Scalar(Fraction(a[0] * b[0] + a[1] * b[1], n),
+                  Fraction(a[1] * b[0] - a[0] * b[1], n))
+
+
+# -- questions answered by the kernel ------------------------------------------
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    cleared = [_clear_row(row) for row in rows]
-    return gaussian_int_rank(cleared)
+    return len(_eliminate([_clear_row(row) for row in rows], False)[0])
 
 
-def column_rank(columns: Sequence[Sequence[Scalar]]) -> int:
-    if not columns:
-        return 0
-    return rank([list(row) for row in zip(*columns)])
+def in_span(columns: Sequence[Sequence[Scalar]],
+            vector: Sequence[Scalar]) -> bool:
+    """Whether vector is a combination of the columns: one elimination of
+    [columns | vector], whose last column must not be a pivot."""
+    rows = [_clear_row(row) for row in zip(*columns, vector)]
+    return len(columns) not in _eliminate(rows, False)[0]
 
-
-# -- Scalar Gauss-Jordan ----------------------------------------------------
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    m = [list(row) for row in rows]
-    if not m:
-        return [], ()
-    nr, nc = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(nc):
-        piv = next((i for i in range(r, nr) if not m[i][col].is_zero), None)
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        if m[r][col] != ONE:
-            inv = ONE / m[r][col]
-            m[r] = [c * inv for c in m[r]]
-        row_r = m[r]
-        support = [j for j in range(col, nc) if not row_r[j].is_zero]
-        for i in range(nr):
-            if i != r and not m[i][col].is_zero:
-                f = m[i][col]
-                row = m[i]
-                for j in support:
-                    row[j] = row[j] - f * row_r[j]
-        pivots.append(col)
-        r += 1
-        if r == nr:
-            break
-    return m, tuple(pivots)
+    m = [_clear_row(row) for row in rows]
+    pivots, divisors = _eliminate(m, True)
+    nc = len(divisors)
+    reduced: Matrix = []
+    for r, pc in enumerate(pivots):
+        row = m[r]
+        out = [ZERO] * nc
+        out[pc] = ONE
+        for j in range(pc + 1, nc):
+            if j not in pivots and row[j] != (0, 0):
+                out[j] = _quotient(row[j], divisors[j])
+        reduced.append(out)
+    reduced += [[ZERO] * nc for _ in range(len(m) - len(pivots))]
+    return reduced, pivots
 
 
 def nullspace(rows: Sequence[Sequence[Scalar]],
@@ -148,33 +159,20 @@ def solve_columns(columns: Sequence[Sequence[Scalar]],
 
     Free variables are pinned to zero, so the answer is deterministic.
     """
-    n = len(target)
-    if not columns:
-        return [] if all(t.is_zero for t in target) else None
-    aug = [[columns[j][i] for j in range(len(columns))] + [target[i]]
-           for i in range(n)]
-    reduced, pivots = rref(aug)
-    ncols = len(columns)
-    if ncols in pivots:
+    k = len(columns)
+    reduced, pivots = rref(list(zip(*columns, target)))
+    if k in pivots:
         return None
-    x = [ZERO] * ncols
+    x = [ZERO] * k
     for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][ncols]
+        x[pc] = reduced[r][k]
     return x
-
-
-def in_span(columns: Sequence[Sequence[Scalar]],
-            vector: Sequence[Scalar]) -> bool:
-    if all(v.is_zero for v in vector):
-        return True
-    base = column_rank(columns)
-    return column_rank(list(columns) + [list(vector)]) == base
 
 
 def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Canonical basis of the row space (nonzero rows of the RREF)."""
     reduced, pivots = rref(rows)
-    return [reduced[i] for i in range(len(pivots))]
+    return reduced[:len(pivots)]
 
 
 def span_intersection(u_columns: Sequence[Sequence[Scalar]],
@@ -183,20 +181,9 @@ def span_intersection(u_columns: Sequence[Sequence[Scalar]],
     """Canonical basis of span(U) meet span(V), as a list of vectors."""
     if not u_columns or not v_columns:
         return []
-    n = len(u_columns[0])
-    stacked = [[u_columns[j][i] for j in range(len(u_columns))]
-               + [v_columns[j][i] for j in range(len(v_columns))]
-               for i in range(n)]
-    kernel = nullspace(stacked)
-    vectors: list[list[Scalar]] = []
-    for vec in kernel:
-        combo = [ZERO] * n
-        for j, col in enumerate(u_columns):
-            if not vec[j].is_zero:
-                combo = [a + vec[j] * b for a, b in zip(combo, col)]
-        if any(not c.is_zero for c in combo):
-            vectors.append(combo)
-    if not vectors:
-        return []
-    return row_space_basis(vectors)
-
+    kernel = nullspace(list(zip(*u_columns, *v_columns)))
+    u_rows = list(zip(*u_columns))
+    # a kernel vector (x, y) of [U | V] gives the common vector U x
+    meets = [[sum((a * b for a, b in zip(vec, row)), ZERO) for row in u_rows]
+             for vec in kernel]
+    return row_space_basis(meets)

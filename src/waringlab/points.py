@@ -23,7 +23,7 @@ from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, parse_int
 from .univariate import solve_quadratic
 
 GInt = tuple[int, int]
@@ -74,7 +74,7 @@ class ProjectivePoint:
 
 
 def spanning_rank(points: Sequence[ProjectivePoint]) -> int:
-    return linalg.gaussian_int_rank([list(p.zcoords) for p in points])
+    return linalg.rank([p.coords for p in points])
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ class PointSet:
     def from_json(obj: dict) -> "PointSet":
         pts = tuple(ProjectivePoint.from_json(p) for p in obj["points"])
         s = PointSet(pts)
-        if s.points and s.m != int(obj["m"]):
+        if s.points and s.m != parse_int(obj, "m"):
             raise ValueError("ambient dimension mismatch in point set data")
         return s
 
@@ -204,9 +204,9 @@ class CurveSpec:
     def reducible_from_lines(l1: "CurveSpec", l2: "CurveSpec") -> "CurveSpec":
         """The conic l1 + l2 for two distinct coplanar (meeting) lines."""
         pts = list(l1.line_basis) + list(l2.line_basis)
-        if spanning_rank(pts) != 3:
+        reduced, pivots = linalg.rref([p.coords for p in pts])
+        if len(pivots) != 3:
             raise ValueError("lines are not coplanar or are equal")
-        reduced, pivots = linalg.rref([list(p.coords) for p in pts])
         rows = tuple(tuple(r) for r in reduced[:3])
         eq1 = _line_equation_in_plane(l1, rows, tuple(pivots))
         eq2 = _line_equation_in_plane(l2, rows, tuple(pivots))
@@ -271,22 +271,10 @@ class CurveSpec:
         return _eval_conic(self.conic_coeffs, u).is_zero
 
     def plane_coordinates(self, p: ProjectivePoint) -> Optional[tuple[Scalar, ...]]:
-        """Coordinates of p in the plane's echelon basis, or None if off-plane."""
-        u = tuple(p.coords[j] for j in self.plane_pivots)
-        recon = [ZERO] * len(p.coords)
-        for ui, row in zip(u, self.plane_rows):
-            if not ui.is_zero:
-                recon = [a + ui * b for a, b in zip(recon, row)]
-        if tuple(recon) != p.coords:
-            return None
-        return u
+        return _plane_coordinates(self.plane_rows, self.plane_pivots, p)
 
     def point_from_plane(self, u: Sequence[Scalar]) -> ProjectivePoint:
-        out = [ZERO] * (self.m + 1)
-        for ui, row in zip(u, self.plane_rows):
-            if not ui.is_zero:
-                out = [a + ui * b for a, b in zip(out, row)]
-        return ProjectivePoint(tuple(out))
+        return ProjectivePoint(_from_plane(self.plane_rows, u))
 
     def point_at(self, s: Scalar, t: Scalar) -> ProjectivePoint:
         """Point s*b1 + t*b2 of a line."""
@@ -483,18 +471,27 @@ def _symmetric_product(eq1: Sequence[Scalar],
             a2 * b2]
 
 
+def _from_plane(rows, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """The point with coordinates u in the plane's echelon basis rows."""
+    out = [ZERO] * len(rows[0])
+    for ui, row in zip(u, rows):
+        if not ui.is_zero:
+            out = [a + ui * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def _plane_coordinates(rows, pivots, p: ProjectivePoint
+                       ) -> Optional[tuple[Scalar, ...]]:
+    """Coordinates of p in the plane's echelon basis, or None if off-plane."""
+    u = tuple(p.coords[j] for j in pivots)
+    return u if _from_plane(rows, u) == p.coords else None
+
+
 def _line_equation_in_plane(line: CurveSpec, rows, pivots) -> list[Scalar]:
     """The linear form on plane coordinates cutting out the given line."""
-    pts = []
-    for p in line.line_basis:
-        u = tuple(p.coords[j] for j in pivots)
-        recon = [ZERO] * len(p.coords)
-        for ui, row in zip(u, rows):
-            if not ui.is_zero:
-                recon = [x + ui * y for x, y in zip(recon, row)]
-        if tuple(recon) != p.coords:
-            raise ValueError("line does not lie in the plane")
-        pts.append(list(u))
+    pts = [_plane_coordinates(rows, pivots, p) for p in line.line_basis]
+    if None in pts:
+        raise ValueError("line does not lie in the plane")
     kernel = linalg.nullspace(pts)
     if len(kernel) != 1:
         raise ArithmeticError("line basis does not span a line")
@@ -551,18 +548,6 @@ def _monomial_eval(u: Sequence[Scalar], exp) -> Scalar:
     return term
 
 
-def _normalize_gvec(vec: Sequence[GInt]) -> tuple[GInt, ...]:
-    """Primitive, unit-normalized Gaussian-integer vector (canonical rep)."""
-    vec = _primitive(vec)
-    best = None
-    for u in ((1, 0), (0, 1), (-1, 0), (0, -1)):
-        cand = tuple((a * u[0] - b * u[1], a * u[1] + b * u[0])
-                     for a, b in vec)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
 def _planes_of(s: PointSet,
                min_members: int) -> list[tuple[tuple, tuple, list[ProjectivePoint]]]:
     """Planes spanned by triples of s holding >= min_members points of s."""
@@ -577,13 +562,12 @@ def _planes_of(s: PointSet,
     for triple in itertools.combinations(pts, 3):
         if spanning_rank(triple) != 3:
             continue
-        kernel = linalg.nullspace([list(p.coords) for p in triple])
-        canon = linalg.row_space_basis(kernel)
-        eqs = [tuple(linalg._clear_row(v)) for v in canon]
-        sig = tuple(_normalize_gvec(e) for e in eqs)
-        if sig in seen:
+        # the nullspace is read off the RREF, so it names the plane
+        eqs = tuple(tuple(linalg._clear_row(v))
+                    for v in linalg.nullspace([p.coords for p in triple]))
+        if eqs in seen:
             continue
-        seen.add(sig)
+        seen.add(eqs)
         members = [p for p in pts if _incident(eqs, p.zcoords)]
         if len(members) < min_members:
             continue

@@ -11,6 +11,7 @@ so equal scalars always serialize to identical bytes.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -20,6 +21,10 @@ _ONE_F = Fraction(1)
 
 ScalarLike = Union["Scalar", int, Fraction]
 
+# Fraction itself also reads decimals, underscores and exponents, and an
+# exponent such as "1e999999999" would build a huge integer.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
 
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" string, always with an explicit denominator."""
@@ -27,10 +32,21 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or a bare integer string into a Fraction."""
+    """Parse [+-]?digits(/digits)?, after strip(), into a Fraction."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
-    return Fraction(text.strip())
+    text = text.strip()
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"rational must read [+-]digits[/digits], got {text!r}")
+    return Fraction(text)
+
+
+def parse_int(obj: dict, key: str) -> int:
+    """obj[key], which must be a JSON integer: neither a float nor a bool."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

@@ -351,16 +351,17 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
     pts = list(on_set)
     if node in pts:
         return None
-    cols = [list(power_row(p, d)) for p in pts]
-    if linalg.column_rank(cols) != len(pts):
-        return None
-    sol = linalg.solve_columns(cols, list(point_form.coeff_vector()))
-    if sol is None:
+    cols = [power_row(p, d) for p in pts]
+    # one elimination of [cols | P]: the split exists and is unique
+    # exactly when the pivots are the support columns
+    reduced, pivots = linalg.rref(list(zip(*cols, point_form.coeff_vector())))
+    if pivots != tuple(range(len(pts))):
         return None
     n = point_form.num_vars
     part_l = HomogeneousForm.zero(n, d)
     part_r = HomogeneousForm.zero(n, d)
-    for p, lam, col in zip(pts, sol, cols):
+    for p, row, col in zip(pts, reduced, cols):
+        lam = row[-1]
         term = HomogeneousForm.from_coeff_vector(n, d, [lam * c for c in col])
         if left.contains(p):
             part_l = part_l + term

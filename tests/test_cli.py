@@ -64,13 +64,18 @@ def test_generate_then_verify_round_trip(tmp_path, capsys):
     assert report["seed"] == 5
 
 
-def test_verify_raw_triple_mode(tmp_path, capsys):
+def _raw_triple(**fields):
     line = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
     inst = make_case_a(2, 3, conjugate_pair_form(3), [P(0, 0, 1)], line)
     raw = {"P": inst.form.to_json(), "S_C": inst.s_c.to_json(),
            "S_R": inst.s_r.to_json(), "d": 3, "m": 2}
+    raw.update(fields)
+    return raw
+
+
+def test_verify_raw_triple_mode(tmp_path, capsys):
     path = tmp_path / "raw.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(json.dumps(_raw_triple()))
     rc, out, _ = run(capsys, "verify", str(path))
     assert rc == 0
     report = json.loads(out)
@@ -138,6 +143,71 @@ def test_threshold_overrides_must_be_integers(tmp_path, capsys):
                            "--threshold-overrides", text)
         assert rc == 2 and out == ""
         assert json.loads(err)["error"] == "ValueError"
+
+
+def _exits_2_with_value_error(capsys, path, *argv):
+    rc, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert rc == 2 and out == ""
+    envelope = json.loads(err)
+    assert envelope["error"] == "ValueError"
+    return envelope["message"]
+
+
+def _inputs_with(tmp_path, value):
+    """A rank, an h1 and two verify inputs, each with one field = value."""
+    raw_p = _raw_triple()
+    raw_p["P"]["d"] = value
+    point = [{"re": "1/1"}] * 3
+    inputs = [({"d": value, "c": ["1", "0", "1"]}, ("rank",)),
+              ({"m": value, "points": [point]}, ("h1", "--d", "2")),
+              (_raw_triple(m=value), ("verify",)),
+              (raw_p, ("verify",))]
+    for k, (obj, argv) in enumerate(inputs):
+        path = tmp_path / f"in{k}.json"
+        path.write_text(json.dumps(obj))
+        yield path, argv
+
+
+def test_rank_rejects_degree_zero(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    path.write_text('{"d": 0, "c": ["1"]}')
+    assert "'d'" in _exits_2_with_value_error(capsys, path, "rank")
+
+
+def test_float_degree_and_dimension_are_rejected(tmp_path, capsys):
+    # 2.9 was read as 2 and ranked
+    for value in (2.9, 2.0):
+        for path, argv in _inputs_with(tmp_path, value):
+            _exits_2_with_value_error(capsys, path, *argv)
+
+
+def test_bool_degree_and_dimension_are_rejected(tmp_path, capsys):
+    # true was read as 1
+    for path, argv in _inputs_with(tmp_path, True):
+        _exits_2_with_value_error(capsys, path, *argv)
+
+
+def test_instance_fields_must_be_integers(tmp_path, capsys):
+    inst_path = _relabelled(tmp_path, capsys, "a")
+    obj = json.loads(inst_path.read_text())
+    obj["d"] = 4.0
+    inst_path.write_text(json.dumps(obj))
+    _exits_2_with_value_error(capsys, inst_path, "verify")
+
+
+def test_top_level_json_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    for argv in (("verify",), ("rank",), ("h1", "--d", "3")):
+        message = _exits_2_with_value_error(capsys, path, *argv)
+        assert "JSON object" in message
+
+
+def test_rational_literals_outside_the_grammar_exit_2(tmp_path, capsys):
+    path = tmp_path / "form.json"
+    for text in ("1e3", "1.5", "1_0"):
+        path.write_text(json.dumps({"d": 1, "c": [text, "1"]}))
+        assert repr(text) in _exits_2_with_value_error(capsys, path, "rank")
 
 
 def test_verify_output_file_bytes_stable(tmp_path, capsys):

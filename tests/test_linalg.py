@@ -64,6 +64,59 @@ def test_nullspace_empty_matrix_needs_num_cols():
     assert basis[0][0] == ONE
 
 
+def low_rank_matrix(rng: random.Random, nr: int, nc: int, r: int):
+    """A product of an nr x r and an r x nc Gaussian-rational matrix."""
+    left = random_matrix(rng, nr, r, complex_entries=True)
+    right = random_matrix(rng, r, nc, complex_entries=True)
+    return [[sum((a * b for a, b in zip(row, col)), ZERO)
+             for col in zip(*right)] for row in left]
+
+
+def oracle_shapes(rng: random.Random):
+    """Tall, wide, square, rank-deficient, zero-row, zero-column and
+    repeated-column cases."""
+    for nr, nc in ((6, 3), (3, 7), (4, 4), (1, 5), (5, 1)):
+        yield random_matrix(rng, nr, nc, complex_entries=True)
+        yield low_rank_matrix(rng, nr, nc, rng.randint(1, min(nr, nc)))
+        rows = random_matrix(rng, nr, nc, complex_entries=True)
+        rows[rng.randrange(nr)] = [ZERO] * nc
+        yield rows
+        col = rng.randrange(nc)
+        yield [[ZERO if j == col else c for j, c in enumerate(row)]
+               for row in rows]
+        yield [[ZERO] * nc for _ in range(nr)]
+        # a free column between two pivot columns
+        yield [row[:1] + [row[0] * Scalar.of(-3, 1)] + row[1:]
+               for row in random_matrix(rng, nr, nc, complex_entries=True)]
+
+
+def test_rref_matches_sympy_on_gaussian_rationals():
+    rng = random.Random(43)
+    for _ in range(4):
+        for rows in oracle_shapes(rng):
+            reduced, pivots = linalg.rref(rows)
+            want, want_pivots = to_sympy(rows).rref()
+            assert pivots == want_pivots
+            diff = to_sympy(reduced) - want
+            assert all(sympy.expand_complex(x) == 0 for x in diff)
+
+
+def test_in_span_matches_sympy_ranks_on_dependent_columns():
+    rng = random.Random(47)
+    for _ in range(40):
+        n, k = rng.randint(2, 6), rng.randint(1, 5)
+        cols = low_rank_matrix(rng, k, n, rng.randint(1, min(n, k)))
+        if rng.random() < 0.5:
+            vec = random_matrix(rng, 1, n, complex_entries=True)[0]
+        else:
+            coeffs = random_matrix(rng, 1, k, complex_entries=True)[0]
+            vec = [sum((c[i] * x for c, x in zip(cols, coeffs)), ZERO)
+                   for i in range(n)]
+        a = to_sympy(cols).T
+        inside = a.rank() == a.row_join(to_sympy([vec]).T).rank()
+        assert linalg.in_span(cols, vec) == inside
+
+
 def test_rref_is_idempotent_and_canonical():
     rng = random.Random(3)
     for _ in range(25):

@@ -46,6 +46,15 @@ def test_parse_rejects_non_strings():
         parse_rational(3)  # type: ignore[arg-type]
 
 
+def test_parse_accepts_only_signed_digits_over_digits():
+    # Fraction reads the first three, and an exponent can cost 10**exp
+    for text in ("1e3", "1.5", "1_0", "3/", "/2", "1/-2", "inf"):
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    assert parse_rational(" -7/2 ") == Fraction(-7, 2)
+    assert parse_rational("+3") == 3
+
+
 @settings(max_examples=60, deadline=None)
 @given(scalars, scalars)
 def test_mul_matches_sympy(a: Scalar, b: Scalar):
