@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .binary import BinaryForm, complex_rank, real_rank
-from .forms import HomogeneousForm, LinearForm, power_of_linear
+from .forms import HomogeneousForm
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
                      ProjectivePoint, spanning_rank, split_on_curve)
 from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
@@ -100,7 +100,7 @@ class Instance:
             raise ValueError(f"unknown case label {obj['case']!r}")
         return Instance(
             m=parse_int(obj, "m"), d=parse_int(obj, "d"),
-            case_label=obj["case"], seed=int(obj["seed"]),
+            case_label=obj["case"], seed=parse_int(obj, "seed"),
             form=HomogeneousForm.from_json(obj["P"]),
             s_c=PointSet.from_json(obj["S_C"]),
             s_r=PointSet.from_json(obj["S_R"]),
@@ -166,18 +166,11 @@ def _embedded_power_sum(raw_points: Sequence[tuple[Scalar, ...]],
     Canonical representatives rescale each linear form, so each
     coefficient picks up the d-th power of the dropped scale.
     """
-    n = len(raw_points[0])
-    total = HomogeneousForm.zero(n, d)
-    points: list[ProjectivePoint] = []
-    fixed: list[Scalar] = []
-    for raw, lam in zip(raw_points, coeffs):
-        alpha = next(c for c in raw if not c.is_zero)
-        p = ProjectivePoint(tuple(raw))
-        lam2 = lam * alpha ** d
-        total = total + power_of_linear(
-            LinearForm(p.coords), d).scale(lam2)
-        points.append(p)
-        fixed.append(lam2)
+    points = [ProjectivePoint(tuple(raw)) for raw in raw_points]
+    fixed = [lam * next(c for c in raw if not c.is_zero) ** d
+             for raw, lam in zip(raw_points, coeffs)]
+    total = HomogeneousForm.combination(
+        len(raw_points[0]), d, fixed, [power_row(p, d) for p in points])
     return total, points, fixed
 
 
@@ -244,15 +237,6 @@ def _check_budget(d: int, size_c: int, size_r: int) -> None:
         raise ConstraintViolation(
             "rank-gap", f"need strictly fewer complex points, "
             f"got {size_c} vs {size_r}")
-
-
-def _e_power_sum(e_points: Sequence[ProjectivePoint],
-                 e_coeffs: Sequence[Scalar], m: int,
-                 d: int) -> HomogeneousForm:
-    total = HomogeneousForm.zero(m + 1, d)
-    for p, lam in zip(e_points, e_coeffs):
-        total = total + power_of_linear(LinearForm(p.coords), d).scale(lam)
-    return total
 
 
 def _witness_cert(pts_c, lam_c, pts_r, lam_r, e_points, e_coeffs,
@@ -386,7 +370,8 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
     if e_coeffs is None:
         e_coeffs = [ONE] * len(e_points)
     form = sum((pc.part for pc in pieces[1:]), pieces[0].part)
-    form = form + _e_power_sum(e_points, e_coeffs, m, d)
+    form = form + HomogeneousForm.combination(
+        m + 1, d, e_coeffs, [power_row(p, d) for p in e_points])
     pts_c = [p for pc in pieces for p in pc.pts_c]
     pts_r = [p for pc in pieces for p in pc.pts_r]
     s_c = PointSet.of(pts_c + list(e_points))

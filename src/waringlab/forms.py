@@ -8,8 +8,10 @@ first and x_{n-1}^d last.  Every coefficient vector in the package is aligned
 to this order.
 
 A LinearForm is a degree-1 form kept in canonical projective scale (first
-nonzero coefficient equal to 1); raising it to a power uses the multinomial
-theorem directly, which keeps the d-th powers of linear forms exact.
+nonzero coefficient equal to 1).  power_of_linear is the package's one
+expansion of a d-th power of a linear form (by the multinomial theorem, so
+it stays exact); spans.power_row caches its coefficient vectors, and
+HomogeneousForm.combination sums such vectors into a form.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, parse_int
 
@@ -67,18 +69,6 @@ class LinearForm:
     def num_vars(self) -> int:
         return len(self.coeffs)
 
-    @property
-    def is_real(self) -> bool:
-        return all(c.is_real for c in self.coeffs)
-
-    def conjugate(self) -> "LinearForm":
-        return LinearForm(tuple(c.conjugate() for c in self.coeffs))
-
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        acc = ZERO
-        for c, v in zip(self.coeffs, point):
-            acc = acc + c * v
-        return acc
 
 @dataclass(frozen=True, eq=False)
 class HomogeneousForm:
@@ -112,6 +102,19 @@ class HomogeneousForm:
             raise ValueError("coefficient vector has wrong length")
         return HomogeneousForm.from_coeff_map(
             num_vars, degree, dict(zip(exps, vec)))
+
+    @staticmethod
+    def combination(num_vars: int, degree: int, coeffs: Sequence[Scalar],
+                    vectors: Sequence[Sequence[Scalar]]) -> "HomogeneousForm":
+        """sum coeff * vector over coefficient vectors, read as a form."""
+        if len(coeffs) != len(vectors):
+            raise ValueError("need one coefficient per vector")
+        acc = [ZERO] * len(monomial_exponents(num_vars, degree))
+        for lam, vec in zip(coeffs, vectors):
+            if len(vec) != len(acc):
+                raise ValueError("coefficient vector has wrong length")
+            acc = [a if v.is_zero else a + lam * v for a, v in zip(acc, vec)]
+        return HomogeneousForm.from_coeff_vector(num_vars, degree, acc)
 
     # -- basic structure ---------------------------------------------------
 
@@ -209,67 +212,33 @@ class HomogeneousForm:
     def from_json(obj: dict) -> "HomogeneousForm":
         num_vars = parse_int(obj, "m") + 1
         degree = parse_int(obj, "d")
-        coeffs = {tuple(int(e) for e in t["exp"]): Scalar.from_json(t)
-                  for t in obj["terms"]}
+        coeffs = {}
+        for t in obj["terms"]:
+            exp = t["exp"]
+            if type(exp) is not list or any(type(e) is not int for e in exp):
+                raise ValueError(f"'exp' must list integers, got {exp!r}")
+            coeffs[tuple(exp)] = Scalar.from_json(t)
         return HomogeneousForm.from_coeff_map(num_vars, degree, coeffs)
 
 
 def power_of_linear(linear: LinearForm, degree: int) -> HomogeneousForm:
-    """(sum c_i x_i)^degree expanded by the multinomial theorem."""
-    n = linear.num_vars
+    """(sum c_i x_i)^degree expanded by the multinomial theorem.
+
+    Each coordinate gets one table c^0..c^degree, so every monomial costs
+    one product of table entries and its multinomial coefficient.
+    """
+    tables = []
+    for c in linear.coeffs:
+        table = [ONE]
+        for _ in range(degree):
+            table.append(table[-1] * c)
+        tables.append(table)
     out: dict[Exponent, Scalar] = {}
-    for exp in monomial_exponents(n, degree):
+    for exp in monomial_exponents(linear.num_vars, degree):
         c = Scalar.of(multinomial(degree, exp))
-        for ci, e in zip(linear.coeffs, exp):
+        for table, e in zip(tables, exp):
             if e:
-                if ci.is_zero:
-                    c = ZERO
-                    break
-                c = c * (ci ** e)
+                c = c * table[e]
         if not c.is_zero:
             out[exp] = c
-    return HomogeneousForm(n, degree, out)
-
-
-def combine(terms: Iterable[tuple[Scalar, LinearForm]],
-            degree: int) -> HomogeneousForm:
-    """sum of lambda_i * L_i^degree, exactly."""
-    acc: HomogeneousForm | None = None
-    for lam, lin in terms:
-        piece = power_of_linear(lin, degree).scale(lam)
-        acc = piece if acc is None else acc + piece
-    if acc is None:
-        raise ValueError("combine needs at least one term")
-    return acc
-
-
-def form_substitute(form: HomogeneousForm,
-                    images: Sequence[HomogeneousForm]) -> HomogeneousForm:
-    """Substitute x_i -> images[i]; images share a space and a common degree."""
-    if len(images) != form.num_vars:
-        raise ValueError("need one image per variable")
-    tgt_vars = images[0].num_vars
-    img_deg = images[0].degree
-    for g in images:
-        if g.num_vars != tgt_vars or g.degree != img_deg:
-            raise ValueError("substitution images must share space and degree")
-    # memoized powers of each image
-    powers: list[list[HomogeneousForm]] = []
-    for g in images:
-        powers.append([HomogeneousForm.from_coeff_map(
-            tgt_vars, 0, {(0,) * tgt_vars: ONE})])
-    out = HomogeneousForm.zero(tgt_vars, form.degree * img_deg)
-    for exp, c in sorted(form.coeffs.items()):
-        term: HomogeneousForm | None = None
-        for i, e in enumerate(exp):
-            if e == 0:
-                continue
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * images[i])
-            piece = powers[i][e]
-            term = piece if term is None else term * piece
-        if term is None:
-            term = HomogeneousForm.from_coeff_map(
-                tgt_vars, 0, {(0,) * tgt_vars: ONE})
-        out = out + term.scale(c)
-    return out
+    return HomogeneousForm(linear.num_vars, degree, out)

@@ -119,9 +119,6 @@ class PointSet:
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet(self.points + other.points)
 
-    def difference(self, other: "PointSet") -> "PointSet":
-        return PointSet(tuple(p for p in self.points if p not in other.points))
-
     def conjugate(self) -> "PointSet":
         return PointSet(tuple(p.conjugate() for p in self.points))
 
@@ -138,10 +135,6 @@ class PointSet:
         if s.points and s.m != parse_int(obj, "m"):
             raise ValueError("ambient dimension mismatch in point set data")
         return s
-
-
-def conjugation_orbit(s: PointSet) -> PointSet:
-    return s.union(s.conjugate())
 
 
 # -- curves -------------------------------------------------------------------
@@ -296,20 +289,6 @@ class CurveSpec:
         return (all(all(c.is_real for c in r) for r in self.plane_rows)
                 and all(c.is_real for c in self.conic_coeffs))
 
-    def conjugate_curve(self) -> "CurveSpec":
-        if self.kind == LINE:
-            return _conj_line(self)
-        if self.kind == TWO_DISJOINT_LINES:
-            return CurveSpec.two_lines(*(map(_conj_line, self.branches)))
-        plane = [ProjectivePoint(tuple(c.conjugate() for c in r))
-                 for r in self.plane_rows]
-        coeffs = [c.conjugate() for c in self.conic_coeffs]
-        br = self.branches
-        if br is not None:
-            br = (_conj_line(br[0]), _conj_line(br[1]))
-            br = tuple(sorted(br, key=lambda l: l.sort_key()))
-        return CurveSpec.conic(plane, coeffs, branches=br)
-
     @cached_property
     def node(self) -> Optional[ProjectivePoint]:
         """Singular point of a reducible conic."""
@@ -426,14 +405,23 @@ def _incident(eqs: Sequence[Sequence[GInt]], z: Sequence[GInt]) -> bool:
 _CONIC_EXPS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
 
 
+def _monomial_eval(u: Sequence[Scalar], exp) -> Scalar:
+    term = ONE
+    for v, e in zip(u, exp):
+        for _ in range(e):
+            term = term * v
+    return term
+
+
+def _conic_row(u: Sequence[Scalar]) -> list[Scalar]:
+    """The six conic monomials at plane coordinates u, in _CONIC_EXPS order."""
+    return [_monomial_eval(u, e) for e in _CONIC_EXPS]
+
+
 def _eval_conic(coeffs: Sequence[Scalar], u: Sequence[Scalar]) -> Scalar:
     acc = ZERO
-    for c, (a, b, d) in zip(coeffs, _CONIC_EXPS):
-        term = c
-        for v, e in zip(u, (a, b, d)):
-            for _ in range(e):
-                term = term * v
-        acc = acc + term
+    for c, v in zip(coeffs, _conic_row(u)):
+        acc = acc + c * v
     return acc
 
 
@@ -528,24 +516,13 @@ def find_rich_lines(s: PointSet,
 
 
 def _conic_through(points5: Sequence[ProjectivePoint],
-                   rows, pivots) -> Optional[list[Scalar]]:
+                   pivots) -> Optional[list[Scalar]]:
     """The unique conic through five coplanar points, or None if undetermined."""
-    sys_rows = []
-    for p in points5:
-        u = tuple(p.coords[j] for j in pivots)
-        sys_rows.append([_monomial_eval(u, e) for e in _CONIC_EXPS])
-    kernel = linalg.nullspace(sys_rows)
+    kernel = linalg.nullspace(
+        [_conic_row([p.coords[j] for j in pivots]) for p in points5])
     if len(kernel) != 1:
         return None
     return kernel[0]
-
-
-def _monomial_eval(u: Sequence[Scalar], exp) -> Scalar:
-    term = ONE
-    for v, e in zip(u, exp):
-        for _ in range(e):
-            term = term * v
-    return term
 
 
 def _planes_of(s: PointSet,
@@ -598,7 +575,7 @@ def find_rich_conics(s: PointSet,
         window = pts[:min(n, n - threshold + 5)]
         candidates: list[list[Scalar]] = []
         for five in itertools.combinations(window, 5):
-            vec = _conic_through(five, rows, pivots)
+            vec = _conic_through(five, pivots)
             if vec is not None:
                 candidates.append(vec)
         half = (threshold + 1) // 2
@@ -639,11 +616,8 @@ def find_rich_conics(s: PointSet,
             on = [p for p in pts if conic.contains(p)]
             if len(on) < threshold:
                 continue
-            sys_rows = []
-            for p in on:
-                u = conic.plane_coordinates(p)
-                sys_rows.append([_monomial_eval(u, e) for e in _CONIC_EXPS])
-            if len(linalg.nullspace(sys_rows)) != 1:
+            rows_on = [_conic_row(conic.plane_coordinates(p)) for p in on]
+            if len(linalg.nullspace(rows_on)) != 1:
                 continue
             found[key] = (conic, len(on))
     out = list(found.values())

@@ -170,4 +170,3 @@ class Scalar:
 
 ZERO = Scalar()
 ONE = Scalar(_ONE_F)
-I_UNIT = Scalar(_ZERO_F, _ONE_F)

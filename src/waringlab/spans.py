@@ -16,42 +16,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import Optional, Sequence
 
 from . import linalg
 from .binary import BinaryForm, pullback_conic
-from .forms import HomogeneousForm, monomial_exponents, multinomial
+from .forms import (HomogeneousForm, LinearForm, monomial_exponents,
+                    multinomial, power_of_linear)
 from .points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC, TWO_DISJOINT_LINES,
                      CurveSpec, PointSet, ProjectivePoint, _CONIC_EXPS,
                      _conic_matrix, _eval_conic, _quad_apply)
 from .scalars import ONE, ZERO, Scalar
 
 
-@dataclass(frozen=True)
-class VeroneseSpace:
-    m: int
-    d: int
-
-    @property
-    def N(self) -> int:
-        return comb(self.m + self.d, self.d) - 1
-
-
 @lru_cache(maxsize=None)
 def power_row(p: ProjectivePoint, d: int) -> tuple[Scalar, ...]:
     """Coefficient vector of (p.x)^d in the fixed monomial order."""
-    out = []
-    for exp in monomial_exponents(p.m + 1, d):
-        val = Scalar.of(multinomial(d, exp))
-        for c, e in zip(p.coords, exp):
-            if e:
-                if c.is_zero:
-                    val = ZERO
-                    break
-                val = val * c ** e
-        out.append(val)
-    return tuple(out)
+    return power_of_linear(LinearForm(p.coords), d).coeff_vector()
 
 
 @dataclass(frozen=True)
@@ -377,11 +357,6 @@ def restrict_to_conic(form: HomogeneousForm,
 def embed_on_line(line: CurveSpec,
                   points1: Sequence[tuple[Scalar, Scalar]]) -> list[ProjectivePoint]:
     return [line.point_at(s, t) for s, t in points1]
-
-
-def embed_on_conic(param: ConicParametrization,
-                   points1: Sequence[tuple[Scalar, Scalar]]) -> list[ProjectivePoint]:
-    return [param.point_at(s, t) for s, t in points1]
 
 
 def spans_disjoint(u_rows: Sequence[Sequence[Scalar]],

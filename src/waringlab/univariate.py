@@ -48,16 +48,6 @@ def poly_degree(p: Sequence[Scalar]) -> int:
     return len(q) - 1
 
 
-def poly_add(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else ZERO
-        y = b[i] if i < len(b) else ZERO
-        out.append(x + y)
-    return poly_trim(out)
-
-
 def poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
     a = poly_trim(a)
     b = poly_trim(b)

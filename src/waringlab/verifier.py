@@ -301,15 +301,6 @@ def _membership_checks(point_form: HomogeneousForm, on_c: PointSet,
     return out
 
 
-def _combine(n: int, d: int, coeffs, vectors) -> HomogeneousForm:
-    """sum coeff * vector, read as a form."""
-    acc = HomogeneousForm.zero(n, d)
-    for lam, vec in zip(coeffs, vectors):
-        acc = acc + HomogeneousForm.from_coeff_vector(
-            n, d, [lam * c for c in vec])
-    return acc
-
-
 # -- case (a) ----------------------------------------------------------------------
 
 def verify_case_a(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
@@ -357,19 +348,20 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
     reduced, pivots = linalg.rref(list(zip(*cols, point_form.coeff_vector())))
     if pivots != tuple(range(len(pts))):
         return None
-    n = point_form.num_vars
-    part_l = HomogeneousForm.zero(n, d)
-    part_r = HomogeneousForm.zero(n, d)
+    lams: tuple[list, list] = ([], [])
+    vecs: tuple[list, list] = ([], [])
     for p, row, col in zip(pts, reduced, cols):
-        lam = row[-1]
-        term = HomogeneousForm.from_coeff_vector(n, d, [lam * c for c in col])
         if left.contains(p):
-            part_l = part_l + term
+            side = 0
         elif right.contains(p):
-            part_r = part_r + term
+            side = 1
         else:
             return None
-    return part_l, part_r
+        lams[side].append(row[-1])
+        vecs[side].append(col)
+    n = point_form.num_vars
+    return (HomogeneousForm.combination(n, d, lams[0], vecs[0]),
+            HomogeneousForm.combination(n, d, lams[1], vecs[1]))
 
 
 def verify_case_b(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
@@ -504,8 +496,8 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
                                "meet point left the joint span"))
     else:
         n = form.num_vars
-        o_l = _combine(n, d, sol[:d + 1], left_basis)
-        o_r = _combine(n, d, sol[d + 1:], right_basis)
+        o_l = HomogeneousForm.combination(n, d, sol[:d + 1], left_basis)
+        o_r = HomogeneousForm.combination(n, d, sol[d + 1:], right_basis)
         if real_data and (not o_l.is_real or not o_r.is_real):
             sub.append(CheckResult("c.iv.split", False,
                                    "line components are not real"))

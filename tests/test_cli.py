@@ -195,6 +195,43 @@ def test_instance_fields_must_be_integers(tmp_path, capsys):
     _exits_2_with_value_error(capsys, inst_path, "verify")
 
 
+def test_instance_seed_must_be_an_integer(tmp_path, capsys):
+    inst_path = _relabelled(tmp_path, capsys, "a")
+    obj = json.loads(inst_path.read_text())
+    obj["seed"] = 2.5
+    inst_path.write_text(json.dumps(obj))
+    assert "'seed'" in _exits_2_with_value_error(capsys, inst_path, "verify")
+
+
+def _with_exponent(tmp_path, capsys, pick, value):
+    """The case-a instance with entry pick(exp) of one term's exp = value."""
+    inst_path = _relabelled(tmp_path, capsys, "a")
+    obj = json.loads(inst_path.read_text())
+    for term in obj["P"]["terms"]:
+        k = pick(term["exp"])
+        if k is not None:
+            term["exp"][k] = value(term["exp"][k])
+            break
+    else:
+        raise AssertionError("no term to edit")
+    inst_path.write_text(json.dumps(obj))
+    return inst_path
+
+
+def test_float_exponent_is_rejected(tmp_path, capsys):
+    # e + 0.9 truncates back to a valid exponent; only the type check fails
+    path = _with_exponent(tmp_path, capsys, lambda exp: 0,
+                          lambda e: e + 0.9)
+    assert "'exp'" in _exits_2_with_value_error(capsys, path, "verify")
+
+
+def test_bool_exponent_is_rejected(tmp_path, capsys):
+    path = _with_exponent(tmp_path, capsys,
+                          lambda exp: exp.index(1) if 1 in exp else None,
+                          lambda e: True)
+    assert "'exp'" in _exits_2_with_value_error(capsys, path, "verify")
+
+
 def test_top_level_json_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

@@ -8,12 +8,36 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from waringlab.forms import (HomogeneousForm, LinearForm, combine,
-                             form_substitute, monomial_exponents, multinomial,
-                             power_of_linear)
+from waringlab.forms import (HomogeneousForm, LinearForm, monomial_exponents,
+                             multinomial, power_of_linear)
 from waringlab.scalars import ONE, ZERO, Scalar
 
 X = sympy.symbols("x0 x1 x2 x3")
+
+
+def combine(terms, degree: int) -> HomogeneousForm:
+    """sum of lambda_i * L_i^degree, exactly."""
+    terms = list(terms)
+    if not terms:
+        raise ValueError("combine needs at least one term")
+    return HomogeneousForm.combination(
+        terms[0][1].num_vars, degree, [lam for lam, _ in terms],
+        [power_of_linear(lin, degree).coeff_vector() for _, lin in terms])
+
+
+def form_substitute(form: HomogeneousForm,
+                    images: list[HomogeneousForm]) -> HomogeneousForm:
+    """Substitute x_i -> images[i]; images share a space and a degree."""
+    tgt_vars = images[0].num_vars
+    one = HomogeneousForm.from_coeff_map(tgt_vars, 0, {(0,) * tgt_vars: ONE})
+    out = HomogeneousForm.zero(tgt_vars, form.degree * images[0].degree)
+    for exp, c in form.coeffs.items():
+        term = one
+        for g, e in zip(images, exp):
+            for _ in range(e):
+                term = term * g
+        out = out + term.scale(c)
+    return out
 
 
 def to_sympy(form: HomogeneousForm):
@@ -101,6 +125,28 @@ def test_combine_power_sums():
     assert f.coeff((2, 0)) == ONE
     assert f.coeff((0, 2)) == Scalar.of(2)
     assert f.coeff((1, 1)).is_zero
+
+
+def test_combination_equals_repeated_sums_of_scaled_forms():
+    rng = random.Random(61)
+    for trial in range(12):
+        n, d = rng.randint(2, 4), rng.randint(1, 4)
+        count = trial % 4
+        forms = [rand_form(rng, n, d, trial % 2 == 0) for _ in range(count)]
+        coeffs = [Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
+                  for _ in range(count)]
+        want = HomogeneousForm.zero(n, d)
+        for lam, f in zip(coeffs, forms):
+            want = want + f.scale(lam)
+        got = HomogeneousForm.combination(
+            n, d, coeffs, [f.coeff_vector() for f in forms])
+        assert got == want
+        assert dict(got.coeffs) == dict(want.coeffs)
+    assert HomogeneousForm.combination(3, 2, [], []).is_zero
+    with pytest.raises(ValueError):
+        HomogeneousForm.combination(2, 2, [ONE], [(ONE, ZERO)])
+    with pytest.raises(ValueError):
+        HomogeneousForm.combination(2, 1, [ONE, ONE], [(ONE, ZERO)])
 
 
 def test_is_real_and_conjugate():

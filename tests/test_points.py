@@ -9,14 +9,21 @@ import pytest
 
 from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
-                              ProjectivePoint, conjugation_orbit,
-                              find_rich_conics, find_rich_lines,
-                              spanning_rank, split_on_curve)
+                              ProjectivePoint, _conj_line, find_rich_conics,
+                              find_rich_lines, spanning_rank, split_on_curve)
 from waringlab.scalars import ONE, ZERO, Scalar
 
 
 def P(*vals) -> ProjectivePoint:
     return ProjectivePoint.of(*vals)
+
+
+def difference(s: PointSet, t: PointSet) -> PointSet:
+    return PointSet(tuple(p for p in s if p not in t))
+
+
+def conjugation_orbit(s: PointSet) -> PointSet:
+    return s.union(s.conjugate())
 
 
 def test_point_canonicalization():
@@ -50,7 +57,7 @@ def test_pointset_dedup_and_union():
     assert len(s) == 2
     t = PointSet.of([P(1, 1)])
     assert len(s.union(t)) == 3
-    assert len(s.difference(t)) == 2
+    assert len(difference(s, t)) == 2
     assert P(1, 0) in s and P(1, 1) not in s
 
 
@@ -207,12 +214,12 @@ def test_curve_json_roundtrip():
 
 def test_conjugate_curve_fixes_real_lines():
     line = CurveSpec.line(P(1, 2, 3), P(0, 1, -1))
-    assert line.is_real and line.conjugate_curve() == line
+    assert line.is_real and _conj_line(line) == line
     i = Scalar.of(0, 1)
     complex_line = CurveSpec.line(
         ProjectivePoint((ONE, i, ZERO)), P(0, 0, 1))
     assert not complex_line.is_real
-    assert complex_line.conjugate_curve() != complex_line
+    assert _conj_line(complex_line) != complex_line
 
 
 def test_deterministic_sort_keys():

@@ -8,6 +8,7 @@ code never checks itself.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -15,13 +16,13 @@ import pytest
 import sympy
 
 from waringlab.binary import complex_rank, power_point
-from waringlab.forms import HomogeneousForm, monomial_exponents
+from waringlab.forms import (HomogeneousForm, LinearForm, monomial_exponents,
+                             power_of_linear)
 from waringlab.points import (LINE, CurveSpec, PointSet, ProjectivePoint)
 from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
-                             VeroneseSpace, catalecticant_rank,
-                             conic_power_basis, curve_meet_point,
-                             curve_power_basis, embed_on_conic,
+                             catalecticant_rank, conic_power_basis,
+                             curve_meet_point, curve_power_basis,
                              embed_on_line, h1_ideal, line_power_basis,
                              membership, off_curve_agreement,
                              pair_power_basis, parametrize_conic, power_row,
@@ -31,6 +32,20 @@ from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
 
 def P(*vals) -> ProjectivePoint:
     return ProjectivePoint.of(*vals)
+
+
+@dataclass(frozen=True)
+class VeroneseSpace:
+    m: int
+    d: int
+
+    @property
+    def N(self) -> int:
+        return comb(self.m + self.d, self.d) - 1
+
+
+def embed_on_conic(param, points1) -> list[ProjectivePoint]:
+    return [param.point_at(s, t) for s, t in points1]
 
 
 def pow_form(p: ProjectivePoint, d: int) -> HomogeneousForm:
@@ -65,24 +80,63 @@ def oracle_h1(pts, d: int) -> int:
     return len(pts) - 1 - span_dim
 
 
+def _sympy_power_row(p: ProjectivePoint, d: int) -> list:
+    xs = sympy.symbols(f"x0:{p.m + 1}")
+    lin = sympy.Poly(sum(to_sym(c) * v for c, v in zip(p.coords, xs)), *xs)
+    coeffs = (lin ** d).as_dict()
+    return [coeffs.get(exp, sympy.Integer(0))
+            for exp in monomial_exponents(p.m + 1, d)]
+
+
+def _random_coord(rng, gaussian: bool) -> Scalar:
+    if rng.random() < 0.25:
+        return ZERO
+    re = Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+    return Scalar.of(re, rng.randint(-2, 2) if gaussian else 0)
+
+
 def test_power_row_matches_sympy_expansion():
     rng = random.Random(81)
-    xs = sympy.symbols("x0 x1 x2")
-    for _ in range(8):
-        p = ProjectivePoint.of(*(rng.randint(-3, 3) for _ in range(2)), 1)
-        d = rng.randint(2, 4)
-        expanded = sympy.expand(
-            sum(to_sym(c) * v for c, v in zip(p.coords, xs)) ** d)
-        poly = sympy.Poly(expanded, *xs)
-        for exp, got in zip(monomial_exponents(3, d), power_row(p, d)):
-            assert poly.coeff_monomial(
-                xs[0] ** exp[0] * xs[1] ** exp[1] * xs[2] ** exp[2]
-            ) == to_sym(got)
+    cases = [(ProjectivePoint.of(*(rng.randint(-3, 3) for _ in range(2)), 1),
+              rng.randint(2, 4)) for _ in range(8)]
+    # Gaussian and zero coordinates in P^2..P^4 up to the h1 workload's d = 8
+    for m in (2, 3, 4):
+        for d in (1, 3, 5, 8):
+            for gaussian in (False, True):
+                coords = [_random_coord(rng, gaussian) for _ in range(m + 1)]
+                if all(c.is_zero for c in coords):
+                    coords[-1] = ONE
+                cases.append((ProjectivePoint(tuple(coords)), d))
+    i = Scalar.of(0, 1)
+    cases += [(ProjectivePoint((ZERO, ZERO, ONE)), 6),
+              (ProjectivePoint((ONE, ZERO, i, ZERO)), 7),
+              (ProjectivePoint((ZERO, ONE, ZERO, -i, Scalar.of(2, -1))), 8)]
+    assert any(not p.is_real for p, _ in cases)
+    assert any(any(c.is_zero for c in p.coords) for p, _ in cases)
+    for p, d in cases:
+        want = _sympy_power_row(p, d)
+        got = power_row(p, d)
+        assert len(got) == len(want) == comb(p.m + d, d)
+        for g, w in zip(got, want):
+            assert sympy.expand(to_sym(g) - w) == 0
+
+
+def test_power_row_is_the_power_of_linear_vector():
+    rng = random.Random(82)
+    for m in (1, 2, 3, 4):
+        for d in range(1, 9):
+            coords = [_random_coord(rng, d % 2 == 0) for _ in range(m + 1)]
+            if all(c.is_zero for c in coords):
+                coords[0] = ONE
+            p = ProjectivePoint(tuple(coords))
+            assert power_row(p, d) == power_of_linear(
+                LinearForm(p.coords), d).coeff_vector()
 
 
 def test_veronese_space_dimension():
     assert VeroneseSpace(2, 3).N == comb(5, 3) - 1
     assert VeroneseSpace(3, 2).N == comb(5, 2) - 1
+    assert VeroneseSpace(2, 3).N + 1 == len(power_row(P(1, 2, 3), 3))
 
 
 def test_h1_collinear_law_against_oracle():
