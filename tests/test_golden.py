@@ -1,7 +1,7 @@
 """Golden corpus: the exact bytes the command line writes.
 
 tests/golden/ holds the output of `generate` and `verify` for every cell
-of `suite --seed 0`, of `rank` on three forms and of `h1` on two point
+of `suite --seed 0`, of `rank` on six forms and of `h1` on two point
 sets; test_cli.py::test_suite_runs_full_grid compares the suite bytes.
 Criterion 8 only compares a run with itself, so these files are what
 holds a refactor to the same output.  Regenerate them only for a change
@@ -29,6 +29,16 @@ RANK_INPUTS = {
     # x^2 y^2 and x y^5: both complex ranks end in implicit mode
     "x2y2": {"d": 4, "c": ["0", "0", "1/6", "0", "0"]},
     "xy5": {"d": 6, "c": ["0", "0", "0", "0", "0", "1/6", "0"]},
+    # -3x^5 + 3x^3y^2 + 2y^5: real rank 4 in implicit mode, four real boxes
+    "quintic-boxes": {"d": 5, "c": ["-3", "0", "3/10", "0", "0", "2"]},
+    # -x^6 - 3x^5y + 3x^3y^3 + x^2y^4 + 2xy^5 - 3y^6: real rank 5 in
+    # implicit mode with a root at infinity, minimality not certified
+    "sextic-infinity": {"d": 6, "c": ["-1", "-1/2", "0", "3/20", "1/15",
+                                      "1/3", "-3"]},
+    # (x+iy)^8 + (x-iy)^8: complex rank 2, real rank 8, so steps 3..7
+    # decide nothing
+    "octic-pair": {"d": 8, "c": ["2", "0", "-2", "0", "2", "0", "-2", "0",
+                                 "2"]},
 }
 H1_INPUTS = {
     "collinear5": (3, [[0, 1, t] for t in range(5)]),
