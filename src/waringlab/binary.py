@@ -7,6 +7,12 @@ coefficient list of an apolar form h = sum g_j x^(r-j) y^j, and the rank-r
 decompositions of f are exactly the squarefree apolar h: the roots [a:b] of
 h name the linear forms a*x + b*y.
 
+Sylvester's structure (Comas and Seiguer, arXiv:math/0112311): the apolar
+ideal of f is generated by g1 and g2 of degrees c <= d + 2 - c, c the rank
+of the middle catalecticant.  The kernel at step r is empty for r < c, g1
+times all forms of degree r - c below d + 2 - c, and g1*A + g2*B, of
+dimension 2r - d, from there on; _steps visits c and d + 2 - c..d only.
+
 Rank search and its certificates:
   * complex rank: smallest r whose kernel contains a squarefree element.
     A squarefree element exists iff the gcd of the kernel is squarefree
@@ -78,14 +84,6 @@ class BinaryForm:
     def is_real(self) -> bool:
         return all(c.is_real for c in self.coeffs)
 
-    @property
-    def field_tag(self) -> str:
-        return "R" if self.is_real else "C"
-
-    def conjugate(self) -> "BinaryForm":
-        return BinaryForm(self.degree,
-                          tuple(c.conjugate() for c in self.coeffs))
-
     def scale(self, s: Scalar) -> "BinaryForm":
         return BinaryForm(self.degree, tuple(c * s for c in self.coeffs))
 
@@ -94,9 +92,6 @@ class BinaryForm:
             raise ValueError("degree mismatch")
         return BinaryForm(self.degree, tuple(
             a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "BinaryForm") -> "BinaryForm":
-        return self + other.scale(-ONE)
 
     def evaluate(self, x: Scalar, y: Scalar) -> Scalar:
         acc = ZERO
@@ -559,38 +554,49 @@ def pullback_conic(form, images: Sequence[BinaryForm]) -> BinaryForm:
 # -- the two rank engines --------------------------------------------------------
 
 def _steps(f: BinaryForm):
-    """(r, kernel, gcd) for each step r whose apolar kernel is nonempty
-    with a squarefree gcd; the first such r is the complex rank, and no
-    real decomposition exists at any other r."""
+    """(r, kernel, gcd) at each step that can decide a rank; the first is
+    the complex rank, and no real decomposition exists at any other r.
+
+    With c the middle catalecticant rank (module doc), unvisited are r < c,
+    where the kernel is empty, and c < r < d + 2 - c, where every element
+    is g1 times a form and step c, whose gcd is g1 too, decided them all.
+    From d + 2 - c on g1 and g2 are coprime, so the gcd 1 is not computed.
+    Each visited kernel must have dimension max(1, 2r - d): 1 at step c
+    (2 when 2c = d + 2) and 2r - d from d + 2 - c on.
+    """
     if f.is_zero:
         raise ValueError("rank of the zero form is undefined")
-    for r in range(1, f.degree + 1):
+    d = f.degree
+    c = linalg.rank(hankel_matrix(f, max(1, d // 2)))
+    for r in (c, *range(max(c + 1, d + 2 - c), d + 1)):
         kernel = hankel_kernel(f, r)
-        if not kernel:
-            continue
-        x_mult, g = binary_gcd(kernel)
+        if len(kernel) != max(1, 2 * r - d):
+            raise ArithmeticError("step %d kernel has dimension %d, not "
+                                  "Sylvester's %d"
+                                  % (r, len(kernel), max(1, 2 * r - d)))
+        x_mult, g = binary_gcd(kernel) if r == c else (0, [ONE])
         if _binary_squarefree(x_mult, g):
             yield r, kernel, g
 
 
 def complex_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
-    """Smallest r whose apolar kernel holds a squarefree form, with witness."""
-    for r, kernel, _g in _steps(f):
-        first: Optional[BinaryForm] = None
-        for n, h in enumerate(_squarefree_elements(kernel)):
-            if first is None:
-                first = h
-            pts = binary_roots_exact(h)
-            if pts is not None:
-                return r, _exact_decomposition(f, h, pts, "C", True, ())
-            if n >= 23:
-                break
+    """Smallest r whose apolar kernel holds a squarefree form, with witness:
+    the first step of _steps, which always yields one."""
+    r, kernel, _g = next(_steps(f))
+    first: Optional[BinaryForm] = None
+    for n, h in enumerate(_squarefree_elements(kernel)):
         if first is None:
-            raise ArithmeticError(
-                "squarefree element exists but search missed it")
-        # binary_roots_exact(first) already gave None in the loop above
-        return r, _implicit_decomposition(f, first, "C", True, ())
-    raise ArithmeticError("no squarefree apolar form up to degree d")
+            first = h
+        pts = binary_roots_exact(h)
+        if pts is not None:
+            return r, _exact_decomposition(f, h, pts, "C", True, ())
+        if n >= 23:
+            break
+    if first is None:
+        raise ArithmeticError(
+            "squarefree element exists but search missed it")
+    # binary_roots_exact(first) already gave None in the loop above
+    return r, _implicit_decomposition(f, first, "C", True, ())
 
 
 def real_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
@@ -602,14 +608,9 @@ def real_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
     for r, kernel, g in _steps(f):
         if not _binary_all_real(g):
             continue
-        if len(kernel) == 1:
-            h = kernel[0]
-            hx, hg = _split_plain(h.plain_coeffs())
-            if _binary_squarefree(hx, hg) and _binary_all_real(hg):
-                return r, _exact_decomposition(
-                    f, h, binary_roots_exact(h), "R", certified, notes)
-            continue
-        h = _real_rooted_search(f, kernel, r)
+        # a one-dimensional kernel is its own gcd: squarefree, real-rooted
+        h = kernel[0] if len(kernel) == 1 else _real_rooted_search(
+            f, kernel, r)
         if h is not None:
             return r, _exact_decomposition(
                 f, h, binary_roots_exact(h), "R", certified, notes)

@@ -120,17 +120,6 @@ def is_squarefree(a: Sequence[Scalar]) -> bool:
     return poly_degree(poly_gcd(a, poly_derivative(a))) == 0
 
 
-def squarefree_part(a: Sequence[Scalar]) -> Poly:
-    a = poly_trim(a)
-    if len(a) <= 2:
-        return poly_monic(a)
-    g = poly_gcd(a, poly_derivative(a))
-    q, r = poly_divmod(a, g)
-    if r:
-        raise ArithmeticError("gcd does not divide the polynomial")
-    return poly_monic(q)
-
-
 # -- square roots in Q and Q(i) ----------------------------------------------
 
 def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -468,15 +457,9 @@ def _sturm_at(seq: list[RealPoly], x: Optional[Fraction], top: bool) -> int:
     return _variations(signs)
 
 
-def count_real_roots(p: RealPoly, lo: Optional[Fraction] = None,
-                     hi: Optional[Fraction] = None) -> int:
-    """Distinct real roots of p in (lo, hi]; None endpoints mean infinity."""
-    seq = sturm_sequence(p)
-    if not seq or len(seq[0]) <= 1:
-        return 0
-    va = _sturm_at(seq, lo, top=False)
-    vb = _sturm_at(seq, hi, top=True)
-    return va - vb
+def _sturm_count(seq: list[RealPoly], lo: Optional[Fraction],
+                 hi: Optional[Fraction]) -> int:
+    return _sturm_at(seq, lo, top=False) - _sturm_at(seq, hi, top=True)
 
 
 def cauchy_bound(p: RealPoly) -> Fraction:
@@ -491,13 +474,13 @@ def cauchy_bound(p: RealPoly) -> Fraction:
 
 
 def all_roots_real(p: Sequence[Scalar]) -> bool:
-    """True when every complex root of p is real (multiplicity ignored)."""
+    """True when every complex root of p is real (multiplicity ignored):
+    the Sturm chain ends in gcd(p, p'), so p has deg p - deg gcd roots."""
     rp = as_real_poly(p)
     if len(rp) <= 1:
         return True
-    sf = squarefree_part([Scalar.of(c) for c in rp])
-    rsf = as_real_poly(sf)
-    return count_real_roots(rsf) == len(rsf) - 1
+    seq = sturm_sequence(rp)
+    return _sturm_count(seq, None, None) == len(rp) - len(seq[-1])
 
 
 def isolate_real_roots(p: RealPoly) -> list[tuple[Fraction, Fraction]]:
@@ -506,10 +489,10 @@ def isolate_real_roots(p: RealPoly) -> list[tuple[Fraction, Fraction]]:
         p = p[:-1]
     if len(p) <= 1:
         return []
+    seq = sturm_sequence(p)
     b = cauchy_bound(p)
-    total = count_real_roots(p, -b, b)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-b, b, total)]
+    stack = [(-b, b, _sturm_count(seq, -b, b))]
     while stack:
         lo, hi, cnt = stack.pop()
         if cnt == 0:
@@ -518,7 +501,7 @@ def isolate_real_roots(p: RealPoly) -> list[tuple[Fraction, Fraction]]:
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        left = count_real_roots(p, lo, mid)
+        left = _sturm_count(seq, lo, mid)
         stack.append((mid, hi, cnt - left))
         stack.append((lo, mid, left))
     out.sort()
@@ -527,14 +510,28 @@ def isolate_real_roots(p: RealPoly) -> list[tuple[Fraction, Fraction]]:
 
 def refine_real_root(p: RealPoly, lo: Fraction, hi: Fraction,
                      width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (a, b] with one root below the width."""
-    if _r_eval(p, hi) == 0:
+    """Shrink an isolating interval (lo, hi] of p below the width.
+
+    Precondition, checked on one Sturm chain: p is squarefree (the chain
+    ends in a nonzero constant) and has exactly one root in (lo, hi];
+    otherwise ValueError.  A simple root is a sign change, so once
+    p(hi) != 0 the root lies in (mid, hi] exactly when p(mid) and p(hi)
+    differ in sign, and bisection keeps that half, else (lo, mid].
+    """
+    seq = sturm_sequence(p)
+    if not seq or len(seq[-1]) != 1:
+        raise ValueError("refinement needs a squarefree, nonconstant p")
+    if _sturm_count(seq, lo, hi) != 1:
+        raise ValueError("refinement needs exactly one root in (lo, hi]")
+    s_hi = _sign(_r_eval(p, hi))
+    if s_hi == 0:
         return (hi, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _r_eval(p, mid) == 0:
+        s_mid = _sign(_r_eval(p, mid))
+        if s_mid == 0:
             return (mid, mid)
-        if count_real_roots(p, mid, hi) == 1:
+        if s_mid != s_hi:
             lo = mid
         else:
             hi = mid

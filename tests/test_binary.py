@@ -15,11 +15,15 @@ from math import comb
 import pytest
 import sympy
 
-from waringlab.binary import (BinaryDecomposition, BinaryForm, binary_gcd,
+from waringlab import binary
+from waringlab.binary import (BinaryDecomposition, BinaryForm,
+                              _binary_squarefree, _steps, binary_gcd,
                               binary_roots_exact, complex_rank, hankel_kernel,
                               hankel_matrix, moment_vector, power_point,
                               real_rank, reconstruct, reconstruction_check)
+from waringlab.factory import conjugate_pair_form
 from waringlab.scalars import ONE, ZERO, Scalar
+from waringlab.univariate import poly_monic
 
 X, Y = sympy.symbols("x y")
 
@@ -269,3 +273,126 @@ def test_degree_one():
     f = BinaryForm.from_plain([Scalar.of(5), Scalar.of(-2)])
     rc, dec = complex_rank(f)
     assert rc == 1 and reconstruction_check(f, dec)
+
+
+# -- the step walk against the walk over every r ---------------------------
+
+def oracle_steps(f: BinaryForm) -> tuple[list, int]:
+    """Every r from 1: Hankel kernel and gcd, keeping squarefree gcds.
+
+    A later step whose gcd is the first nonempty kernel's nontrivial gcd
+    g1 holds only multiples of g1, which the first step already decided;
+    such steps are counted instead of kept.
+    """
+    out, g1, same = [], None, 0
+    for r in range(1, f.degree + 1):
+        kernel = hankel_kernel(f, r)
+        if not kernel:
+            continue
+        x_mult, g = binary_gcd(kernel)
+        if g1 is None:
+            g1 = (x_mult, poly_monic(g))
+        elif (x_mult, poly_monic(g)) == g1 and x_mult + len(g) > 1:
+            same += 1
+            continue
+        if _binary_squarefree(x_mult, g):
+            out.append((r, kernel, x_mult, g))
+    return out, same
+
+
+def monomials(max_degree: int) -> list[BinaryForm]:
+    out = []
+    for d in range(1, max_degree + 1):
+        for b in range(d + 1):
+            coeffs = [ZERO] * (d + 1)
+            coeffs[b] = ONE
+            out.append(BinaryForm.from_plain(coeffs))
+    return out
+
+
+def seeded_forms(count: int) -> list[BinaryForm]:
+    rng = random.Random(83)
+    out = []
+    while len(out) < count:
+        d = 1 + len(out) % 8
+        f = BinaryForm.from_plain(
+            [Scalar.of(rng.randint(-3, 3)) for _ in range(d + 1)])
+        if not f.is_zero:
+            out.append(f)
+    return out
+
+
+def gap_forms() -> list[BinaryForm]:
+    return [conjugate_pair_form(d, t) for d in range(3, 9)
+            for t in (None, (2, 1, 1, 1), (1, -2, 0, 1))]
+
+
+def test_steps_match_the_walk_over_every_step(monkeypatch):
+    real_kernel, real_gcd = binary.hankel_kernel, binary.binary_gcd
+    kernel_steps: list[int] = []
+    gcd_steps: list[int] = []
+
+    def kernel(f, r):
+        kernel_steps.append(r)
+        return real_kernel(f, r)
+
+    def gcd(forms):
+        gcd_steps.append(forms[0].degree)
+        return real_gcd(forms)
+
+    forms = monomials(8) + seeded_forms(40) + gap_forms()
+    middle = skipped = 0
+    for f in forms:
+        want, same = oracle_steps(f)
+        skipped += same
+        d = f.degree
+        c = next(r for r in range(1, d + 1) if real_kernel(f, r))
+        middle += 2 * c == d + 2
+        kernel_steps.clear()
+        gcd_steps.clear()
+        monkeypatch.setattr(binary, "hankel_kernel", kernel)
+        monkeypatch.setattr(binary, "binary_gcd", gcd)
+        got = list(_steps(f))
+        monkeypatch.undo()
+        assert [(r, k) for r, k, _ in got] == [(r, k) for r, k, _, _ in want]
+        for (r, _, g), (_, _, x_mult, old_g) in zip(got, want):
+            assert poly_monic(g) == poly_monic(old_g)
+            if r > c:
+                assert g == [ONE] and x_mult == 0
+        # no empty kernel below c, no gcd from d + 2 - c on
+        assert min(kernel_steps) == c
+        assert gcd_steps == [c]
+        assert c < d + 2 - c or 2 * c == d + 2
+    assert middle >= 10 and skipped >= 20
+
+
+def test_gap_sextic_real_rank_takes_two_kernels_and_one_gcd(monkeypatch):
+    calls = {"kernel": [], "gcd": 0}
+    real_kernel, real_gcd = binary.hankel_kernel, binary.binary_gcd
+
+    def kernel(f, r):
+        calls["kernel"].append(r)
+        return real_kernel(f, r)
+
+    def gcd(forms):
+        calls["gcd"] += 1
+        return real_gcd(forms)
+
+    monkeypatch.setattr(binary, "hankel_kernel", kernel)
+    monkeypatch.setattr(binary, "binary_gcd", gcd)
+    rr, dec = real_rank(conjugate_pair_form(6))
+    assert rr == 6 and dec.minimality_certified
+    assert calls == {"kernel": [2, 6], "gcd": 1}
+
+
+@pytest.mark.parametrize("f, c", [(conjugate_pair_form(6), 2),
+                                  (plain(1, 2, 0, -1, 3), 3)])
+def test_steps_reject_kernels_off_sylvester_dimensions(monkeypatch, f, c):
+    real_kernel = binary.hankel_kernel
+    for bad in (lambda r, k: k[:-1] if r == c else k,
+                lambda r, k: k + k[:1] if r == c else k,
+                lambda r, k: k[:-1] if r > c else k):
+        monkeypatch.setattr(binary, "hankel_kernel",
+                            lambda g, r, bad=bad: bad(r, real_kernel(g, r)))
+        with pytest.raises(ArithmeticError):
+            list(_steps(f))

@@ -16,19 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waringlab.scalars import ONE, ZERO, Scalar
+import waringlab.univariate as univariate
 from waringlab.univariate import (_CERT_PRIMES, _FILTER_PRIME, BoxScalar,
                                   Interval, _cannot_split, _eval_mod,
-                                  _mod_pair, _round_out,
-                                  all_roots_real, as_real_poly, cauchy_bound,
-                                  certified_root_boxes, count_real_roots,
+                                  _mod_pair, _r_eval, _round_out,
+                                  _sturm_count, all_roots_real, as_real_poly,
+                                  cauchy_bound, certified_root_boxes,
                                   fraction_sqrt, gaussian_sqrt,
                                   interval_solve, is_squarefree,
                                   isolate_real_roots, poly_degree,
                                   poly_derivative, poly_divmod, poly_eval,
                                   poly_gcd, poly_mul, poly_monic,
                                   refine_real_root, roots_over_gaussians,
-                                  solve_quadratic, squarefree_part,
-                                  sturm_sequence)
+                                  solve_quadratic, sturm_sequence)
 
 T = sympy.symbols("t")
 
@@ -43,6 +43,31 @@ def rand_poly(rng, deg, lo=-4, hi=4):
     coeffs = [Scalar.of(rng.randint(lo, hi)) for _ in range(deg)]
     coeffs.append(Scalar.of(rng.choice([1, 2, -1, 3])))
     return coeffs
+
+
+def squarefree_part(a):
+    """Monic a / gcd(a, a'): the same roots, each once."""
+    a = poly_monic(a)
+    if len(a) <= 2:
+        return a
+    q, r = poly_divmod(a, poly_gcd(a, poly_derivative(a)))
+    assert not r
+    return poly_monic(q)
+
+
+def count_real_roots(p, lo=None, hi=None):
+    """Distinct real roots of p in (lo, hi]; None endpoints mean infinity."""
+    seq = sturm_sequence(p)
+    if not seq or len(seq[0]) <= 1:
+        return 0
+    return _sturm_count(seq, lo, hi)
+
+
+def from_real_roots(*roots):
+    p = [ONE]
+    for t in roots:
+        p = poly_mul(p, [-Scalar.of(t), ONE])
+    return p
 
 
 def test_poly_divmod_reconstructs():
@@ -193,6 +218,104 @@ def test_isolate_and_refine_real_roots():
         lo2, hi2 = refine_real_root(rp, lo, hi, Fraction(1, 10 ** 12))
         assert lo2 <= want <= hi2
         assert hi2 - lo2 < Fraction(1, 10 ** 12)
+
+
+def sturm_bisection(p, lo, hi, width):
+    """The refinement as it was: one Sturm count per bisection step."""
+    if _r_eval(p, hi) == 0:
+        return (hi, hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        if _r_eval(p, mid) == 0:
+            return (mid, mid)
+        if count_real_roots(p, mid, hi) == 1:
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+def test_refine_real_root_matches_sturm_bisection():
+    rng = random.Random(41)
+    width = Fraction(1, 10 ** 15)
+    boxes = 0
+    for trial in range(40):
+        if trial % 4 == 0:
+            # rational roots, some dyadic, so bisection lands on them
+            p = from_real_roots(*rng.sample(
+                [-2, -1, Fraction(-1, 2), 0, Fraction(1, 4), Fraction(1, 3),
+                 1, Fraction(3, 2), 2, 3], rng.randint(1, 4)))
+        else:
+            p = squarefree_part(rand_poly(rng, rng.randint(1, 6)))
+        rp = as_real_poly(p)
+        for lo, hi in isolate_real_roots(rp):
+            boxes += 1
+            assert (refine_real_root(rp, lo, hi, width)
+                    == sturm_bisection(rp, lo, hi, width))
+    assert boxes > 40
+
+
+def test_refine_real_root_at_the_right_end_and_midpoints():
+    rp = as_real_poly(from_real_roots(-1, 1))
+    width = Fraction(1, 10 ** 9)
+    assert refine_real_root(rp, Fraction(0), Fraction(1), width) == (1, 1)
+    assert refine_real_root(rp, Fraction(-2), Fraction(0),
+                            width) == (-1, -1)
+    lo, hi = refine_real_root(rp, Fraction(-2), Fraction(-1, 3), width)
+    assert lo < -1 < hi or lo == hi == -1
+
+
+def test_refine_real_root_checks_its_precondition():
+    width = Fraction(1, 10 ** 6)
+    double = as_real_poly(from_real_roots(1, 1, -2))
+    with pytest.raises(ValueError):
+        refine_real_root(double, Fraction(0), Fraction(2), width)
+    rp = as_real_poly(from_real_roots(-2, 1))
+    for lo, hi in ((2, 5), (-3, 2), (-5, -3)):
+        with pytest.raises(ValueError):
+            refine_real_root(rp, Fraction(lo), Fraction(hi), width)
+    with pytest.raises(ValueError):
+        refine_real_root([Fraction(3)], Fraction(0), Fraction(1), width)
+
+
+def test_refine_real_root_builds_one_sturm_chain(monkeypatch):
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return sturm_sequence(p)
+
+    monkeypatch.setattr(univariate, "sturm_sequence", counting)
+    rp = as_real_poly(from_real_roots(Fraction(-1, 3), Fraction(2, 7), 5))
+    lo, hi = refine_real_root(rp, Fraction(0), Fraction(1),
+                              Fraction(1, 10 ** 40))
+    assert lo < Fraction(2, 7) < hi
+    assert len(calls) == 1
+    calls.clear()
+    assert len(isolate_real_roots(rp)) == 3
+    assert len(calls) == 1
+
+
+def test_all_roots_real_on_non_squarefree_inputs():
+    t = sympy.symbols("t")
+    # (t-1)^2 (t+2) and (t^2+1)^2 (t-3), then seeded products with squares
+    cases = [from_real_roots(1, 1, -2),
+             poly_mul(poly_mul([ONE, ZERO, ONE], [ONE, ZERO, ONE]),
+                      [Scalar.of(-3), ONE])]
+    rng = random.Random(43)
+    for _ in range(30):
+        a = rand_poly(rng, rng.randint(1, 3))
+        b = rand_poly(rng, rng.randint(0, 2))
+        cases.append(poly_mul(poly_mul(a, a), b))
+    seen = set()
+    for p in cases:
+        expr = sum(sympy.Rational(c.re) * t ** k for k, c in enumerate(p))
+        poly = sympy.Poly(expr, t)
+        expected = len(sympy.real_roots(poly)) == poly.degree()
+        seen.add(expected)
+        assert all_roots_real(p) == expected
+    assert seen == {True, False}
+    assert all_roots_real(cases[0]) and not all_roots_real(cases[1])
 
 
 def test_certified_root_boxes_cover_all_roots():
