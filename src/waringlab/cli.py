@@ -7,7 +7,8 @@ generate-and-verify over the standard grid).
 
 All I/O is JSON with rationals as strings; outputs are byte-reproducible
 from the command line and the input files.  Errors leave as machine
-readable JSON on stderr with a nonzero exit status.
+readable JSON on stderr with a nonzero exit status.  Input sizes are
+capped (the MAX_* limits below and scalars.MAX_LITERAL) before any work.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import comb
 
 from .binary import BinaryForm, complex_rank, real_rank
 from .factory import CASE_A, CASE_B, CASE_C, Instance, generate_instance
@@ -23,6 +25,46 @@ from .points import PointSet
 from .scalars import parse_int
 from .spans import h1_ideal
 from .verifier import classify, classify_triple
+
+
+MAX_RANK_D = 64
+MAX_INSTANCE_D = 12
+MAX_INSTANCE_M = 6
+MAX_H1_COLUMNS = 5_000
+MAX_POINTS = 1_000
+
+
+def _cap(what: str, value: int, limit: int) -> None:
+    if value > limit:
+        raise ValueError(f"{what} = {value} exceeds the limit of {limit}")
+
+
+def _cap_points(obj: dict) -> None:
+    points = obj["points"]
+    if not isinstance(points, list):
+        raise ValueError("'points' must be a JSON list")
+    _cap("the number of points", len(points), MAX_POINTS)
+
+
+def _cap_instance(obj: dict) -> None:
+    """d and m of a verify input, its form and its point sets."""
+    for where in (obj, obj["P"], obj["S_C"], obj["S_R"]):
+        if not isinstance(where, dict):
+            raise ValueError("P, S_C and S_R must be JSON objects")
+    for where in (obj, obj["P"]):
+        _cap("'d'", parse_int(where, "d"), MAX_INSTANCE_D)
+    for where in (obj, obj["P"], obj["S_C"], obj["S_R"]):
+        _cap("'m'", parse_int(where, "m"), MAX_INSTANCE_M)
+    _cap_points(obj["S_C"])
+    _cap_points(obj["S_R"])
+
+
+def _read(build):
+    """build(), with a JSON value of the wrong shape as a ValueError."""
+    try:
+        return build()
+    except (AttributeError, IndexError) as err:
+        raise ValueError(f"malformed input: {err}") from err
 
 
 def _dump(obj: dict) -> str:
@@ -63,6 +105,8 @@ def _parse_overrides(text: str | None) -> tuple[int | None, int | None]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    _cap("--d", args.d, MAX_INSTANCE_D)
+    _cap("--m", args.m, MAX_INSTANCE_M)
     inst = generate_instance(args.case, args.d, args.m, args.seed)
     _emit(inst.to_json(), args.out)
     return 0
@@ -70,19 +114,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     obj = _load(args.input)
+    _cap_instance(obj)
     lt, ct = _parse_overrides(args.threshold_overrides)
     if "case" in obj:
-        inst = Instance.from_json(obj)
+        inst = _read(lambda: Instance.from_json(obj))
         report = classify(inst, line_threshold=lt, conic_threshold=ct)
         seed = inst.seed
     else:
-        form = HomogeneousForm.from_json(obj["P"])
-        s_c = PointSet.from_json(obj["S_C"])
-        s_r = PointSet.from_json(obj["S_R"])
+        form, s_c, s_r = _read(lambda: (HomogeneousForm.from_json(obj["P"]),
+                                        PointSet.from_json(obj["S_C"]),
+                                        PointSet.from_json(obj["S_R"])))
         report = classify_triple(form, s_c, s_r, parse_int(obj, "d"),
                                  parse_int(obj, "m"), mode="raw",
                                  line_threshold=lt, conic_threshold=ct)
-        seed = obj.get("seed")
+        seed = None if obj.get("seed") is None else parse_int(obj, "seed")
     payload = report.to_json()
     payload["seed"] = seed
     _emit(payload, args.out)
@@ -90,7 +135,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    form = BinaryForm.from_json(_load(args.input))
+    obj = _load(args.input)
+    _cap("'d'", parse_int(obj, "d"), MAX_RANK_D)
+    form = _read(lambda: BinaryForm.from_json(obj))
     rc, dec_c = complex_rank(form)
     payload: dict = {
         "input": form.to_json(),
@@ -110,7 +157,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
 def cmd_h1(args: argparse.Namespace) -> int:
     if args.d < 1:
         raise ValueError(f"--d must be at least 1, got {args.d}")
-    s = PointSet.from_json(_load(args.input))
+    obj = _load(args.input)
+    _cap_points(obj)
+    m = parse_int(obj, "m")
+    # C(d + m, m) is cheap only for small min(d, m); C(26, 13) > 10^7
+    if m < 0 or min(args.d, m) > 13 or comb(args.d + m, m) > MAX_H1_COLUMNS:
+        raise ValueError(f"d = {args.d} in P^{m} exceeds the limit of "
+                         f"{MAX_H1_COLUMNS} Veronese columns C(d + m, m)")
+    s = _read(lambda: PointSet.from_json(obj))
     report = h1_ideal(s, args.d)
     payload = report.to_json()
     payload["d"] = args.d

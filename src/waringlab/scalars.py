@@ -24,6 +24,7 @@ ScalarLike = Union["Scalar", int, Fraction]
 # Fraction itself also reads decimals, underscores and exponents, and an
 # exponent such as "1e999999999" would build a huge integer.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+MAX_LITERAL = 10_000
 
 
 def format_rational(q: Fraction) -> str:
@@ -35,6 +36,9 @@ def parse_rational(text: str) -> Fraction:
     """Parse [+-]?digits(/digits)?, after strip(), into a Fraction."""
     if not isinstance(text, str):
         raise ValueError(f"rational must be a string, got {type(text).__name__}")
+    if len(text) > MAX_LITERAL:
+        raise ValueError(f"a rational literal of {len(text)} characters "
+                         f"exceeds the limit of {MAX_LITERAL}")
     text = text.strip()
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"rational must read [+-]digits[/digits], got {text!r}")

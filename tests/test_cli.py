@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from waringlab import cli
 from waringlab.binary import BinaryForm
 from waringlab.cli import main
 from waringlab.factory import conjugate_pair_form, make_case_a
@@ -358,3 +364,172 @@ def test_unknown_case_choice_exits_with_usage_error(capsys):
               "--seed", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_raw_triple_seed_must_be_an_integer_or_null(tmp_path, capsys):
+    path = tmp_path / "raw.json"
+    for seed in ({"x": [2.5]}, 2.5, True):
+        path.write_text(json.dumps(_raw_triple(seed=seed)))
+        assert "'seed'" in _exits_2_with_value_error(capsys, path, "verify")
+    for seed in (None, 7):
+        path.write_text(json.dumps(_raw_triple(seed=seed)))
+        rc, out, err = run(capsys, "verify", str(path))
+        assert rc == 0 and err == ""
+        assert json.loads(out)["seed"] == seed
+
+
+def _over_limit_inputs(tmp_path):
+    """(argv, the limit the message must name) past each size limit."""
+    inst = json.loads((Path(__file__).parent / "golden" / "generate"
+                       / "a-d3-m2.json").read_text())
+    point = ["1", "0", "0"]
+    files = {
+        "rank": {"d": 65, "c": ["1"] * 66},
+        "wide": {"m": 2, "points": [point]},
+        "many": {"m": 2, "points": [point] * 1001},
+        "inst-d": dict(inst, d=13),
+        "inst-m": dict(inst, m=7),
+        "raw-m": _raw_triple(m=7),
+        "form-d": dict(inst, P=dict(inst["P"], d=13)),
+        "points-m": dict(inst, S_R=dict(inst["S_R"], m=7)),
+        "literal": {"d": 1, "c": ["1" * 10_001, "1"]},
+    }
+    paths = {}
+    for name, obj in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(obj))
+    gen = ["generate", "--case", "a", "--seed", "0"]
+    return [
+        (["rank", paths["rank"]], "64"),
+        (gen + ["--d", "13", "--m", "2"], "12"),
+        (gen + ["--d", "3", "--m", "7"], "6"),
+        (["h1", paths["wide"], "--d", "100"], "5000"),
+        (["h1", paths["wide"], "--d", str(10 ** 9)], "5000"),
+        (["h1", paths["many"], "--d", "2"], "1000"),
+        (["verify", paths["inst-d"]], "12"),
+        (["verify", paths["inst-m"]], "6"),
+        (["verify", paths["raw-m"]], "6"),
+        (["verify", paths["form-d"]], "12"),
+        (["verify", paths["points-m"]], "6"),
+        (["rank", paths["literal"]], "10000"),
+    ]
+
+
+def test_size_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an over-limit input reached the engine")
+
+    for name in ("complex_rank", "real_rank", "generate_instance",
+                 "classify", "classify_triple", "h1_ideal"):
+        monkeypatch.setattr(cli, name, no_work)
+    for argv, limit in _over_limit_inputs(tmp_path):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == "", argv
+        envelope = json.loads(err)
+        assert envelope["error"] == "ValueError"
+        assert limit in envelope["message"], (argv, envelope)
+
+
+def test_limits_admit_the_largest_inputs(tmp_path, capsys):
+    path = tmp_path / "pts.json"
+    # C(4 + 12, 4) = 1820 columns and C(2 + 98, 2) = 4950
+    path.write_text(json.dumps({"m": 4,
+                                "points": [["1", "2", "0", "0", "1"]]}))
+    assert run(capsys, "h1", str(path), "--d", "12")[0] == 0
+    path.write_text(json.dumps({"m": 2, "points": [["1", "2", "3"]]}))
+    assert run(capsys, "h1", str(path), "--d", "98")[0] == 0
+    # Python's own limit of 4300 digits per int still applies to each
+    # number read or written
+    path.write_text(json.dumps({"d": 1, "c": ["1" * 4000, "0"]}))
+    assert run(capsys, "rank", str(path))[0] == 0
+
+
+# -- the contract under fuzzed input ------------------------------------------
+
+def _assert_contract(argv: list[str]) -> None:
+    """Exit 0 or 1 with a report, or exit 2 with the envelope; no raise."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert set(json.loads(err.getvalue())) == {"error", "message"}
+    else:
+        assert rc in (0, 1) and err.getvalue() == ""
+        assert isinstance(json.loads(out.getvalue()), dict)
+
+
+_literals = st.one_of(
+    st.from_regex(r"[+-]?[0-9]{1,3}(/[0-9]{1,2})?", fullmatch=True),
+    st.sampled_from(["0", "1/0", " 7 ", "", "1e3", "1.5", "x", "0/1"]))
+_scalars = st.one_of(_literals, st.fixed_dictionaries(
+    {"re": _literals}, optional={"im": _literals}))
+_leaves = st.one_of(st.none(), st.booleans(), st.integers(-3, 8),
+                    st.floats(-4, 4, width=16), _literals)
+_json = st.recursive(_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.dictionaries(st.sampled_from(["re", "im", "d", "m", "c", "points",
+                                     "seed", "terms", "exp"]),
+                    kids, max_size=3)), max_leaves=8)
+_big = st.one_of(st.integers(65, 10 ** 9), st.just(10 ** 30))
+
+
+def _write(obj) -> str:
+    path = Path(tempfile.mkdtemp(prefix="fuzz")) / "in.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "d": st.one_of(st.integers(-1, 6), _big, _leaves),
+    "c": st.one_of(st.lists(_scalars, min_size=1, max_size=8), _json)}))
+def test_fuzzed_rank_keeps_the_contract(obj):
+    _assert_contract(["rank", _write(obj)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({
+    "m": st.one_of(st.integers(-1, 4), _big, _leaves),
+    "points": st.one_of(st.lists(st.lists(_scalars, min_size=1, max_size=5),
+                                 max_size=6), _json)}),
+       st.one_of(st.integers(-1, 6), st.integers(7, 10 ** 12)))
+def test_fuzzed_h1_keeps_the_contract(obj, d):
+    _assert_contract(["h1", _write(obj), "--d", str(d)])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["a", "b", "c"]),
+       st.one_of(st.integers(-2, 4), st.integers(13, 10 ** 12)),
+       st.one_of(st.integers(-1, 3), st.integers(7, 10 ** 12)),
+       st.integers(-5, 10 ** 12))
+def test_fuzzed_generate_keeps_the_contract(case, d, m, seed):
+    _assert_contract(["generate", "--case", case, "--d", str(d),
+                      "--m", str(m), "--seed", str(seed)])
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+_INSTANCE = json.loads((Path(__file__).parent / "golden" / "generate"
+                        / "a-d3-m2.json").read_text())
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_fuzzed_verify_keeps_the_contract(data):
+    base = data.draw(st.sampled_from([_INSTANCE, _raw_triple()]))
+    obj = json.loads(json.dumps(base))
+    for _ in range(data.draw(st.integers(1, 2))):
+        path = data.draw(st.sampled_from(list(_paths(obj))[1:]))
+        value = data.draw(st.one_of(_json, _big))
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    _assert_contract(["verify", _write(obj)])
