@@ -474,8 +474,11 @@ _json = st.recursive(_leaves, lambda kids: st.one_of(
 _big = st.one_of(st.integers(65, 10 ** 9), st.just(10 ** 30))
 
 
+_FUZZ_DIR = tempfile.TemporaryDirectory(prefix="waringlab-fuzz")
+
+
 def _write(obj) -> str:
-    path = Path(tempfile.mkdtemp(prefix="fuzz")) / "in.json"
+    path = Path(_FUZZ_DIR.name) / "in.json"
     path.write_text(json.dumps(obj))
     return str(path)
 
