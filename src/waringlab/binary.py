@@ -524,33 +524,6 @@ def _mul_factor(plain: list[Scalar], a: Scalar, b: Scalar) -> list[Scalar]:
     return out
 
 
-def pullback_conic(form, images: Sequence[BinaryForm]) -> BinaryForm:
-    """Substitute a quadric parametrization into a form: F(q_0(s,t), ...).
-
-    Each variable image must be a binary quadric.  Raises ValueError when
-    the images span less than three dimensions, which is exactly when the
-    parametrized curve degenerates to a line or a point.
-    """
-    if len(images) != form.num_vars:
-        raise ValueError("one quadric image per variable")
-    if any(q.degree != 2 for q in images):
-        raise ValueError("images must be binary quadrics")
-    rows = [list(q.plain_coeffs()) for q in images]
-    if linalg.rank(rows) < 3:
-        raise ValueError("degenerate parametrization")
-    d = form.degree
-    acc = [ZERO] * (2 * d + 1)
-    image_plain = [list(q.plain_coeffs()) for q in images]
-    for exp, coeff in form.coeffs.items():
-        prod: list[Scalar] = [coeff]
-        for var, e in enumerate(exp):
-            for _ in range(e):
-                prod = poly_mul(prod, image_plain[var])
-        for k, cc in enumerate(prod):
-            acc[k] = acc[k] + cc
-    return BinaryForm.from_plain(acc)
-
-
 # -- the two rank engines --------------------------------------------------------
 
 def _steps(f: BinaryForm):

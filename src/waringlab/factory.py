@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .binary import BinaryForm, complex_rank, real_rank
-from .forms import HomogeneousForm
+from .forms import HomogeneousForm, substitute
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
                      ProjectivePoint, spanning_rank, split_on_curve)
 from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
@@ -32,7 +32,6 @@ from .spans import (ConicParametrization, catalecticant_rank,
                     conic_power_basis, curve_power_basis, h1_ideal,
                     line_power_basis, membership, power_row,
                     restrict_to_conic, restrict_to_line, spans_disjoint)
-from .univariate import poly_mul
 
 CASE_A = "a"
 CASE_B = "b"
@@ -138,21 +137,9 @@ def conjugate_pair_form(degree: int,
 
 
 def _compose_gl2(f: BinaryForm, a: int, b: int, c: int, e: int) -> BinaryForm:
-    img_x = [Scalar.of(a), Scalar.of(b)]
-    img_y = [Scalar.of(c), Scalar.of(e)]
-    d = f.degree
-    acc = [ZERO] * (d + 1)
-    for k, coeff in enumerate(f.plain_coeffs()):
-        if coeff.is_zero:
-            continue
-        prod = [coeff]
-        for _ in range(d - k):
-            prod = poly_mul(prod, img_x)
-        for _ in range(k):
-            prod = poly_mul(prod, img_y)
-        for i, cc in enumerate(prod):
-            acc[i] = acc[i] + cc
-    return BinaryForm.from_plain(acc)
+    plain = HomogeneousForm.from_coeff_vector(2, f.degree, f.plain_coeffs())
+    return BinaryForm.from_plain(substitute(
+        plain, [[Scalar.of(a), Scalar.of(b)], [Scalar.of(c), Scalar.of(e)]]))
 
 
 # -- embedding decompositions on curves --------------------------------------------

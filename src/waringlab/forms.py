@@ -8,10 +8,21 @@ first and x_{n-1}^d last.  Every coefficient vector in the package is aligned
 to this order.
 
 A LinearForm is a degree-1 form kept in canonical projective scale (first
-nonzero coefficient equal to 1).  power_of_linear is the package's one
-expansion of a d-th power of a linear form (by the multinomial theorem, so
-it stays exact); spans.power_row caches its coefficient vectors, and
-HomogeneousForm.combination sums such vectors into a form.
+nonzero coefficient equal to 1).  The package expands forms in two ways:
+
+- power_of_linear expands a d-th power of a linear form (by the multinomial
+  theorem, so it stays exact); spans.power_row caches its coefficient
+  vectors, and HomogeneousForm.combination sums such vectors into a form.
+- substitution_rows is the one table for pushing forms through a
+  polynomial substitution x_i -> images_i(t): the curve power bases in
+  spans, the conic check in spans.parametrize_conic and the GL2
+  transplants in factory all read it, and substitute sums it against a
+  form's coefficients.
+
+A point power is the constant-image case of the table, but it stays on its
+scalar tables: routing power_of_linear through polynomial rows slowed 300
+seeded points (P^2..P^4, d 3-8) from 400 ms to 493-538 ms and the bench h1
+workload from 13.7 to 12.0 items/s.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .scalars import ONE, ZERO, Scalar, parse_int
+from .univariate import poly_mul
 
 Exponent = tuple[int, ...]
 
@@ -77,10 +89,6 @@ class HomogeneousForm:
     coeffs: Mapping[Exponent, Scalar] = field(default_factory=dict)
 
     # coeffs never stores zeros; from_coeff_map is the canonicalizing door.
-
-    @staticmethod
-    def zero(num_vars: int, degree: int) -> "HomogeneousForm":
-        return HomogeneousForm(num_vars, degree, {})
 
     @staticmethod
     def from_coeff_map(num_vars: int, degree: int,
@@ -153,42 +161,12 @@ class HomogeneousForm:
             out[exp] = out.get(exp, ZERO) + c
         return HomogeneousForm.from_coeff_map(self.num_vars, self.degree, out)
 
-    def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + other.scale(-ONE)
-
     def scale(self, factor: Scalar) -> "HomogeneousForm":
         if factor.is_zero:
-            return HomogeneousForm.zero(self.num_vars, self.degree)
+            return HomogeneousForm(self.num_vars, self.degree)
         return HomogeneousForm(
             self.num_vars, self.degree,
             {e: c * factor for e, c in self.coeffs.items()})
-
-    def __mul__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        if self.num_vars != other.num_vars:
-            raise ValueError("forms live in different spaces")
-        out: dict[Exponent, Scalar] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(e)
-                out[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return HomogeneousForm.from_coeff_map(
-            self.num_vars, self.degree + other.degree, out)
-
-    def conjugate(self) -> "HomogeneousForm":
-        return HomogeneousForm(
-            self.num_vars, self.degree,
-            {e: c.conjugate() for e, c in self.coeffs.items()})
-
-    def evaluate(self, point: Sequence[Scalar]) -> Scalar:
-        acc = ZERO
-        for exp, c in self.coeffs.items():
-            term = c
-            for v, e in zip(point, exp):
-                if e:
-                    term = term * (v ** e)
-            acc = acc + term
-        return acc
 
     def canonical(self) -> "HomogeneousForm":
         """Projective representative: first nonzero coefficient scaled to 1."""
@@ -242,3 +220,47 @@ def power_of_linear(linear: LinearForm, degree: int) -> HomogeneousForm:
         if not c.is_zero:
             out[exp] = c
     return HomogeneousForm(linear.num_vars, degree, out)
+
+
+def substitution_rows(images: Sequence[Sequence[Scalar]],
+                      degree: int) -> list[list[Scalar]]:
+    """t-coefficients of prod_i images[i](t)^e_i, one row per monomial x^e.
+
+    images[i] is the image of x_i as a coefficient list in t (ascending);
+    all images share one length k + 1, and every row is padded to length
+    degree*k + 1.  Rows follow monomial_exponents(len(images), degree).
+    Like power_of_linear, each coordinate gets one table of powers, so
+    every monomial costs one product of table entries.
+    """
+    lengths = {len(image) for image in images}
+    if len(lengths) != 1:
+        raise ValueError("images must share one length")
+    width = degree * (lengths.pop() - 1) + 1
+    tables = []
+    for image in images:
+        table = [[ONE]]
+        for _ in range(degree):
+            table.append(poly_mul(table[-1], image))
+        tables.append(table)
+    rows = []
+    for exp in monomial_exponents(len(images), degree):
+        row = [ONE]
+        for table, e in zip(tables, exp):
+            if e:
+                row = poly_mul(row, table[e])
+        rows.append(row + [ZERO] * (width - len(row)))
+    return rows
+
+
+def substitute(form: HomogeneousForm,
+               images: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    """t-coefficients of form(images(t)): sum_e F_e * row_e."""
+    if len(images) != form.num_vars:
+        raise ValueError("need one image per variable")
+    rows = substitution_rows(images, form.degree)
+    acc = [ZERO] * len(rows[0])
+    for exp, row in zip(monomial_exponents(form.num_vars, form.degree), rows):
+        c = form.coeffs.get(exp)
+        if c is not None:
+            acc = [a + c * r for a, r in zip(acc, row)]
+    return acc

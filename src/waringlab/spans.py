@@ -10,6 +10,12 @@ independent conditions in degree d is the single number
     h1 = (number of points) - 1 - (projective dimension of the span)
 
 and that number drives every hypothesis check downstream.
+
+The powers of the points of a curve span the graded pieces of
+(sum_i images_i(t) x_i)^d, where images_i(t) is coordinate i along the
+curve's parameter: u_i + v_i t on the line through u and v, and the plain
+coefficients of the i-th quadric on a parametrized conic.  Piece k is
+sum_e multinomial(d, e) row_e[k] x^e, read off forms.substitution_rows.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
-from .binary import BinaryForm, pullback_conic
+from .binary import BinaryForm
 from .forms import (HomogeneousForm, LinearForm, monomial_exponents,
-                    multinomial, power_of_linear)
+                    multinomial, power_of_linear, substitute,
+                    substitution_rows)
 from .points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC, TWO_DISJOINT_LINES,
                      CurveSpec, PointSet, ProjectivePoint, _CONIC_EXPS,
                      _conic_matrix, _eval_conic, _quad_apply)
@@ -161,41 +168,25 @@ def catalecticant_rank(form: HomogeneousForm, t: Optional[int] = None) -> int:
 
 # -- power bases along curves ----------------------------------------------------
 
-def _linear_in_x(num_vars: int, coeffs: Sequence[Scalar]) -> HomogeneousForm:
-    exps = {tuple(1 if i == j else 0 for i in range(num_vars)): c
-            for j, c in enumerate(coeffs)}
-    return HomogeneousForm.from_coeff_map(num_vars, 1, exps)
+def _power_basis(images: Sequence[Sequence[Scalar]],
+                 d: int) -> list[list[Scalar]]:
+    """Coefficient vectors of the t-graded pieces of (sum images_i(t) x_i)^d.
 
-
-def _convolve(a: list[HomogeneousForm],
-              b: list[HomogeneousForm]) -> list[HomogeneousForm]:
-    n, deg = a[0].num_vars, a[0].degree + b[0].degree
-    out = [HomogeneousForm.zero(n, deg) for _ in range(len(a) + len(b) - 1)]
-    for i, fa in enumerate(a):
-        if fa.is_zero:
-            continue
-        for j, fb in enumerate(b):
-            if fb.is_zero:
-                continue
-            out[i + j] = out[i + j] + fa * fb
-    return out
-
-
-def _power_basis(images: list[HomogeneousForm], d: int) -> list[list[Scalar]]:
-    """Coefficient vectors of the (s,t)-graded pieces of (image(s,t).x)^d."""
-    acc = images
-    for _ in range(d - 1):
-        acc = _convolve(acc, images)
-    return [list(g.coeff_vector()) for g in acc]
+    Piece k is sum_e multinomial(d, e) * row_e[k] * x^e, read off the one
+    substitution table of forms.substitution_rows.
+    """
+    rows = substitution_rows(images, d)
+    weights = [Scalar.of(multinomial(d, e))
+               for e in monomial_exponents(len(images), d)]
+    return [[w * row[k] for w, row in zip(weights, rows)]
+            for k in range(len(rows[0]))]
 
 
 @lru_cache(maxsize=512)
 def _line_power_basis_cached(line: CurveSpec,
                              d: int) -> tuple[tuple[Scalar, ...], ...]:
     u, v = line.line_basis
-    images = [_linear_in_x(line.m + 1, u.coords),
-              _linear_in_x(line.m + 1, v.coords)]
-    basis = _power_basis(images, d)
+    basis = _power_basis([[a, b] for a, b in zip(u.coords, v.coords)], d)
     if linalg.rank(basis) != d + 1:
         raise ArithmeticError("line power basis degenerated")
     return tuple(tuple(row) for row in basis)
@@ -264,7 +255,8 @@ def parametrize_conic(curve: CurveSpec,
         raise ArithmeticError("secant parametrization degenerated")
     conic_form = HomogeneousForm.from_coeff_map(
         3, 2, dict(zip(_CONIC_EXPS, curve.conic_coeffs)))
-    if not pullback_conic(conic_form, plane_quadrics).is_zero:
+    if any(not c.is_zero for c in substitute(
+            conic_form, [q.plain_coeffs() for q in plane_quadrics])):
         raise ArithmeticError("parametrization left the conic")
     ambient = []
     for j in range(curve.m + 1):
@@ -279,12 +271,7 @@ def parametrize_conic(curve: CurveSpec,
 @lru_cache(maxsize=256)
 def _conic_power_basis_cached(param: ConicParametrization,
                               d: int) -> tuple[tuple[Scalar, ...], ...]:
-    num_vars = param.curve.m + 1
-    images = []
-    for k in range(3):
-        images.append(_linear_in_x(
-            num_vars, [q.plain_coeffs()[k] for q in param.quadrics]))
-    basis = _power_basis(images, d)
+    basis = _power_basis([q.plain_coeffs() for q in param.quadrics], d)
     if linalg.rank(basis) != 2 * d + 1:
         raise ArithmeticError("conic power basis degenerated")
     return tuple(tuple(row) for row in basis)

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+import sympy
 
 from waringlab.binary import BinaryForm, complex_rank, real_rank
 from waringlab.factory import (CASE_A, CASE_B, CASE_C, ConstraintViolation,
-                               Instance, conjugate_pair_form,
-                               generate_instance, make_case_a, make_case_b,
+                               Instance, _compose_gl2, _random_transplant,
+                               conjugate_pair_form, generate_instance,
+                               make_case_a, make_case_b,
                                make_case_b_reducible, make_case_c)
 from waringlab.forms import HomogeneousForm
 from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
@@ -49,6 +52,29 @@ def test_transplant_preserves_both_ranks():
     assert (rc, rr) == (2, 5)
     with pytest.raises(ValueError):
         conjugate_pair_form(4, (2, 0, 0, 2))
+
+
+def test_compose_gl2_matches_sympy_substitution():
+    x, y = sympy.symbols("x y")
+
+    def to_sym(c: Scalar):
+        return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+    rng = random.Random(91)
+    entries = [ZERO, ONE, Scalar.of(-3), Scalar.of(1, 2), Scalar.of(0, -1)]
+    for trial in range(40):
+        d = rng.randint(1, 12)
+        f = (conjugate_pair_form(d) if trial % 2 else BinaryForm.from_plain(
+            [rng.choice(entries) for _ in range(d + 1)]))
+        a, b, c, e = _random_transplant(rng)
+        got = _compose_gl2(f, a, b, c, e)
+        plain = f.plain_coeffs()
+        expr = sympy.expand(sum(
+            to_sym(p) * (a * x + b * y) ** (d - k) * (c * x + e * y) ** k
+            for k, p in enumerate(plain)))
+        want = [expr.coeff(x, d - k).coeff(y, k) for k in range(d + 1)]
+        assert got.degree == d
+        assert [to_sym(p) for p in got.plain_coeffs()] == want, (f, a, b, c, e)
 
 
 def test_worked_example_case_a():

@@ -9,10 +9,11 @@ import pytest
 import sympy
 
 from waringlab.forms import (HomogeneousForm, LinearForm, monomial_exponents,
-                             multinomial, power_of_linear)
+                             multinomial, power_of_linear, substitute)
 from waringlab.scalars import ONE, ZERO, Scalar
 
 X = sympy.symbols("x0 x1 x2 x3")
+T = sympy.Symbol("t")
 
 
 def combine(terms, degree: int) -> HomogeneousForm:
@@ -25,17 +26,46 @@ def combine(terms, degree: int) -> HomogeneousForm:
         [power_of_linear(lin, degree).coeff_vector() for _, lin in terms])
 
 
+def product(a: HomogeneousForm, b: HomogeneousForm) -> HomogeneousForm:
+    """The product form, term by term."""
+    if a.num_vars != b.num_vars:
+        raise ValueError("forms live in different spaces")
+    out: dict = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, ZERO) + c1 * c2
+    return HomogeneousForm.from_coeff_map(a.num_vars, a.degree + b.degree,
+                                          out)
+
+
+def conjugate(form: HomogeneousForm) -> HomogeneousForm:
+    return HomogeneousForm.from_coeff_map(
+        form.num_vars, form.degree,
+        {e: c.conjugate() for e, c in form.coeffs.items()})
+
+
+def evaluate(form: HomogeneousForm, point) -> Scalar:
+    acc = ZERO
+    for exp, c in form.coeffs.items():
+        term = c
+        for v, e in zip(point, exp):
+            term = term * (v ** e)
+        acc = acc + term
+    return acc
+
+
 def form_substitute(form: HomogeneousForm,
                     images: list[HomogeneousForm]) -> HomogeneousForm:
     """Substitute x_i -> images[i]; images share a space and a degree."""
     tgt_vars = images[0].num_vars
     one = HomogeneousForm.from_coeff_map(tgt_vars, 0, {(0,) * tgt_vars: ONE})
-    out = HomogeneousForm.zero(tgt_vars, form.degree * images[0].degree)
+    out = HomogeneousForm(tgt_vars, form.degree * images[0].degree)
     for exp, c in form.coeffs.items():
         term = one
         for g, e in zip(images, exp):
             for _ in range(e):
-                term = term * g
+                term = product(term, g)
         out = out + term.scale(c)
     return out
 
@@ -87,7 +117,8 @@ def test_product_matches_sympy():
         n = rng.randint(2, 3)
         a = rand_form(rng, n, rng.randint(1, 2), trial % 3 == 0)
         b = rand_form(rng, n, rng.randint(1, 2))
-        assert to_sympy(a * b) == sympy.expand(to_sympy(a) * to_sympy(b))
+        assert to_sympy(product(a, b)) == sympy.expand(
+            to_sympy(a) * to_sympy(b))
 
 
 def test_power_of_linear_matches_sympy():
@@ -106,12 +137,47 @@ def test_power_of_linear_matches_sympy():
         assert to_sympy(f) == sympy.expand(expr)
 
 
+def sym(c: Scalar):
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
+def test_substitute_matches_sympy():
+    rng = random.Random(71)
+    entries = [ZERO, ZERO, ONE, Scalar.of(-2), Scalar.of(Fraction(1, 3)),
+               Scalar.of(0, 1), Scalar.of(2, -1)]
+    cases = []
+    for trial in range(30):
+        n = rng.randint(1, 4)
+        d = 1 if trial < 4 else (8 if trial < 7 else rng.randint(2, 6))
+        k = 0 if trial % 5 == 0 else rng.randint(1, 3)
+        images = [[rng.choice(entries) for _ in range(k + 1)]
+                  for _ in range(n)]
+        form = (HomogeneousForm(n, d) if trial % 7 == 3
+                else rand_form(rng, n, d, trial % 2 == 0))
+        cases.append((form, images, k))
+    # trailing zeros everywhere: every row needs its padding
+    cases.append((rand_form(rng, 3, 4), [[ONE, ZERO, ZERO]] * 3, 2))
+    for form, images, k in cases:
+        got = substitute(form, images)
+        assert len(got) == form.degree * k + 1
+        expr = to_sympy(form).subs(
+            {x: sum(sym(c) * T ** j for j, c in enumerate(image))
+             for x, image in zip(X, images)}, simultaneous=True)
+        want = sympy.Poly(sympy.expand(expr), T).all_coeffs()[::-1]
+        want += [0] * (len(got) - len(want))
+        assert [sym(c) for c in got] == want, (form, images)
+    with pytest.raises(ValueError):
+        substitute(rand_form(rng, 2, 2), [[ONE]])
+    with pytest.raises(ValueError):
+        substitute(rand_form(rng, 2, 2), [[ONE], [ONE, ONE]])
+
+
 def test_evaluate_agrees_with_substitution():
     rng = random.Random(47)
     for _ in range(20):
         f = rand_form(rng, 3, 3)
         pt = [Scalar.of(rng.randint(-2, 2)) for _ in range(3)]
-        got = f.evaluate(pt)
+        got = evaluate(f, pt)
         want = to_sympy(f).subs(
             {v: sympy.Rational(p.re) for v, p in zip(X, pt)})
         assert sympy.Rational(got.re) == sympy.nsimplify(want)
@@ -135,7 +201,7 @@ def test_combination_equals_repeated_sums_of_scaled_forms():
         forms = [rand_form(rng, n, d, trial % 2 == 0) for _ in range(count)]
         coeffs = [Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
                   for _ in range(count)]
-        want = HomogeneousForm.zero(n, d)
+        want = HomogeneousForm(n, d)
         for lam, f in zip(coeffs, forms):
             want = want + f.scale(lam)
         got = HomogeneousForm.combination(
@@ -152,9 +218,9 @@ def test_combination_equals_repeated_sums_of_scaled_forms():
 def test_is_real_and_conjugate():
     f = HomogeneousForm.from_coeff_map(2, 1, {(1, 0): Scalar.of(0, 1)})
     assert not f.is_real
-    assert (f + f.conjugate()).is_zero
+    assert (f + conjugate(f)).is_zero
     g = HomogeneousForm.from_coeff_map(2, 1, {(1, 0): ONE})
-    assert g.is_real and g.conjugate() == g
+    assert g.is_real and conjugate(g) == g
 
 
 def test_canonical_scales_first_nonzero_to_one():
@@ -195,7 +261,7 @@ def test_form_substitute_linear_change():
 
 
 def test_zero_degree_mismatch_rejected():
-    a = HomogeneousForm.zero(2, 2)
-    b = HomogeneousForm.zero(2, 3)
+    a = HomogeneousForm(2, 2)
+    b = HomogeneousForm(2, 3)
     with pytest.raises(ValueError):
         _ = a + b

@@ -315,6 +315,61 @@ def test_line_power_basis_rank_and_guard():
         line_power_basis(conic, 4)
 
 
+def _sympy_graded_pieces(images, d: int) -> list:
+    """Coefficient vectors of the t-graded pieces of (sum images_i(t) x_i)^d."""
+    xs = sympy.symbols(f"x0:{len(images)}")
+    t = sympy.Symbol("t")
+    lin = sum(sum(to_sym(c) * t ** j for j, c in enumerate(image)) * x
+              for image, x in zip(images, xs))
+    coeffs = sympy.Poly(lin ** d, t, *xs).as_dict()
+    width = d * (len(images[0]) - 1) + 1
+    return [[coeffs.get((k,) + exp, sympy.Integer(0))
+             for exp in monomial_exponents(len(images), d)]
+            for k in range(width)]
+
+
+def _assert_pieces(got, want) -> None:
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got, want):
+        assert len(got_row) == len(want_row)
+        for g, w in zip(got_row, want_row):
+            assert sympy.expand(to_sym(g) - w) == 0
+
+
+def test_line_power_basis_is_the_sympy_expansion():
+    i = Scalar.of(0, 1)
+    lines = [CurveSpec.line(P(1, 0, 0), P(0, 0, 1)),
+             CurveSpec.line(P(1, 2, -1), P(0, 3, 1)),
+             CurveSpec.line(P(0, 1, 0, 0), P(2, 0, 0, 1)),
+             CurveSpec.line(ProjectivePoint((ONE, i, ZERO, Scalar.of(2))),
+                            P(0, 0, 1, -1)),
+             CurveSpec.line(P(1, 0, 2, 0, -1), P(0, 0, 1, 1, 3))]
+    for line in lines:
+        u, v = line.line_basis
+        assert any(c.is_zero for c in u.coords + v.coords)
+        for d in (1, 2, 4, 6):
+            want = _sympy_graded_pieces(
+                [[a, b] for a, b in zip(u.coords, v.coords)], d)
+            _assert_pieces(line_power_basis(line, d), want)
+
+
+def test_conic_power_basis_is_the_sympy_expansion():
+    # x0 x2 - x1^2 and x0^2 + x1^2 - x2^2 in planes of P^2, P^3 and P^4
+    forms = [([ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO], (ONE, ZERO, ZERO)),
+             ([ONE, ZERO, ZERO, ONE, ZERO, Scalar.of(-1)], (ONE, ZERO, ONE))]
+    planes = [[P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)],
+              [P(1, 2, 0, 1), P(0, 1, 1, 0), P(0, 0, 1, 3)],
+              [P(1, 0, 0, 2, 0), P(0, 1, 0, 0, -1), P(1, 1, 1, 0, 0)]]
+    for plane in planes:
+        for coeffs, on_conic in forms:
+            conic = CurveSpec.conic(plane, coeffs)
+            param = parametrize_conic(conic, conic.point_from_plane(on_conic))
+            for d in (1, 2, 3):
+                want = _sympy_graded_pieces(
+                    [q.plain_coeffs() for q in param.quadrics], d)
+                _assert_pieces(conic_power_basis(param, d), want)
+
+
 def test_parametrize_conic_identities():
     plane = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
     conic = CurveSpec.conic(plane,
