@@ -14,6 +14,7 @@ capped (the MAX_* limits below and scalars.MAX_LITERAL) before any work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from math import comb
@@ -71,8 +72,30 @@ def _dump(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = _dump(payload)
+@contextlib.contextmanager
+def _unlimited_digits():
+    """Lift Python's int/str digit limit, restoring it on the way out.
+
+    A report may hold numbers longer than any input literal (a rank
+    point's coordinates multiply coefficients together); inputs are read
+    before this, so reading keeps the limit.
+    """
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(saved)
+
+
+def _emit(build, out_path: str | None) -> None:
+    """Serialise the report that build() returns, to out_path or stdout."""
+    with _unlimited_digits():
+        text = _dump(build())
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -108,7 +131,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     _cap("--d", args.d, MAX_INSTANCE_D)
     _cap("--m", args.m, MAX_INSTANCE_M)
     inst = generate_instance(args.case, args.d, args.m, args.seed)
-    _emit(inst.to_json(), args.out)
+    _emit(inst.to_json, args.out)
     return 0
 
 
@@ -128,9 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                  parse_int(obj, "m"), mode="raw",
                                  line_threshold=lt, conic_threshold=ct)
         seed = None if obj.get("seed") is None else parse_int(obj, "seed")
-    payload = report.to_json()
-    payload["seed"] = seed
-    _emit(payload, args.out)
+    _emit(lambda: {**report.to_json(), "seed": seed}, args.out)
     return 0 if report.overall_pass and report.label_match is not False else 1
 
 
@@ -139,17 +160,20 @@ def cmd_rank(args: argparse.Namespace) -> int:
     _cap("'d'", parse_int(obj, "d"), MAX_RANK_D)
     form = _read(lambda: BinaryForm.from_json(obj))
     rc, dec_c = complex_rank(form)
-    payload: dict = {
-        "input": form.to_json(),
-        "complex": {"rank": rc, "decomposition": dec_c.to_json()},
-    }
-    if form.is_real:
-        rr, dec_r = real_rank(form)
-        payload["real"] = {"rank": rr, "decomposition": dec_r.to_json()}
-    else:
-        payload["real"] = None
-        payload["note"] = "real rank is defined for real forms only"
-    payload["seed"] = None
+    real = real_rank(form) if form.is_real else None
+
+    def payload() -> dict:
+        out: dict = {
+            "input": form.to_json(),
+            "complex": {"rank": rc, "decomposition": dec_c.to_json()},
+            "real": None if real is None else {
+                "rank": real[0], "decomposition": real[1].to_json()},
+        }
+        if real is None:
+            out["note"] = "real rank is defined for real forms only"
+        out["seed"] = None
+        return out
+
     _emit(payload, args.out)
     return 0
 
@@ -166,10 +190,7 @@ def cmd_h1(args: argparse.Namespace) -> int:
                          f"{MAX_H1_COLUMNS} Veronese columns C(d + m, m)")
     s = _read(lambda: PointSet.from_json(obj))
     report = h1_ideal(s, args.d)
-    payload = report.to_json()
-    payload["d"] = args.d
-    payload["seed"] = None
-    _emit(payload, args.out)
+    _emit(lambda: {**report.to_json(), "d": args.d, "seed": None}, args.out)
     return 0
 
 
@@ -207,7 +228,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
         "passed": len(rows) - len(failures),
         "rows": rows,
     }
-    _emit(payload, args.out)
+    _emit(lambda: payload, args.out)
     return 0 if not failures else 1
 
 

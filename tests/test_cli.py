@@ -5,7 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waringlab import cli
-from waringlab.binary import BinaryForm
+from waringlab.binary import BinaryDecomposition, BinaryForm, reconstruct
 from waringlab.cli import main
 from waringlab.factory import conjugate_pair_form, make_case_a
 from waringlab.points import CurveSpec, PointSet, ProjectivePoint
@@ -439,9 +441,33 @@ def test_limits_admit_the_largest_inputs(tmp_path, capsys):
     path.write_text(json.dumps({"m": 2, "points": [["1", "2", "3"]]}))
     assert run(capsys, "h1", str(path), "--d", "98")[0] == 0
     # Python's own limit of 4300 digits per int still applies to each
-    # number read or written
+    # number read
     path.write_text(json.dumps({"d": 1, "c": ["1" * 4000, "0"]}))
     assert run(capsys, "rank", str(path))[0] == 0
+
+
+def test_rank_writes_numbers_past_the_digit_limit(tmp_path, capsys):
+    # two in-limit literals whose decomposition point has 8000 digits
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = digit_limit()
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"d": 1, "c": ["1" * 4000, "1/" + "7" * 4000]}))
+    rc, out, err = run(capsys, "rank", str(path))
+    assert rc == 0 and err == ""
+    assert digit_limit() == before
+    form = BinaryForm(1, (Scalar(Fraction("1" * 4000)),
+                          Scalar(Fraction(1, int("7" * 4000)))))
+    payload = json.loads(out)
+    for part in ("complex", "real"):
+        dec = payload[part]["decomposition"]
+        with cli._unlimited_digits():
+            points = tuple((Scalar.from_json(a), Scalar.from_json(b))
+                           for a, b in dec["points"])
+            coeffs = tuple(Scalar.from_json(c) for c in dec["coeffs"])
+        assert max(len(z["re"]) for p in dec["points"] for z in p) > 8000
+        back = BinaryDecomposition(dec["rank"], dec["field"], dec["mode"],
+                                   points, coeffs)
+        assert reconstruct(back, 1) == form
 
 
 # -- the contract under fuzzed input ------------------------------------------
