@@ -19,10 +19,11 @@ nonzero coefficient equal to 1).  The package expands forms in two ways:
   transplants in factory all read it, and substitute sums it against a
   form's coefficients.
 
-A point power is the constant-image case of the table, but it stays on its
-scalar tables: routing power_of_linear through polynomial rows slowed 300
-seeded points (P^2..P^4, d 3-8) from 400 ms to 493-538 ms and the bench h1
-workload from 13.7 to 12.0 items/s.
+A point power is the constant-image case of the table, but it keeps its
+scalar tables, because routing it through polynomial rows was measured
+slower (2-vCPU VM, Python 3.11.7): 300 seeded Gaussian points in
+P^2..P^4, d 3-8, took 1.9-2.1 s instead of 1.1-1.3 s, and the bench's h1
+workload fell from 14.2-14.7 to 10.3-10.9 items/s.
 """
 
 from __future__ import annotations
