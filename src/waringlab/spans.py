@@ -178,8 +178,9 @@ def _power_basis(images: Sequence[Sequence[Scalar]],
     rows = substitution_rows(images, d)
     weights = [Scalar.of(multinomial(d, e))
                for e in monomial_exponents(len(images), d)]
-    return [[w * row[k] for w, row in zip(weights, rows)]
-            for k in range(len(rows[0]))]
+    # the cached bases keep every entry, so zeros stay the shared ZERO
+    return [[ZERO if row[k].is_zero else w * row[k]
+             for w, row in zip(weights, rows)] for k in range(len(rows[0]))]
 
 
 @lru_cache(maxsize=512)

@@ -70,10 +70,14 @@ def form_substitute(form: HomogeneousForm,
     return out
 
 
+def sym(c: Scalar):
+    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+
+
 def to_sympy(form: HomogeneousForm):
     expr = sympy.Integer(0)
     for exp, c in form.coeffs.items():
-        term = sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
+        term = sym(c)
         for v, e in zip(X, exp):
             term *= v ** e
         expr += term
@@ -135,10 +139,6 @@ def test_power_of_linear_matches_sympy():
                    for c, v in zip(lin.coeffs, X)) ** d
         # LinearForm canonicalizes; compare with the canonical coeffs
         assert to_sympy(f) == sympy.expand(expr)
-
-
-def sym(c: Scalar):
-    return sympy.Rational(c.re) + sympy.I * sympy.Rational(c.im)
 
 
 def test_substitute_matches_sympy():
