@@ -43,7 +43,7 @@ from .scalars import ONE, ZERO, Scalar, parse_int
 from .univariate import (BoxScalar, RootBox, all_roots_real, as_real_poly,
                          certified_root_boxes, interval_solve,
                          isolate_real_roots, is_squarefree, poly_gcd,
-                         poly_mul, poly_trim, refine_real_root,
+                         poly_monic, poly_mul, poly_trim, refine_real_root,
                          roots_over_gaussians)
 
 Point1 = tuple[Scalar, Scalar]
@@ -176,12 +176,8 @@ def _binary_squarefree(x_mult: int, g: Sequence[Scalar]) -> bool:
 
 def _binary_all_real(g: Sequence[Scalar]) -> bool:
     # the x factor vanishes at the real point [0:1]; only G matters
-    monic = poly_trim(list(g))
-    lead = monic[-1]
-    monic = [c / lead for c in monic]
-    if any(not c.is_real for c in monic):
-        return False
-    return all_roots_real(monic)
+    monic = poly_monic(g)
+    return all(c.is_real for c in monic) and all_roots_real(monic)
 
 
 def binary_roots_exact(h: BinaryForm) -> Optional[list[Point1]]:
@@ -249,8 +245,8 @@ def reconstruction_check(f: BinaryForm, dec: BinaryDecomposition) -> bool:
     """Exact identity in exact mode; zero-in-interval at width < 1e-30 else."""
     if dec.mode == "exact":
         return reconstruct(dec, f.degree) == f
-    return _residuals_vanish(f, dec.coeff_boxes,
-                             _implicit_columns(dec, f.degree))
+    return _residuals_vanish(f, dec.coeff_boxes, _implicit_columns(
+        dec.boxes, dec.has_infinity_root, f.degree))
 
 
 def _residuals_vanish(f: BinaryForm, coeff_boxes: Sequence[BoxScalar],
@@ -264,17 +260,17 @@ def _residuals_vanish(f: BinaryForm, coeff_boxes: Sequence[BoxScalar],
     return True
 
 
-def _implicit_columns(dec: BinaryDecomposition,
+def _implicit_columns(boxes: Sequence[RootBox], infinity_root: bool,
                       degree: int) -> list[list[BoxScalar]]:
     cols = []
-    for box in dec.boxes:
+    for box in boxes:
         t = BoxScalar.from_box(box)
         # col[k] = t^k as a running product from exact 1
         col = [BoxScalar.exact(ONE)]
         for _ in range(degree):
             col.append(col[-1] * t)
         cols.append(col)
-    if dec.has_infinity_root:
+    if infinity_root:
         cols.append([BoxScalar.exact(ONE if k == degree else ZERO)
                      for k in range(degree + 1)])
     return cols
@@ -294,34 +290,27 @@ def _implicit_decomposition(f: BinaryForm, h: BinaryForm, field_tag: str,
                             notes: tuple[str, ...]) -> BinaryDecomposition:
     """Certified-boxes decomposition for a squarefree apolar h."""
     x_mult, g = _split_plain(h.plain_coeffs())
-    r = h.degree
+    rhs = [BoxScalar.exact(c) for c in f.coeffs]
     radius = Fraction(1, 10 ** 40)
     for _ in range(4):
         if field_tag == "R":
             boxes = _real_boxes(g, radius)
         else:
             boxes = certified_root_boxes(g, radius)
-        dec = BinaryDecomposition(
-            rank=r, field_tag=field_tag, mode="implicit",
-            generator=h.canonical(), boxes=tuple(boxes),
-            has_infinity_root=x_mult == 1,
-            minimality_certified=certified, notes=notes)
-        cols = _implicit_columns(dec, f.degree)
+        cols = _implicit_columns(boxes, x_mult == 1, f.degree)
         rows = [[col[k] for col in cols] for k in range(f.degree + 1)]
-        rhs = [BoxScalar.exact(c) for c in f.coeffs]
         try:
             coeff_boxes = interval_solve(rows, rhs)
         except ZeroDivisionError:
-            radius = radius * radius
-            continue
-        dec = BinaryDecomposition(
-            rank=r, field_tag=field_tag, mode="implicit",
-            generator=dec.generator, boxes=dec.boxes,
-            coeff_boxes=tuple(coeff_boxes),
-            has_infinity_root=dec.has_infinity_root,
-            minimality_certified=certified, notes=notes)
-        if _residuals_vanish(f, coeff_boxes, cols):
-            return dec
+            coeff_boxes = None
+        if coeff_boxes is not None and _residuals_vanish(f, coeff_boxes,
+                                                         cols):
+            return BinaryDecomposition(
+                rank=h.degree, field_tag=field_tag, mode="implicit",
+                generator=h.canonical(), boxes=tuple(boxes),
+                coeff_boxes=tuple(coeff_boxes),
+                has_infinity_root=x_mult == 1,
+                minimality_certified=certified, notes=notes)
         radius = radius * radius
     raise ArithmeticError("interval refinement did not reach target width")
 
@@ -361,27 +350,14 @@ def _exact_decomposition(f: BinaryForm, h: BinaryForm,
 
 # -- deterministic squarefree / real-rooted element search ----------------------
 
-_PARAM_SEQ: list[Scalar] = []
-
-
 def _param_sequence(n: int) -> list[Scalar]:
-    """0, 1, -1, 2, -2, 1/2, -1/2, 3, -3, 1/3, ... deterministic rationals."""
-    while len(_PARAM_SEQ) < n:
-        k = len(_PARAM_SEQ)
-        if k == 0:
-            _PARAM_SEQ.append(ZERO)
-            continue
-        block, pos = divmod(k - 1, 4)
-        base = block + 1
-        if pos == 0:
-            _PARAM_SEQ.append(Scalar.of(base))
-        elif pos == 1:
-            _PARAM_SEQ.append(Scalar.of(-base))
-        elif pos == 2:
-            _PARAM_SEQ.append(Scalar.of(Fraction(1, base + 1)))
-        else:
-            _PARAM_SEQ.append(Scalar.of(Fraction(-1, base + 1)))
-    return _PARAM_SEQ[:n]
+    """0, 1, -1, 1/2, -1/2, 2, -2, 1/3, -1/3, ...: the first n rationals."""
+    out = [ZERO]
+    for base in range(1, n // 4 + 2):
+        out += [Scalar.of(base), Scalar.of(-base),
+                Scalar.of(Fraction(1, base + 1)),
+                Scalar.of(Fraction(-1, base + 1))]
+    return out[:n]
 
 
 def _grid_points(n: int) -> list[Point1]:
@@ -406,7 +382,8 @@ def _squarefree_elements(kernel: list[BinaryForm]):
     """Squarefree members of the kernel span, in a deterministic order.
 
     Phases: single basis vectors, then two-vector pencils, then the full
-    moment curve through the basis in both orders.  Duplicates are fine.
+    moment curve through the basis in both orders.  A form can come more
+    than once (a one-dimensional kernel gives its generator every time).
     """
     def usable(form: BinaryForm) -> Optional[BinaryForm]:
         plain = form.plain_coeffs()
@@ -444,25 +421,14 @@ def _squarefree_elements(kernel: list[BinaryForm]):
                 yield got
 
 
-def _mult_by_form_matrix(q_plain: list[Scalar], c_deg: int,
-                         r: int) -> list[list[Scalar]]:
-    """Columns: plain coefficients of q * x^(c-j) y^j, j = 0..c_deg."""
-    cols = []
-    for j in range(c_deg + 1):
-        u = [ZERO] * (c_deg + 1)
-        u[j] = ONE
-        prod = poly_mul(q_plain, u)
-        col = list(prod) + [ZERO] * (r + 1 - len(prod))
-        cols.append(col)
-    return cols
-
-
 def _real_rooted_search(f: BinaryForm, kernel: list[BinaryForm],
                         r: int) -> Optional[BinaryForm]:
     """Deterministic grid search for a real element with r distinct real roots.
 
     Pins r - c roots on the grid (c = rank of the Hankel step), solves the
-    degree-c cofactor from the apolarity conditions, and tests the product.
+    degree-c cofactor u from the apolarity conditions, and tests the product.
+    Plain lists index by the y-degree, so q*u is sum_j u_j * (q shifted by
+    j), and a Hankel row applied to it gives sum_j u_j sum_i q_i row[i + j].
     """
     k = len(kernel)
     c = r + 1 - k
@@ -477,16 +443,13 @@ def _real_rooted_search(f: BinaryForm, kernel: list[BinaryForm],
         tried += 1
         if tried > 4000:
             break
-        q_plain: list[Scalar] = [ONE]
+        q_plain = [ONE]
         for idx in combo:
             a, b = grid[idx]
-            q_plain = _mul_factor(q_plain, a, b)
-        cols = _mult_by_form_matrix(q_plain, c, r)
-        sys_rows = []
-        for hrow in h_rows:
-            sys_rows.append([
-                sum((col[i] * hrow[i] for i in range(r + 1)), ZERO)
-                for col in cols])
+            # the factor b*x - a*y of the root [a:b]
+            q_plain = poly_mul(q_plain, [b, -a])
+        sys_rows = [[sum((q * hrow[i + j] for i, q in enumerate(q_plain)),
+                         ZERO) for j in range(c + 1)] for hrow in h_rows]
         sol_space = linalg.nullspace(sys_rows, num_cols=c + 1)
         if not sol_space:
             continue
@@ -509,19 +472,6 @@ def _real_rooted_search(f: BinaryForm, kernel: list[BinaryForm],
                 continue
             return BinaryForm.from_plain(h_plain)
     return None
-
-
-def _mul_factor(plain: list[Scalar], a: Scalar, b: Scalar) -> list[Scalar]:
-    """Multiply a plain coefficient list by the factor b*x - a*y.
-
-    Plain lists index by the y-degree, so multiplying by x shifts nothing
-    and multiplying by y shifts by one.
-    """
-    out = [ZERO] * (len(plain) + 1)
-    for i, cc in enumerate(plain):
-        out[i] = out[i] + b * cc
-        out[i + 1] = out[i + 1] - a * cc
-    return out
 
 
 # -- the two rank engines --------------------------------------------------------
@@ -557,12 +507,16 @@ def complex_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
     the first step of _steps, which always yields one."""
     r, kernel, _g = next(_steps(f))
     first: Optional[BinaryForm] = None
+    tried: set[BinaryForm] = set()
+    # 24 candidates, repeats counted, but each distinct one searched once
     for n, h in enumerate(_squarefree_elements(kernel)):
         if first is None:
             first = h
-        pts = binary_roots_exact(h)
-        if pts is not None:
-            return r, _exact_decomposition(f, h, pts, "C", True, ())
+        if h not in tried:
+            tried.add(h)
+            pts = binary_roots_exact(h)
+            if pts is not None:
+                return r, _exact_decomposition(f, h, pts, "C", True, ())
         if n >= 23:
             break
     if first is None:

@@ -1,19 +1,22 @@
 """Univariate polynomial utilities behind the binary-form rank engine.
 
-Polynomials are coefficient lists in ascending degree.  Two coefficient
-domains appear: Scalar lists for everything algebraic (gcd, division,
-Gaussian-rational roots) and Fraction lists for the real-root machinery
-(Sturm sequences, isolation, sign counts), which never needs imaginary
-parts.
+Polynomials are coefficient lists in ascending degree.  One set of
+operations (trim, division, derivative, evaluation) serves both coefficient
+fields and keeps the type it is given: Scalar lists for everything algebraic
+(gcd, Gaussian-rational roots) and bare Fraction lists for the real-root
+machinery (Sturm sequences, isolation, sign counts), which never needs
+imaginary parts and runs faster without the Scalar wrapper.  One modular
+image, re + im*i sent to re + im*s in F_p with s a square root of -1 mod a
+fixed prime p = 1 mod 4, serves every modular step.
 
 Roots are produced in two modes.  Exact mode first reduces the polynomial
-mod fixed primes p = 1 mod 4 (i sent to a square root of -1); when a good
-reduction does not split into linear factors, the polynomial cannot split
-over Q(i) and the answer is None with no float work.  Otherwise
-it proposes candidates from a floating-point Durand-Kerner sweep, snaps them
-to small rationals, and keeps only candidates that verify by exact
-evaluation; it reports failure (None) rather than returning an unverified
-root, so a None rests either on the mod-p certificate or on the snapper.
+under that image; when a good reduction does not split into linear factors,
+the polynomial cannot split over Q(i) and the answer is None with no float
+work.  Otherwise it proposes candidates from a floating-point Durand-Kerner
+sweep, snaps them to small rationals, skips those whose image is no root
+mod p, and keeps only candidates that verify by exact evaluation; it
+reports failure (None) rather than returning an unverified root, so a None
+rests either on the mod-p certificate or on the snapper.
 The same reductions give is_squarefree a fast path that only ever answers
 True; everything else takes the exact gcd.  Implicit mode returns certified
 disks: exact dyadic Newton polishing plus the bound that some root lies
@@ -26,24 +29,26 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TypeVar
 
 from .scalars import ONE, ZERO, Scalar
 
+# Fraction in, Fraction out; Scalar in, Scalar out.  A zero test is `not c`.
+C = TypeVar("C", Fraction, Scalar)
 Poly = list[Scalar]
 RealPoly = list[Fraction]
 
 
 # -- generic coefficient-list arithmetic -------------------------------------
 
-def poly_trim(p: Sequence[Scalar]) -> Poly:
+def poly_trim(p: Sequence[C]) -> list[C]:
     out = list(p)
-    while out and out[-1].is_zero:
+    while out and not out[-1]:
         out.pop()
     return out
 
 
-def poly_degree(p: Sequence[Scalar]) -> int:
+def poly_degree(p: Sequence[C]) -> int:
     q = poly_trim(p)
     return len(q) - 1
 
@@ -60,15 +65,15 @@ def poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
     return poly_trim(out)
 
 
-def poly_divmod(a: Sequence[Scalar], b: Sequence[Scalar]) -> tuple[Poly, Poly]:
+def poly_divmod(a: Sequence[C], b: Sequence[C]) -> tuple[list[C], list[C]]:
     a = poly_trim(a)
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [ZERO] * max(0, len(a) - len(b) + 1)
-    r = list(a)
     lead = b[-1]
-    while len(r) >= len(b) and r:
+    q = [lead * 0] * max(0, len(a) - len(b) + 1)
+    r = a
+    while len(r) >= len(b):
         f = r[-1] / lead
         k = len(r) - len(b)
         q[k] = f
@@ -95,13 +100,15 @@ def poly_gcd(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
     return poly_monic(a)
 
 
-def poly_derivative(a: Sequence[Scalar]) -> Poly:
-    return poly_trim([c * Scalar.of(i) for i, c in enumerate(a)][1:])
+def poly_derivative(a: Sequence[C]) -> list[C]:
+    return poly_trim([c * i for i, c in enumerate(a)][1:])
 
 
-def poly_eval(a: Sequence[Scalar], x: Scalar) -> Scalar:
-    acc = ZERO
-    for c in reversed(list(a)):
+def poly_eval(a: Sequence[C], x: C) -> C:
+    if not a:
+        return x * 0
+    acc = a[-1]
+    for c in a[-2::-1]:
         acc = acc * x + c
     return acc
 
@@ -177,8 +184,6 @@ def solve_quadratic(a: Scalar, b: Scalar,
 
 _SNAP_DENOMS = (1, 6, 60, 840, 10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12)
 
-_FILTER_PRIME = (1 << 61) - 1
-
 
 def _snap(x: float) -> list[Fraction]:
     out = []
@@ -190,27 +195,7 @@ def _snap(x: float) -> list[Fraction]:
     return out
 
 
-def _mod_pair(z: Scalar, p: int) -> Optional[tuple[int, int]]:
-    """z reduced mod p as a pair, or None when a denominator hits p."""
-    try:
-        re = z.re.numerator * pow(z.re.denominator, -1, p) % p
-        im = z.im.numerator * pow(z.im.denominator, -1, p) % p
-    except ValueError:
-        return None
-    return re, im
-
-
-def _eval_mod(coeffs: list[tuple[int, int]], cand: tuple[int, int],
-              p: int) -> bool:
-    """Horner mod p on Gaussian pairs; True when the value is zero mod p."""
-    ar, ai = 0, 0
-    cr, ci = cand
-    for br, bi in reversed(coeffs):
-        ar, ai = (ar * cr - ai * ci + br) % p, (ar * ci + ai * cr + bi) % p
-    return ar == 0 and ai == 0
-
-
-# -- modular certificates --------------------------------------------------------
+# -- modular images --------------------------------------------------------------
 
 # Primes p = 4q + 1 with q prime, each paired with a square root s of -1
 # (2 is a non-residue because p = 5 mod 8).  Sending re + im*i to re + im*s
@@ -219,6 +204,15 @@ def _eval_mod(coeffs: list[tuple[int, int]], cand: tuple[int, int],
 # such a degree splits mod p, which is the shape of a monomial's kernel.
 _CERT_PRIMES = tuple((p, pow(2, (p - 1) // 4, p))
                      for p in (1000003157, 2305843009213694597))
+
+
+def _fp(z: Scalar, p: int, s: int) -> Optional[int]:
+    """The image re + im*s of z in F_p, or None when a denominator hits p."""
+    try:
+        return (z.re.numerator * pow(z.re.denominator, -1, p)
+                + s * z.im.numerator * pow(z.im.denominator, -1, p)) % p
+    except ValueError:
+        return None
 
 
 def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -244,13 +238,8 @@ def _good_reduction(a: Sequence[Scalar], p: int,
     A good image certifies a is squarefree: its discriminant maps to the
     nonzero discriminant of the image.
     """
-    out = []
-    for c in a:
-        pair = _mod_pair(c, p)
-        if pair is None:
-            return None
-        out.append((pair[0] + s * pair[1]) % p)
-    if out[-1] == 0:
+    out = [_fp(c, p, s) for c in a]
+    if None in out or not out[-1]:
         return None
     x, y = out, [c * i % p for i, c in enumerate(out)][1:]
     while y and y[-1] == 0:
@@ -328,6 +317,8 @@ def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
     rationals; only exact verification p(z) == 0 admits a root, and admitted
     roots are divided out so multiplicities are honest.  None therefore
     rests either on that certificate or on the snapper finding no root.
+    A candidate whose image under i -> s does not vanish mod a certificate
+    prime is no root, so it is skipped before the exact evaluation.
     """
     work = poly_monic(p)
     deg = len(work) - 1
@@ -347,19 +338,17 @@ def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
             roots.extend(pair)
             break
         found = None
-        p = _FILTER_PRIME
-        coeffs_mod = [_mod_pair(c, p) for c in work]
-        filtering = all(c is not None for c in coeffs_mod)
+        p, s = _CERT_PRIMES[-1]
+        image = [_fp(c, p, s) for c in work]
+        filtering = None not in image
         for z0 in _float_roots(work):
             for re_c in _snap(z0.real):
                 for im_c in _snap(z0.imag):
                     cand = Scalar(re_c, im_c)
-                    if filtering:
-                        cm = _mod_pair(cand, p)
-                        if cm is not None and not _eval_mod(
-                                coeffs_mod, cm, p):
-                            continue
-                    if poly_eval(work, cand).is_zero:
+                    x = _fp(cand, p, s) if filtering else None
+                    if x is not None and _fp_rem(image, [-x % p, 1], p):
+                        continue
+                    if not poly_eval(work, cand):
                         found = cand
                         break
                 if found is not None:
@@ -379,54 +368,18 @@ def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
 # -- Sturm machinery over the reals -------------------------------------------
 
 def as_real_poly(p: Sequence[Scalar]) -> RealPoly:
-    out = []
-    for c in p:
-        if c.im != 0:
-            raise ValueError("polynomial is not real")
-        out.append(c.re)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _r_eval(p: RealPoly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def _r_derivative(p: RealPoly) -> RealPoly:
-    return [c * i for i, c in enumerate(p)][1:]
-
-
-def _r_divmod(a: RealPoly, b: RealPoly) -> tuple[RealPoly, RealPoly]:
-    r = list(a)
-    q: RealPoly = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(b):
-            break
-        f = r[-1] / b[-1]
-        k = len(r) - len(b)
-        q[k] = f
-        for i, c in enumerate(b):
-            r[i + k] -= f * c
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
+    if any(c.im for c in p):
+        raise ValueError("polynomial is not real")
+    return poly_trim([c.re for c in p])
 
 
 def sturm_sequence(p: RealPoly) -> list[RealPoly]:
-    p = [c for c in p]
-    while p and p[-1] == 0:
-        p.pop()
+    p = poly_trim(p)
     if not p:
         return []
-    seq = [p, _r_derivative(p)]
+    seq = [p, poly_derivative(p)]
     while seq[-1]:
-        _, rem = _r_divmod(seq[-2], seq[-1])
+        _, rem = poly_divmod(seq[-2], seq[-1])
         if not rem:
             break
         seq.append([-c for c in rem])
@@ -453,7 +406,7 @@ def _sturm_at(seq: list[RealPoly], x: Optional[Fraction], top: bool) -> int:
                 s = -s
             signs.append(s)
         else:
-            signs.append(_sign(_r_eval(q, x)))
+            signs.append(_sign(poly_eval(q, x)))
     return _variations(signs)
 
 
@@ -463,9 +416,7 @@ def _sturm_count(seq: list[RealPoly], lo: Optional[Fraction],
 
 
 def cauchy_bound(p: RealPoly) -> Fraction:
-    q = [c for c in p]
-    while q and q[-1] == 0:
-        q.pop()
+    q = poly_trim(p)
     if len(q) <= 1:
         return Fraction(1)
     lead = abs(q[-1])
@@ -485,8 +436,7 @@ def all_roots_real(p: Sequence[Scalar]) -> bool:
 
 def isolate_real_roots(p: RealPoly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint intervals (a, b], one distinct real root in each, sorted."""
-    while p and p[-1] == 0:
-        p = p[:-1]
+    p = poly_trim(p)
     if len(p) <= 1:
         return []
     seq = sturm_sequence(p)
@@ -523,12 +473,12 @@ def refine_real_root(p: RealPoly, lo: Fraction, hi: Fraction,
         raise ValueError("refinement needs a squarefree, nonconstant p")
     if _sturm_count(seq, lo, hi) != 1:
         raise ValueError("refinement needs exactly one root in (lo, hi]")
-    s_hi = _sign(_r_eval(p, hi))
+    s_hi = _sign(poly_eval(p, hi))
     if s_hi == 0:
         return (hi, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        s_mid = _sign(_r_eval(p, mid))
+        s_mid = _sign(poly_eval(p, mid))
         if s_mid == 0:
             return (mid, mid)
         if s_mid != s_hi:
@@ -710,17 +660,11 @@ class BoxScalar:
         return BoxScalar(self.re * o.re - self.im * o.im,
                          self.re * o.im + self.im * o.re)
 
-    def __neg__(self) -> "BoxScalar":
-        return BoxScalar(-self.re, -self.im)
-
     def recip(self) -> "BoxScalar":
         n = self.re * self.re + self.im * self.im
         if n.lo <= 0:
             raise ZeroDivisionError("box may contain zero")
         return BoxScalar(self.re / n, (-self.im) / n)
-
-    def __truediv__(self, o: "BoxScalar") -> "BoxScalar":
-        return self * o.recip()
 
     @property
     def width(self) -> Fraction:

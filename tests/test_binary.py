@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 import sympy
 
 from waringlab import binary
-from waringlab.binary import (BinaryDecomposition, BinaryForm,
-                              _binary_squarefree, _steps, binary_gcd,
-                              binary_roots_exact, complex_rank, hankel_kernel,
-                              hankel_matrix, moment_vector, power_point,
-                              real_rank, reconstruct, reconstruction_check)
+from waringlab.binary import (BinaryForm, _binary_squarefree, _steps,
+                              binary_gcd, binary_roots_exact, complex_rank,
+                              hankel_kernel, hankel_matrix, moment_vector,
+                              power_point, real_rank, reconstruct,
+                              reconstruction_check)
 from waringlab.factory import conjugate_pair_form
 from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.univariate import poly_monic
@@ -240,6 +239,25 @@ def test_implicit_mode_for_irrational_roots():
     assert reconstruction_check(f, dec_c)
     assert reconstruction_check(f, dec_r)
     assert dec_r.generator is not None
+
+
+def test_complex_rank_searches_each_candidate_once(monkeypatch):
+    # 2x^3 + 12xy^2 = 2x(x^2 + 6y^2): its rank-2 kernel is spanned by one
+    # generator without Gaussian-rational roots, which the candidate stream
+    # yields again and again
+    calls = []
+    search = binary.binary_roots_exact
+
+    def counting(h):
+        calls.append(h)
+        return search(h)
+
+    monkeypatch.setattr(binary, "binary_roots_exact", counting)
+    f = BinaryForm.from_scaled([Scalar.of(v) for v in (2, 0, 4, 0)])
+    rc, dec = complex_rank(f)
+    assert (rc, dec.mode) == (2, "implicit")
+    assert reconstruction_check(f, dec)
+    assert len(calls) == 1
 
 
 def test_binary_gcd_common_factor():

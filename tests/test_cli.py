@@ -388,6 +388,7 @@ def _over_limit_inputs(tmp_path):
     files = {
         "rank": {"d": 65, "c": ["1"] * 66},
         "wide": {"m": 2, "points": [point]},
+        "p0": {"m": 0, "points": [["1"]]},
         "many": {"m": 2, "points": [point] * 1001},
         "inst-d": dict(inst, d=13),
         "inst-m": dict(inst, m=7),
@@ -407,6 +408,7 @@ def _over_limit_inputs(tmp_path):
         (gen + ["--d", "3", "--m", "7"], "6"),
         (["h1", paths["wide"], "--d", "100"], "5000"),
         (["h1", paths["wide"], "--d", str(10 ** 9)], "5000"),
+        (["h1", paths["p0"], "--d", "5000"], "5000"),
         (["h1", paths["many"], "--d", "2"], "1000"),
         (["verify", paths["inst-d"]], "12"),
         (["verify", paths["inst-m"]], "6"),
@@ -434,12 +436,14 @@ def test_size_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch):
 
 def test_limits_admit_the_largest_inputs(tmp_path, capsys):
     path = tmp_path / "pts.json"
-    # C(4 + 12, 4) = 1820 columns and C(2 + 98, 2) = 4950
+    # C(4 + 12, 4) = 1820 columns, C(2 + 98, 2) = 4950 and d = 4999 in P^0
     path.write_text(json.dumps({"m": 4,
                                 "points": [["1", "2", "0", "0", "1"]]}))
     assert run(capsys, "h1", str(path), "--d", "12")[0] == 0
     path.write_text(json.dumps({"m": 2, "points": [["1", "2", "3"]]}))
     assert run(capsys, "h1", str(path), "--d", "98")[0] == 0
+    path.write_text(json.dumps({"m": 0, "points": [["1"]]}))
+    assert run(capsys, "h1", str(path), "--d", "4999")[0] == 0
     # Python's own limit of 4300 digits per int still applies to each
     # number read
     path.write_text(json.dumps({"d": 1, "c": ["1" * 4000, "0"]}))

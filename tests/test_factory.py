@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 from waringlab.binary import BinaryForm, complex_rank, real_rank
-from waringlab.factory import (CASE_A, CASE_B, CASE_C, ConstraintViolation,
+from waringlab.factory import (CASE_A, CASE_B, ConstraintViolation,
                                Instance, _compose_gl2, _random_transplant,
                                conjugate_pair_form, generate_instance,
                                make_case_a, make_case_b,

@@ -6,6 +6,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "waringlab"
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_assert_in_the_package():
@@ -18,3 +19,26 @@ def test_no_assert_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, "assert statements in the package: " + ", ".join(found)
+
+
+def test_no_unused_imports():
+    # __init__.py imports to re-export, and __future__ imports are flags
+    paths = sorted(p for p in [*SRC.glob("*.py"), *TESTS.glob("*.py")]
+                   if p.name != "__init__.py")
+    assert paths, f"no modules under {SRC} or {TESTS}"
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom)
+                    and node.module != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used]
+    assert not found, "unused imports: " + ", ".join(found)

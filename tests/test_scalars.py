@@ -27,6 +27,18 @@ def test_constants():
     assert Scalar.of(Fraction(3, 6)) == Scalar.of(Fraction(1, 2))
 
 
+def test_bool_is_nonzero():
+    assert not ZERO and not Scalar() and not Scalar.of(0, 0)
+    assert Scalar.of(Fraction(-1, 3))
+    assert Scalar.of(0, Fraction(2, 5))
+    assert Scalar.of(1, -1)
+
+
+@given(scalars)
+def test_bool_agrees_with_is_zero(z):
+    assert bool(z) is not z.is_zero
+
+
 def test_of_two_arguments():
     z = Scalar.of(Fraction(1, 2), 3)
     assert z.re == Fraction(1, 2) and z.im == 3

@@ -18,7 +18,7 @@ import sympy
 from waringlab.binary import complex_rank, power_point
 from waringlab.forms import (HomogeneousForm, LinearForm, monomial_exponents,
                              power_of_linear)
-from waringlab.points import (LINE, CurveSpec, PointSet, ProjectivePoint)
+from waringlab.points import CurveSpec, PointSet, ProjectivePoint
 from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
                              catalecticant_rank, conic_power_basis,

@@ -17,16 +17,15 @@ from hypothesis import strategies as st
 
 from waringlab.scalars import ONE, ZERO, Scalar
 import waringlab.univariate as univariate
-from waringlab.univariate import (_CERT_PRIMES, _FILTER_PRIME, BoxScalar,
-                                  Interval, _cannot_split, _eval_mod,
-                                  _mod_pair, _r_eval, _round_out,
+from waringlab.univariate import (_CERT_PRIMES, BoxScalar, Interval,
+                                  _cannot_split, _fp, _fp_rem, _round_out,
                                   _sturm_count, all_roots_real, as_real_poly,
                                   cauchy_bound, certified_root_boxes,
                                   fraction_sqrt, gaussian_sqrt,
                                   interval_solve, is_squarefree,
                                   isolate_real_roots, poly_degree,
                                   poly_derivative, poly_divmod, poly_eval,
-                                  poly_gcd, poly_mul, poly_monic,
+                                  poly_gcd, poly_mul, poly_monic, poly_trim,
                                   refine_real_root, roots_over_gaussians,
                                   solve_quadratic, sturm_sequence)
 
@@ -68,6 +67,38 @@ def from_real_roots(*roots):
     for t in roots:
         p = poly_mul(p, [-Scalar.of(t), ONE])
     return p
+
+
+def from_sympy(poly):
+    if poly.is_zero:
+        return []
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+def test_fraction_operations_match_sympy_and_stay_fractions():
+    rng = random.Random(47)
+    zero = Fraction(0)
+    for trial in range(60):
+        a = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+             for _ in range(rng.randint(0, 6))]
+        a += [Fraction(rng.choice((1, -2, 3)), rng.randint(1, 4))]
+        b = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+             for _ in range(rng.randint(0, 3))] + [Fraction(rng.randint(1, 4))]
+        if trial % 10 == 0:
+            a = [zero] * (trial % 3)
+        a += [zero] * (trial % 4)  # trailing zeros for poly_trim to drop
+        x = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        sa = sympy.Poly(list(reversed(a)) or [0], T, domain="QQ")
+        sb = sympy.Poly(list(reversed(b)), T, domain="QQ")
+        sq, sr = sa.div(sb)
+        q, r = poly_divmod(a, b)
+        got = [poly_trim(a), q, r, poly_derivative(a)]
+        assert got == [from_sympy(sa), from_sympy(sq), from_sympy(sr),
+                       from_sympy(sa.diff(T))]
+        value = poly_eval(a, x)
+        assert value == sa.eval(sympy.Rational(x.numerator, x.denominator))
+        for c in [value] + [c for poly in got for c in poly]:
+            assert type(c) is Fraction
 
 
 def test_poly_divmod_reconstructs():
@@ -222,11 +253,11 @@ def test_isolate_and_refine_real_roots():
 
 def sturm_bisection(p, lo, hi, width):
     """The refinement as it was: one Sturm count per bisection step."""
-    if _r_eval(p, hi) == 0:
+    if poly_eval(p, hi) == 0:
         return (hi, hi)
     while hi - lo > width:
         mid = (lo + hi) / 2
-        if _r_eval(p, mid) == 0:
+        if poly_eval(p, mid) == 0:
             return (mid, mid)
         if count_real_roots(p, mid, hi) == 1:
             lo = mid
@@ -407,8 +438,11 @@ def test_interval_chain_keeps_denominators_bounded():
 
 
 def test_modular_filter_never_discards_true_roots():
+    # roots_over_gaussians skips a candidate x when the image of the monic
+    # polynomial leaves a remainder mod t - x; the image is a ring map, so
+    # the remainder is the image of the value and a true root survives
     rng = random.Random(5)
-    p = _FILTER_PRIME
+    p, s = _CERT_PRIMES[-1]
     agree = 0
     for _ in range(200):
         deg = rng.randint(1, 6)
@@ -417,22 +451,29 @@ def test_modular_filter_never_discards_true_roots():
                   for _ in range(deg + 1)]
         cand = Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        pairs = [_mod_pair(z, p) for z in coeffs]
-        cm = _mod_pair(cand, p)
-        if cm is None or any(q is None for q in pairs):
+        image = [_fp(z, p, s) for z in coeffs]
+        x = _fp(cand, p, s)
+        if x is None or None in image:
             continue
-        if poly_eval(coeffs, cand).is_zero:
-            assert _eval_mod(pairs, cm, p)
+        rem = _fp_rem(image, [-x % p, 1], p)
+        value = _fp(poly_eval(coeffs, cand), p, s)
+        assert rem == ([value] if value else [])
+        if not poly_eval(coeffs, cand):
+            assert not rem
         agree += 1
     assert agree > 150
 
     # (t - w)(t - 1): both roots survive the filter
     w = Scalar.of(Fraction(3, 7), Fraction(-2, 5))
     quad = [w, -(ONE + w), ONE]
-    pairs = [_mod_pair(z, p) for z in quad]
-    assert _eval_mod(pairs, _mod_pair(w, p), p)
-    assert _eval_mod(pairs, _mod_pair(ONE, p), p)
-    assert not _eval_mod(pairs, _mod_pair(Scalar.of(17), p), p)
+    image = [_fp(z, p, s) for z in quad]
+
+    def kept(z):
+        return not _fp_rem(image, [-_fp(z, p, s) % p, 1], p)
+
+    assert kept(w)
+    assert kept(ONE)
+    assert not kept(Scalar.of(17))
 
 
 # -- modular certificates ----------------------------------------------------
