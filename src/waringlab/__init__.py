@@ -14,8 +14,7 @@ from .binary import (BinaryDecomposition, BinaryForm, binary_gcd,
 from .factory import (Certificate, ConstraintViolation, Instance,
                       conjugate_pair_form, generate_instance, make_case_a,
                       make_case_b, make_case_b_reducible, make_case_c)
-from .forms import (HomogeneousForm, LinearForm, monomial_exponents,
-                    multinomial, power_of_linear)
+from .forms import HomogeneousForm, monomial_exponents, multinomial
 from .points import (CurveSpec, PointSet, ProjectivePoint, find_rich_conics,
                      find_rich_lines, split_on_curve)
 from .scalars import Scalar, format_rational, parse_rational
@@ -36,8 +35,7 @@ __all__ = [
     "Certificate", "ConstraintViolation", "Instance", "conjugate_pair_form",
     "generate_instance", "make_case_a", "make_case_b",
     "make_case_b_reducible", "make_case_c",
-    "HomogeneousForm", "LinearForm", "monomial_exponents", "multinomial",
-    "power_of_linear",
+    "HomogeneousForm", "monomial_exponents", "multinomial",
     "CurveSpec", "PointSet", "ProjectivePoint", "find_rich_conics",
     "find_rich_lines", "split_on_curve",
     "Scalar", "format_rational", "parse_rational",

@@ -184,9 +184,11 @@ def cmd_h1(args: argparse.Namespace) -> int:
     obj = _load(args.input)
     _cap_points(obj)
     m = parse_int(obj, "m")
+    if m < 0:
+        raise ValueError(f"'m' must be at least 0, got {m}")
     # C(d + m, m) is cheap only for small min(d, m); C(26, 13) > 10^7.  It
     # is 1 in P^0, where d must be capped itself; for m >= 1 it is > d.
-    if m < 0 or min(args.d, m) > 13 or args.d >= MAX_H1_COLUMNS \
+    if min(args.d, m) > 13 or args.d >= MAX_H1_COLUMNS \
             or comb(args.d + m, m) > MAX_H1_COLUMNS:
         raise ValueError(f"d = {args.d} in P^{m} exceeds the limits "
                          f"C(d + m, m) <= {MAX_H1_COLUMNS} Veronese columns "

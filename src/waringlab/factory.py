@@ -30,7 +30,7 @@ from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
 from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
 from .spans import (ConicParametrization, catalecticant_rank,
                     conic_power_basis, curve_power_basis, h1_ideal,
-                    line_power_basis, membership, power_row,
+                    line_power_basis, membership, power_vector,
                     restrict_to_conic, restrict_to_line, spans_disjoint)
 
 CASE_A = "a"
@@ -157,7 +157,7 @@ def _embedded_power_sum(raw_points: Sequence[tuple[Scalar, ...]],
     fixed = [lam * next(c for c in raw if not c.is_zero) ** d
              for raw, lam in zip(raw_points, coeffs)]
     total = HomogeneousForm.combination(
-        len(raw_points[0]), d, fixed, [power_row(p, d) for p in points])
+        len(raw_points[0]), d, fixed, [power_vector(p, d) for p in points])
     return total, points, fixed
 
 
@@ -304,7 +304,7 @@ def _genericity_certs(e_points: Sequence[ProjectivePoint], d: int,
         return [Certificate("off-curve-independent", True, "empty E"),
                 Certificate("off-curve-span-disjoint", True, "empty E")]
     rep = h1_ideal(PointSet.of(e_points), d)
-    rows = [list(power_row(p, d)) for p in e_points]
+    rows = [power_vector(p, d) for p in e_points]
     disjoint = spans_disjoint(rows, curve_basis)
     return [Certificate("off-curve-independent", rep.independent, "",
                         (("h1", str(rep.h1)),)),
@@ -358,7 +358,7 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
         e_coeffs = [ONE] * len(e_points)
     form = sum((pc.part for pc in pieces[1:]), pieces[0].part)
     form = form + HomogeneousForm.combination(
-        m + 1, d, e_coeffs, [power_row(p, d) for p in e_points])
+        m + 1, d, e_coeffs, [power_vector(p, d) for p in e_points])
     pts_c = [p for pc in pieces for p in pc.pts_c]
     pts_r = [p for pc in pieces for p in pc.pts_r]
     s_c = PointSet.of(pts_c + list(e_points))
@@ -592,7 +592,7 @@ def _sample_e(rng: random.Random, m: int, d: int, count: int,
         rep = h1_ideal(PointSet.of(chosen), d)
         if not rep.independent:
             continue
-        rows = [list(power_row(p, d)) for p in chosen]
+        rows = [power_vector(p, d) for p in chosen]
         if not spans_disjoint(rows, curve_basis):
             continue
         return chosen

@@ -7,23 +7,21 @@ a single degree block means plain lexicographic descending, so x0^d comes
 first and x_{n-1}^d last.  Every coefficient vector in the package is aligned
 to this order.
 
-A LinearForm is a degree-1 form kept in canonical projective scale (first
-nonzero coefficient equal to 1).  The package expands forms in two ways:
+The package expands forms in two ways:
 
-- power_of_linear expands a d-th power of a linear form (by the multinomial
-  theorem, so it stays exact); spans.power_row caches its coefficient
-  vectors, and HomogeneousForm.combination sums such vectors into a form.
+- gaussian_power expands the d-th power of a linear form whose
+  coefficients are Gaussian integers (pairs of ints), by the multinomial
+  theorem; spans.power_row caches these rows for the primitive integer
+  representatives of points, and linalg eliminates them as they are.
 - substitution_rows is the one table for pushing forms through a
   polynomial substitution x_i -> images_i(t): the curve power bases in
   spans, the conic check in spans.parametrize_conic and the GL2
   transplants in factory all read it, and substitute sums it against a
   form's coefficients.
 
-A point power is the constant-image case of the table, but it keeps its
-scalar tables, because routing it through polynomial rows was measured
-slower (2-vCPU VM, Python 3.11.7): 300 seeded Gaussian points in
-P^2..P^4, d 3-8, took 1.9-2.1 s instead of 1.1-1.3 s, and the bench's h1
-workload fell from 14.2-14.7 to 10.3-10.9 items/s.
+A point power is the constant-image case of the table, but it stays on
+integer tables: no Fraction enters it, and the rows need no clearing
+before elimination.
 """
 
 from __future__ import annotations
@@ -62,25 +60,6 @@ def multinomial(degree: int, exps: Exponent) -> int:
         out *= math.comb(remaining, e)
         remaining -= e
     return out
-
-
-@dataclass(frozen=True)
-class LinearForm:
-    """A nonzero linear form in canonical projective scale."""
-
-    coeffs: tuple[Scalar, ...]
-
-    def __post_init__(self) -> None:
-        lead = next((c for c in self.coeffs if not c.is_zero), None)
-        if lead is None:
-            raise ValueError("linear form must be nonzero")
-        if lead != ONE:
-            object.__setattr__(
-                self, "coeffs", tuple(c / lead for c in self.coeffs))
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,27 +179,33 @@ class HomogeneousForm:
         return HomogeneousForm.from_coeff_map(num_vars, degree, coeffs)
 
 
-def power_of_linear(linear: LinearForm, degree: int) -> HomogeneousForm:
-    """(sum c_i x_i)^degree expanded by the multinomial theorem.
+def gaussian_power(z: Sequence[tuple[int, int]],
+                   degree: int) -> tuple[tuple[int, int], ...]:
+    """Coefficients of (sum z_i x_i)^degree, all pairs (re, im) of ints.
 
-    Each coordinate gets one table c^0..c^degree, so every monomial costs
-    one product of table entries and its multinomial coefficient.
+    By the multinomial theorem: one table z_i^0..z_i^degree per coordinate,
+    and per monomial one product of table entries and its multinomial
+    coefficient, skipping imaginary parts where both factors are real.
     """
     tables = []
-    for c in linear.coeffs:
-        table = [ONE]
+    for a, b in z:
+        table = [(1, 0)]
         for _ in range(degree):
-            table.append(table[-1] * c)
+            x, y = table[-1]
+            table.append((x * a - y * b, x * b + y * a))
         tables.append(table)
-    out: dict[Exponent, Scalar] = {}
-    for exp in monomial_exponents(linear.num_vars, degree):
-        c = Scalar.of(multinomial(degree, exp))
+    out = []
+    for exp in monomial_exponents(len(z), degree):
+        re, im = multinomial(degree, exp), 0
         for table, e in zip(tables, exp):
             if e:
-                c = c * table[e]
-        if not c.is_zero:
-            out[exp] = c
-    return HomogeneousForm(linear.num_vars, degree, out)
+                a, b = table[e]
+                if im or b:
+                    re, im = re * a - im * b, re * b + im * a
+                else:
+                    re *= a
+        out.append((re, im))
+    return tuple(out)
 
 
 def substitution_rows(images: Sequence[Sequence[Scalar]],
@@ -230,7 +215,7 @@ def substitution_rows(images: Sequence[Sequence[Scalar]],
     images[i] is the image of x_i as a coefficient list in t (ascending);
     all images share one length k + 1, and every row is padded to length
     degree*k + 1.  Rows follow monomial_exponents(len(images), degree).
-    Like power_of_linear, each coordinate gets one table of powers, so
+    Like gaussian_power, each coordinate gets one table of powers, so
     every monomial costs one product of table entries.
     """
     lengths = {len(image) for image in images}

@@ -1,12 +1,13 @@
 """Exact linear algebra over the Gaussian rationals, on one kernel.
 
-Each row is cleared of denominators once, into Gaussian integers (pairs
-of ints), and fraction-free (Bareiss) elimination runs on the result, so
-no entry is ever a Fraction.  Rank and span membership read the pivots of
-the forward pass.  The reduced row echelon form also clears the rows above
-each pivot and divides once, at the end; nullspaces, solutions, row space
-bases and span intersections are read off it.  Pivots are chosen by
-position, not magnitude, so results are deterministic.
+Fraction-free (Bareiss) elimination runs on Gaussian integers (pairs of
+ints): pivots takes rows already in them, such as spans.power_row, and the
+other entry points clear each row of denominators once.  Rank and span
+membership read the pivots of the forward pass.  The reduced row echelon
+form also clears the rows above each pivot and divides once, at the end;
+nullspaces, solutions, row space bases and span intersections are read off
+it.  Pivots are chosen by position, not magnitude, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -100,8 +101,14 @@ def _quotient(a: GInt, b: GInt) -> Scalar:
 
 # -- questions answered by the kernel ------------------------------------------
 
+def pivots(rows: Sequence[Sequence[GInt]]) -> tuple[int, ...]:
+    """Pivot columns of the forward pass over Gaussian-integer rows, which
+    are copied first: the elimination works in place on cached tuples."""
+    return _eliminate([list(row) for row in rows], False)[0]
+
+
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(_eliminate([_clear_row(row) for row in rows], False)[0])
+    return len(pivots([_clear_row(row) for row in rows]))
 
 
 def in_span(columns: Sequence[Sequence[Scalar]],
@@ -109,7 +116,7 @@ def in_span(columns: Sequence[Sequence[Scalar]],
     """Whether vector is a combination of the columns: one elimination of
     [columns | vector], whose last column must not be a pivot."""
     rows = [_clear_row(row) for row in zip(*columns, vector)]
-    return len(columns) not in _eliminate(rows, False)[0]
+    return len(columns) not in pivots(rows)
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, tuple[int, ...]]:

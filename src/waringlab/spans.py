@@ -2,9 +2,11 @@
 
 Everything here reduces to exact linear algebra over Q(i).  A projective
 point p corresponds to the d-th power form (p.x)^d, whose coefficient
-vector in the monomial basis is power_row(p, d); a form P lies in the span
-of the Veronese image of S exactly when its coefficient vector is a linear
-combination of those rows.  The failure of a finite set to impose
+vector in the monomial basis is power_vector(p, d); a form P lies in the
+span of the Veronese image of S exactly when its coefficient vector is a
+linear combination of those vectors.  Scaling a vector leaves its span
+alone, so h1 and membership eliminate the cached power_row(p, d), the same
+vector in Gaussian integers, as it is.  The failure of a finite set to impose
 independent conditions in degree d is the single number
 
     h1 = (number of points) - 1 - (projective dimension of the span)
@@ -26,9 +28,8 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .binary import BinaryForm
-from .forms import (HomogeneousForm, LinearForm, monomial_exponents,
-                    multinomial, power_of_linear, substitute,
-                    substitution_rows)
+from .forms import (HomogeneousForm, gaussian_power, monomial_exponents,
+                    multinomial, substitute, substitution_rows)
 from .points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC, TWO_DISJOINT_LINES,
                      CurveSpec, PointSet, ProjectivePoint, _CONIC_EXPS,
                      _conic_matrix, _eval_conic, _quad_apply)
@@ -36,9 +37,18 @@ from .scalars import ONE, ZERO, Scalar
 
 
 @lru_cache(maxsize=None)
-def power_row(p: ProjectivePoint, d: int) -> tuple[Scalar, ...]:
-    """Coefficient vector of (p.x)^d in the fixed monomial order."""
-    return power_of_linear(LinearForm(p.coords), d).coeff_vector()
+def power_row(p: ProjectivePoint, d: int) -> tuple[linalg.GInt, ...]:
+    """(z.x)^d in Gaussian integers, z = p.zcoords = z_lead * p.coords, so
+    power_vector(p, d) times z_lead^d.  Shared cached tuples: never mutate."""
+    return gaussian_power(p.zcoords, d)
+
+
+def power_vector(p: ProjectivePoint, d: int) -> list[Scalar]:
+    """Coefficient vector of (p.x)^d in the fixed monomial order (uncached;
+    z_lead is a positive integer, as the canonical point leads with 1)."""
+    scale = (next(z for z in p.zcoords if z != (0, 0))[0] ** d, 0)
+    return [ZERO if z == (0, 0) else linalg._quotient(z, scale)
+            for z in power_row(p, d)]
 
 
 @dataclass(frozen=True)
@@ -57,8 +67,7 @@ def h1_ideal(s: PointSet, d: int) -> SpanReport:
     """Failure of s to impose independent conditions in degree d."""
     if len(s) == 0:
         raise ValueError("empty point set")
-    r = linalg.rank([list(power_row(p, d)) for p in s])
-    span_dim = r - 1
+    span_dim = len(linalg.pivots([power_row(p, d) for p in s])) - 1
     h1 = len(s) - 1 - span_dim
     return SpanReport(len(s), span_dim, h1, h1 == 0)
 
@@ -80,8 +89,10 @@ def membership(form: HomogeneousForm, s: PointSet, d: int,
             raise ValueError("real membership needs real points")
     elif field_tag != "C":
         raise ValueError("field must be R or C")
-    cols = [list(power_row(p, d)) for p in s]
-    return linalg.in_span(cols, list(form.coeff_vector()))
+    # scaled columns span the same lines, so in_span's answer is unchanged
+    target = linalg._clear_row(form.coeff_vector())
+    rows = list(zip(*[power_row(p, d) for p in s], target))
+    return len(s) not in linalg.pivots(rows)
 
 
 @dataclass(frozen=True)
@@ -103,7 +114,7 @@ def unique_intersection_point(form: HomogeneousForm, e: PointSet,
         return form.canonical()
     if any(p in t for p in e):
         raise ValueError("the two point sets must be disjoint")
-    found = curve_meet_point(form, e, [power_row(p, d) for p in t], d)
+    found = curve_meet_point(form, e, [power_vector(p, d) for p in t], d)
     if (not isinstance(found, NotUnique) and form.is_real
             and e.is_conjugation_stable()
             and t.is_conjugation_stable() and not found.is_real):
@@ -350,19 +361,15 @@ def embed_on_line(line: CurveSpec,
 def spans_disjoint(u_rows: Sequence[Sequence[Scalar]],
                    v_rows: Sequence[Sequence[Scalar]]) -> bool:
     """Grassmann test: the two spans meet only in zero."""
-    ru = linalg.rank([list(r) for r in u_rows])
-    rv = linalg.rank([list(r) for r in v_rows])
-    both = [list(r) for r in u_rows] + [list(r) for r in v_rows]
-    return linalg.rank(both) == ru + rv
+    both = list(u_rows) + list(v_rows)
+    return linalg.rank(both) == linalg.rank(u_rows) + linalg.rank(v_rows)
 
 
 def curve_meet_point(form: HomogeneousForm, anchors: PointSet,
                      curve_basis: Sequence[Sequence[Scalar]], d: int):
     """Single point of span({form} u powers(anchors)) meet a curve span."""
-    u_cols = [list(form.coeff_vector())]
-    u_cols += [list(power_row(p, d)) for p in anchors]
-    v_cols = [list(r) for r in curve_basis]
-    meet = linalg.span_intersection(u_cols, v_cols)
+    u_cols = [form.coeff_vector()] + [power_vector(p, d) for p in anchors]
+    meet = linalg.span_intersection(u_cols, curve_basis)
     if len(meet) != 1:
         which = "empty" if not meet else "positive-dimensional"
         return NotUnique(f"intersection is {which}")

@@ -24,7 +24,7 @@ from .points import (SMOOTH_CONIC, CurveSpec, PointSet, ProjectivePoint,
                      find_rich_conics, find_rich_lines, split_on_curve)
 from .spans import (NotUnique, curve_meet_point, h1_ideal, line_power_basis,
                     membership, off_curve_agreement, pair_power_basis,
-                    parametrize_conic, power_row, restrict_to_conic,
+                    parametrize_conic, power_vector, restrict_to_conic,
                     restrict_to_line, unique_intersection_point)
 
 
@@ -342,7 +342,7 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
     pts = list(on_set)
     if node in pts:
         return None
-    cols = [power_row(p, d) for p in pts]
+    cols = [power_vector(p, d) for p in pts]
     # one elimination of [cols | P]: the split exists and is unique
     # exactly when the pivots are the support columns
     reduced, pivots = linalg.rref(list(zip(*cols, point_form.coeff_vector())))

@@ -331,6 +331,14 @@ def test_h1_rejects_degree_below_one(tmp_path, capsys):
         assert json.loads(err)["error"] == "ValueError"
 
 
+def test_h1_rejects_negative_dimension(tmp_path, capsys):
+    # the message blamed the size limits for an invalid dimension
+    path = tmp_path / "pts.json"
+    path.write_text(json.dumps({"m": -1, "points": [["1"]]}))
+    message = _exits_2_with_value_error(capsys, path, "h1", "--d", "3")
+    assert "'m'" in message and "limits" not in message
+
+
 def test_error_envelope_for_bad_input(tmp_path, capsys):
     rc, out, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert rc == 2 and out == ""

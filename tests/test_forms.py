@@ -3,17 +3,56 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 import sympy
 
-from waringlab.forms import (HomogeneousForm, LinearForm, monomial_exponents,
-                             multinomial, power_of_linear, substitute)
+from waringlab.forms import (HomogeneousForm, monomial_exponents,
+                             multinomial, substitute)
 from waringlab.scalars import ONE, ZERO, Scalar
 
 X = sympy.symbols("x0 x1 x2 x3")
 T = sympy.Symbol("t")
+
+
+@dataclass(frozen=True)
+class LinearForm:
+    """A nonzero linear form in canonical projective scale."""
+
+    coeffs: tuple[Scalar, ...]
+
+    def __post_init__(self) -> None:
+        lead = next((c for c in self.coeffs if not c.is_zero), None)
+        if lead is None:
+            raise ValueError("linear form must be nonzero")
+        if lead != ONE:
+            object.__setattr__(
+                self, "coeffs", tuple(c / lead for c in self.coeffs))
+
+    @property
+    def num_vars(self) -> int:
+        return len(self.coeffs)
+
+
+def power_of_linear(linear: LinearForm, degree: int) -> HomogeneousForm:
+    """(sum c_i x_i)^degree by the multinomial theorem, in Scalars."""
+    tables = []
+    for c in linear.coeffs:
+        table = [ONE]
+        for _ in range(degree):
+            table.append(table[-1] * c)
+        tables.append(table)
+    out = {}
+    for exp in monomial_exponents(linear.num_vars, degree):
+        c = Scalar.of(multinomial(degree, exp))
+        for table, e in zip(tables, exp):
+            if e:
+                c = c * table[e]
+        if not c.is_zero:
+            out[exp] = c
+    return HomogeneousForm(linear.num_vars, degree, out)
 
 
 def combine(terms, degree: int) -> HomogeneousForm:

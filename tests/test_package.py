@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from waringlab import spans
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "waringlab"
 TESTS = Path(__file__).resolve().parent
 
@@ -42,3 +44,13 @@ def test_no_unused_imports():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items() if name not in used]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def test_power_row_keeps_the_cache_the_bench_reads():
+    # bench/run.py finds functools caches by cache_info, cache_clear and the
+    # wrapped function's module, and reads ledger.totals["spans.power_row"]:
+    # without this cache a traced run stops with KeyError
+    row = spans.power_row
+    assert hasattr(row, "cache_info") and hasattr(row, "cache_clear")
+    assert row.__wrapped__.__module__ == "waringlab.spans"
+    assert row.cache_info().maxsize is None

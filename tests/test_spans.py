@@ -15,9 +15,10 @@ from math import comb
 import pytest
 import sympy
 
+from test_forms import LinearForm, power_of_linear
+from waringlab import linalg
 from waringlab.binary import complex_rank, power_point
-from waringlab.forms import (HomogeneousForm, LinearForm, monomial_exponents,
-                             power_of_linear)
+from waringlab.forms import HomogeneousForm, monomial_exponents
 from waringlab.points import CurveSpec, PointSet, ProjectivePoint
 from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
@@ -26,8 +27,9 @@ from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
                              embed_on_line, h1_ideal, line_power_basis,
                              membership, off_curve_agreement,
                              pair_power_basis, parametrize_conic, power_row,
-                             restrict_to_conic, restrict_to_line,
-                             spans_disjoint, unique_intersection_point)
+                             power_vector, restrict_to_conic,
+                             restrict_to_line, spans_disjoint,
+                             unique_intersection_point)
 
 
 def P(*vals) -> ProjectivePoint:
@@ -49,15 +51,14 @@ def embed_on_conic(param, points1) -> list[ProjectivePoint]:
 
 
 def pow_form(p: ProjectivePoint, d: int) -> HomogeneousForm:
-    return HomogeneousForm.from_coeff_vector(p.m + 1, d,
-                                             list(power_row(p, d)))
+    return HomogeneousForm.from_coeff_vector(p.m + 1, d, power_vector(p, d))
 
 
 def pow_sum(pts, coeffs, d: int) -> HomogeneousForm:
     n = pts[0].m + 1
-    acc = [ZERO] * len(power_row(pts[0], d))
+    acc = [ZERO] * len(power_vector(pts[0], d))
     for p, c in zip(pts, coeffs):
-        for k, v in enumerate(power_row(p, d)):
+        for k, v in enumerate(power_vector(p, d)):
             acc[k] = acc[k] + Scalar.of(c) * v
     return HomogeneousForm.from_coeff_vector(n, d, acc)
 
@@ -80,12 +81,13 @@ def oracle_h1(pts, d: int) -> int:
     return len(pts) - 1 - span_dim
 
 
-def _sympy_power_row(p: ProjectivePoint, d: int) -> list:
-    xs = sympy.symbols(f"x0:{p.m + 1}")
-    lin = sympy.Poly(sum(to_sym(c) * v for c, v in zip(p.coords, xs)), *xs)
+def _sympy_power_row(coords, d: int) -> list:
+    """Coefficients of (coords . x)^d, for sympy-convertible coords."""
+    xs = sympy.symbols(f"x0:{len(coords)}")
+    lin = sympy.Poly(sum(c * v for c, v in zip(coords, xs)), *xs)
     coeffs = (lin ** d).as_dict()
     return [coeffs.get(exp, sympy.Integer(0))
-            for exp in monomial_exponents(p.m + 1, d)]
+            for exp in monomial_exponents(len(coords), d)]
 
 
 def _random_coord(rng, gaussian: bool) -> Scalar:
@@ -99,9 +101,9 @@ def test_power_row_matches_sympy_expansion():
     rng = random.Random(81)
     cases = [(ProjectivePoint.of(*(rng.randint(-3, 3) for _ in range(2)), 1),
               rng.randint(2, 4)) for _ in range(8)]
-    # Gaussian and zero coordinates in P^2..P^4 up to the h1 workload's d = 8
-    for m in (2, 3, 4):
-        for d in (1, 3, 5, 8):
+    # Gaussian and zero coordinates in P^1..P^4 up to the h1 workload's d = 8
+    for m in (1, 2, 3, 4):
+        for d in range(1, 9):
             for gaussian in (False, True):
                 coords = [_random_coord(rng, gaussian) for _ in range(m + 1)]
                 if all(c.is_zero for c in coords):
@@ -114,11 +116,20 @@ def test_power_row_matches_sympy_expansion():
     assert any(not p.is_real for p, _ in cases)
     assert any(any(c.is_zero for c in p.coords) for p, _ in cases)
     for p, d in cases:
-        want = _sympy_power_row(p, d)
-        got = power_row(p, d)
+        # the exact vector of the canonical point
+        want = _sympy_power_row([to_sym(c) for c in p.coords], d)
+        got = power_vector(p, d)
         assert len(got) == len(want) == comb(p.m + d, d)
         for g, w in zip(got, want):
             assert sympy.expand(to_sym(g) - w) == 0
+        # the cached row: the same expansion at z = p.zcoords, in Z[i]
+        z = [sympy.Integer(a) + sympy.I * b for a, b in p.zcoords]
+        want = _sympy_power_row(z, d)
+        got = power_row(p, d)
+        assert len(got) == len(want)
+        for (a, b), w in zip(got, want):
+            assert type(a) is int and type(b) is int
+            assert sympy.expand(a + sympy.I * b - w) == 0
 
 
 def test_power_row_is_the_power_of_linear_vector():
@@ -129,8 +140,13 @@ def test_power_row_is_the_power_of_linear_vector():
             if all(c.is_zero for c in coords):
                 coords[0] = ONE
             p = ProjectivePoint(tuple(coords))
-            assert power_row(p, d) == power_of_linear(
+            vec = power_vector(p, d)
+            assert tuple(vec) == power_of_linear(
                 LinearForm(p.coords), d).coeff_vector()
+            # the cached row is the vector times z_lead^d
+            lead = Scalar.of(next(z for z in p.zcoords if z != (0, 0))[0])
+            assert power_row(p, d) == tuple(
+                (int(c.re), int(c.im)) for c in (v * lead ** d for v in vec))
 
 
 def test_veronese_space_dimension():
@@ -161,6 +177,67 @@ def test_h1_general_points_match_oracle():
         rep = h1_ideal(PointSet.of(pts), d)
         assert rep.h1 == oracle_h1(pts, d)
         assert rep.span_dim == rep.set_size - 1 - rep.h1
+
+
+def _agreement_sets(rng):
+    """Seeded generic, collinear, conic and Gaussian sets in P^2..P^4."""
+    sets = []
+    for m in (2, 3, 4):
+        pad = [0] * (m - 2)
+        n = rng.randint(4, 12)
+        generic = {P(*(rng.randint(-4, 4) for _ in range(m)), 1)
+                   for _ in range(n)}
+        line = {P(1, t, *pad, 2 * t - 1) for t in range(-3, n - 3)}
+        # x^2 + y^2 = z^2 through (1 - t^2, 2t, 1 + t^2)
+        conic = {P(1 - t * t, 2 * t, *pad, 1 + t * t)
+                 for t in range(-4, n - 4)}
+        gaussian = {ProjectivePoint(tuple(
+            Scalar.of(rng.randint(-3, 3), rng.randint(-2, 2))
+            for _ in range(m)) + (ONE,)) for _ in range(n)}
+        sets += [generic, line, conic, gaussian]
+    return [PointSet.of(s) for s in sets]
+
+
+def test_h1_and_membership_agree_with_scalar_rank_and_span():
+    rng = random.Random(84)
+    seen = set()
+    for s in _agreement_sets(rng):
+        pts = list(s)
+        for d in (2, 3, 5):
+            vectors = [power_vector(p, d) for p in pts]
+            rep = h1_ideal(s, d)
+            assert rep.span_dim + 1 == linalg.rank(vectors)
+            seen.add(("h1 > 0", rep.h1 > 0))
+            n = s.m + 1
+            coeffs = [Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
+                      for _ in pts]
+            inside = HomogeneousForm.combination(n, d, coeffs, vectors)
+            stray = P(*(rng.randint(-5, 5) for _ in range(s.m)), 7)
+            outside = inside + pow_form(stray, d).scale(Scalar.of(1, 3))
+            for form in (inside, outside, pow_form(pts[0], d)):
+                if form.is_zero:
+                    continue
+                got = membership(form, s, d, "C")
+                assert got == linalg.in_span(vectors, form.coeff_vector())
+                seen.add(("member", got))
+    assert seen == {("h1 > 0", True), ("h1 > 0", False),
+                    ("member", True), ("member", False)}
+
+
+def test_h1_ideal_leaves_the_cached_rows_unchanged():
+    d = 4
+    s = PointSet.of([P(1, t, t * t - 2) for t in range(-3, 5)]
+                    + [ProjectivePoint((ONE, Scalar.of(2, -1), ZERO))])
+    rows = [power_row(p, d) for p in s]
+    before = [tuple(tuple(z) for z in row) for row in rows]
+    form = pow_sum(list(s)[:3], [1, -2, 3], d)
+    first = h1_ideal(s, d)
+    assert membership(form, s, d, "C")
+    assert h1_ideal(s, d) == first
+    for p, row, old in zip(s, rows, before):
+        assert power_row(p, d) is row
+        assert row == old and type(row) is tuple
+        assert all(type(z) is tuple for z in row)
 
 
 def test_h1_rejects_empty_set():
@@ -444,8 +521,8 @@ def test_curve_power_basis_dispatch():
 def test_spans_disjoint_detects_overlap():
     line = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
     basis = line_power_basis(line, 2)
-    assert not spans_disjoint(basis, [list(power_row(P(1, 5, 0), 2))])
-    assert spans_disjoint(basis, [list(power_row(P(0, 0, 1), 2))])
+    assert not spans_disjoint(basis, [power_vector(P(1, 5, 0), 2)])
+    assert spans_disjoint(basis, [power_vector(P(0, 0, 1), 2)])
 
 
 def test_curve_meet_point_against_line_span():
