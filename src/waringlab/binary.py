@@ -5,7 +5,8 @@ f = sum C(d,k) c_k x^(d-k) y^k, so the catalecticant at step r is literally
 the Hankel array H[i][j] = c_{i+j}.  A kernel vector g of H is the plain
 coefficient list of an apolar form h = sum g_j x^(r-j) y^j, and the rank-r
 decompositions of f are exactly the squarefree apolar h: the roots [a:b] of
-h name the linear forms a*x + b*y.
+h name the linear forms a*x + b*y.  The engine keeps apolar forms as these
+plain lists; a BinaryForm is built only for an implicit-mode generator.
 
 Sylvester's structure (Comas and Seiguer, arXiv:math/0112311): the apolar
 ideal of f is generated by g1 and g2 of degrees c <= d + 2 - c, c the rank
@@ -18,7 +19,8 @@ Rank search and its certificates:
     A squarefree element exists iff the gcd of the kernel is squarefree
     (the gcd is the fixed divisor; removing it leaves a basepoint-free
     system whose generic member is reduced in characteristic 0), so every
-    negative step is certified.
+    negative step is certified.  A one-dimensional kernel is its own gcd,
+    so its generator is the witness; larger kernels are searched.
   * real rank: smallest r >= complex rank whose kernel holds a real element
     with r distinct real roots.  Negative certificates: empty kernel,
     non-squarefree gcd, or a gcd with a non-real root (every element then
@@ -140,10 +142,9 @@ def hankel_matrix(f: BinaryForm, r: int) -> list[list[Scalar]]:
     return [[f.coeffs[i + j] for j in range(r + 1)] for i in range(d - r + 1)]
 
 
-def hankel_kernel(f: BinaryForm, r: int) -> list[BinaryForm]:
+def hankel_kernel(f: BinaryForm, r: int) -> list[list[Scalar]]:
     """Apolar forms of degree r, as plain-coefficient kernel vectors."""
-    kernel = linalg.nullspace(hankel_matrix(f, r))
-    return [BinaryForm.from_plain(vec) for vec in kernel]
+    return linalg.nullspace(hankel_matrix(f, r))
 
 
 # -- plain-coefficient polynomial view ----------------------------------------
@@ -157,12 +158,12 @@ def _split_plain(plain: Sequence[Scalar]) -> tuple[int, list[Scalar]]:
     return r - (len(g) - 1), g
 
 
-def binary_gcd(forms: Sequence[BinaryForm]) -> tuple[int, list[Scalar]]:
-    """gcd of binary forms as (x-multiplicity, monic univariate part)."""
+def binary_gcd(forms: Sequence[Sequence[Scalar]]) -> tuple[int, list[Scalar]]:
+    """gcd of plain binary forms as (x-multiplicity, univariate part G(t))."""
     x_mult = None
     acc: Optional[list[Scalar]] = None
     for h in forms:
-        m, g = _split_plain(h.plain_coeffs())
+        m, g = _split_plain(h)
         x_mult = m if x_mult is None else min(x_mult, m)
         acc = g if acc is None else poly_gcd(acc, g)
     if acc is None:
@@ -180,11 +181,11 @@ def _binary_all_real(g: Sequence[Scalar]) -> bool:
     return all(c.is_real for c in monic) and all_roots_real(monic)
 
 
-def binary_roots_exact(h: BinaryForm) -> Optional[list[Point1]]:
-    """Roots of a squarefree binary form as canonical points, or None."""
-    x_mult, g = _split_plain(h.plain_coeffs())
-    if x_mult > 1 or not is_squarefree(g):
-        raise ValueError("form is not squarefree")
+def binary_roots_exact(h: Sequence[Scalar]) -> Optional[list[Point1]]:
+    """Roots of a squarefree plain binary form as canonical points, or None.
+
+    Every caller has shown h squarefree, so it is not tested again here."""
+    x_mult, g = _split_plain(h)
     finite = roots_over_gaussians(g)
     if finite is None:
         return None
@@ -285,11 +286,11 @@ def _solve_exact_coeffs(f: BinaryForm,
     return sol
 
 
-def _implicit_decomposition(f: BinaryForm, h: BinaryForm, field_tag: str,
-                            certified: bool,
+def _implicit_decomposition(f: BinaryForm, h: Sequence[Scalar],
+                            field_tag: str, certified: bool,
                             notes: tuple[str, ...]) -> BinaryDecomposition:
-    """Certified-boxes decomposition for a squarefree apolar h."""
-    x_mult, g = _split_plain(h.plain_coeffs())
+    """Certified-boxes decomposition for a squarefree apolar plain list h."""
+    x_mult, g = _split_plain(h)
     rhs = [BoxScalar.exact(c) for c in f.coeffs]
     radius = Fraction(1, 10 ** 40)
     for _ in range(4):
@@ -306,8 +307,9 @@ def _implicit_decomposition(f: BinaryForm, h: BinaryForm, field_tag: str,
         if coeff_boxes is not None and _residuals_vanish(f, coeff_boxes,
                                                          cols):
             return BinaryDecomposition(
-                rank=h.degree, field_tag=field_tag, mode="implicit",
-                generator=h.canonical(), boxes=tuple(boxes),
+                rank=len(h) - 1, field_tag=field_tag, mode="implicit",
+                generator=BinaryForm.from_plain(h).canonical(),
+                boxes=tuple(boxes),
                 coeff_boxes=tuple(coeff_boxes),
                 has_infinity_root=x_mult == 1,
                 minimality_certified=certified, notes=notes)
@@ -326,7 +328,7 @@ def _real_boxes(g: Sequence[Scalar], radius: Fraction) -> list[RootBox]:
     return out
 
 
-def _exact_decomposition(f: BinaryForm, h: BinaryForm,
+def _exact_decomposition(f: BinaryForm, h: Sequence[Scalar],
                          pts: Optional[list[Point1]], field_tag: str,
                          certified: bool,
                          notes: tuple[str, ...]) -> BinaryDecomposition:
@@ -343,7 +345,7 @@ def _exact_decomposition(f: BinaryForm, h: BinaryForm,
             coeffs=tuple(c for _, c in keep),
             minimality_certified=False, notes=notes)
     return BinaryDecomposition(
-        rank=h.degree, field_tag=field_tag, mode="exact",
+        rank=len(h) - 1, field_tag=field_tag, mode="exact",
         points=tuple(pts), coeffs=tuple(coeffs),
         minimality_certified=certified, notes=notes)
 
@@ -378,19 +380,17 @@ def _graded_combinations(size: int, cap: int):
             yield rest + (top,)
 
 
-def _squarefree_elements(kernel: list[BinaryForm]):
+def _squarefree_elements(kernel: list[list[Scalar]]):
     """Squarefree members of the kernel span, in a deterministic order.
 
     Phases: single basis vectors, then two-vector pencils, then the full
     moment curve through the basis in both orders.  A form can come more
-    than once (a one-dimensional kernel gives its generator every time).
+    than once.
     """
-    def usable(form: BinaryForm) -> Optional[BinaryForm]:
-        plain = form.plain_coeffs()
-        if all(c.is_zero for c in plain):
+    def usable(h: list[Scalar]) -> Optional[list[Scalar]]:
+        if all(c.is_zero for c in h):
             return None
-        x_mult, g = _split_plain(plain)
-        return form if _binary_squarefree(x_mult, g) else None
+        return h if _binary_squarefree(*_split_plain(h)) else None
 
     for h in kernel:
         got = usable(h)
@@ -403,7 +403,7 @@ def _squarefree_elements(kernel: list[BinaryForm]):
         for t in params:
             if t.is_zero:
                 continue
-            got = usable(kernel[i] + kernel[j].scale(t))
+            got = usable([a + t * b for a, b in zip(kernel[i], kernel[j])])
             if got is not None:
                 yield got
                 hits += 1
@@ -415,14 +415,14 @@ def _squarefree_elements(kernel: list[BinaryForm]):
             power = ONE
             for h in basis[1:]:
                 power = power * t
-                acc = acc + h.scale(power)
+                acc = [a + power * b for a, b in zip(acc, h)]
             got = usable(acc)
             if got is not None:
                 yield got
 
 
-def _real_rooted_search(f: BinaryForm, kernel: list[BinaryForm],
-                        r: int) -> Optional[BinaryForm]:
+def _real_rooted_search(f: BinaryForm, kernel: list[list[Scalar]],
+                        r: int) -> Optional[list[Scalar]]:
     """Deterministic grid search for a real element with r distinct real roots.
 
     Pins r - c roots on the grid (c = rank of the Hankel step), solves the
@@ -470,7 +470,7 @@ def _real_rooted_search(f: BinaryForm, kernel: list[BinaryForm],
                 continue
             if not _binary_all_real(g):
                 continue
-            return BinaryForm.from_plain(h_plain)
+            return h_plain
     return None
 
 
@@ -506,19 +506,21 @@ def complex_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
     """Smallest r whose apolar kernel holds a squarefree form, with witness:
     the first step of _steps, which always yields one."""
     r, kernel, _g = next(_steps(f))
-    first: Optional[BinaryForm] = None
-    tried: set[BinaryForm] = set()
-    # 24 candidates, repeats counted, but each distinct one searched once
-    for n, h in enumerate(_squarefree_elements(kernel)):
+    # the step's gcd test proved a one-dimensional kernel's generator
+    # squarefree; 24 candidates, repeats counted, from a larger kernel
+    candidates = kernel if len(kernel) == 1 else itertools.islice(
+        _squarefree_elements(kernel), 24)
+    first: Optional[list[Scalar]] = None
+    tried: set[tuple[Scalar, ...]] = set()
+    for h in candidates:
         if first is None:
             first = h
-        if h not in tried:
-            tried.add(h)
+        key = tuple(h)
+        if key not in tried:
+            tried.add(key)
             pts = binary_roots_exact(h)
             if pts is not None:
                 return r, _exact_decomposition(f, h, pts, "C", True, ())
-        if n >= 23:
-            break
     if first is None:
         raise ArithmeticError(
             "squarefree element exists but search missed it")

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from . import linalg
 from .binary import BinaryForm, complex_rank, real_rank
 from .forms import HomogeneousForm, substitute
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
@@ -31,7 +32,7 @@ from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
 from .spans import (ConicParametrization, catalecticant_rank,
                     conic_power_basis, curve_power_basis, h1_ideal,
                     line_power_basis, membership, power_vector,
-                    restrict_to_conic, restrict_to_line, spans_disjoint)
+                    restrict_to_conic, restrict_to_line)
 
 CASE_A = "a"
 CASE_B = "b"
@@ -304,8 +305,10 @@ def _genericity_certs(e_points: Sequence[ProjectivePoint], d: int,
         return [Certificate("off-curve-independent", True, "empty E"),
                 Certificate("off-curve-span-disjoint", True, "empty E")]
     rep = h1_ideal(PointSet.of(e_points), d)
-    rows = [power_vector(p, d) for p in e_points]
-    disjoint = spans_disjoint(rows, curve_basis)
+    # E independent and curve_basis a basis: disjoint iff the union is free
+    disjoint = rep.independent and linalg.rank(
+        [power_vector(p, d) for p in e_points] + list(curve_basis)
+    ) == len(e_points) + len(curve_basis)
     return [Certificate("off-curve-independent", rep.independent, "",
                         (("h1", str(rep.h1)),)),
             Certificate("off-curve-span-disjoint", disjoint)]
@@ -589,13 +592,8 @@ def _sample_e(rng: random.Random, m: int, d: int, count: int,
             chosen.append(p)
         if len(chosen) < count:
             continue
-        rep = h1_ideal(PointSet.of(chosen), d)
-        if not rep.independent:
-            continue
-        rows = [power_vector(p, d) for p in chosen]
-        if not spans_disjoint(rows, curve_basis):
-            continue
-        return chosen
+        if all(c.passed for c in _genericity_certs(chosen, d, curve_basis)):
+            return chosen
     raise ArithmeticError("off-curve sampling failed to reach genericity")
 
 

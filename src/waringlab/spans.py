@@ -358,13 +358,6 @@ def embed_on_line(line: CurveSpec,
     return [line.point_at(s, t) for s, t in points1]
 
 
-def spans_disjoint(u_rows: Sequence[Sequence[Scalar]],
-                   v_rows: Sequence[Sequence[Scalar]]) -> bool:
-    """Grassmann test: the two spans meet only in zero."""
-    both = list(u_rows) + list(v_rows)
-    return linalg.rank(both) == linalg.rank(u_rows) + linalg.rank(v_rows)
-
-
 def curve_meet_point(form: HomogeneousForm, anchors: PointSet,
                      curve_basis: Sequence[Sequence[Scalar]], d: int):
     """Single point of span({form} u powers(anchors)) meet a curve span."""

@@ -698,9 +698,12 @@ def interval_solve(matrix: list[list[BoxScalar]],
             raise ZeroDivisionError("no usable pivot; refine the boxes")
         m[col], m[piv] = m[piv], m[col]
         inv = m[col][col].recip()
-        m[col] = [x * inv for x in m[col]]
+        # nothing reads a column at or left of the pivot again
+        pivot_row = [x * inv for x in m[col][col + 1:]]
+        m[col][col + 1:] = pivot_row
         for i in range(n):
             if i != col:
                 f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+                m[i][col + 1:] = [a - f * b for a, b in
+                                  zip(m[i][col + 1:], pivot_row)]
     return [m[i][ncols] for i in range(ncols)]

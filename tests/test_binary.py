@@ -118,7 +118,7 @@ def test_hankel_kernel_elements_are_apolar_operators():
         for r in range(1, d):
             for h in hankel_kernel(f, r):
                 acc = sympy.Integer(0)
-                for j, c in enumerate(h.plain_coeffs()):
+                for j, c in enumerate(h):
                     term = sympy.Rational(c.re) + sympy.I * sympy.Rational(
                         c.im)
                     acc += term * sympy.diff(f_expr, X, r - j, Y, j)
@@ -243,8 +243,7 @@ def test_implicit_mode_for_irrational_roots():
 
 def test_complex_rank_searches_each_candidate_once(monkeypatch):
     # 2x^3 + 12xy^2 = 2x(x^2 + 6y^2): its rank-2 kernel is spanned by one
-    # generator without Gaussian-rational roots, which the candidate stream
-    # yields again and again
+    # generator without Gaussian-rational roots, which is its own witness
     calls = []
     search = binary.binary_roots_exact
 
@@ -258,13 +257,41 @@ def test_complex_rank_searches_each_candidate_once(monkeypatch):
     assert (rc, dec.mode) == (2, "implicit")
     assert reconstruction_check(f, dec)
     assert len(calls) == 1
+    # a two-dimensional kernel (d = 4, c = 3): 24 candidates, 21 distinct,
+    # none with Gaussian-rational roots
+    calls.clear()
+    f = plain(-2, 3, -2, -1, -1)
+    rc, dec = complex_rank(f)
+    assert (rc, dec.mode) == (3, "implicit")
+    assert len(calls) == len({tuple(h) for h in calls}) == 21
+
+
+@pytest.mark.parametrize("f, searched", [
+    # step 2 of the gap sextic has a one-dimensional kernel, whose
+    # generator the step's gcd test already proved squarefree
+    (conjugate_pair_form(6), False),
+    # d = 4, c = 3: 2c = d + 2, so step c has a two-dimensional kernel
+    (plain(1, 2, 0, -1, 3), True)])
+def test_complex_rank_searches_only_kernels_of_dimension_two_or_more(
+        monkeypatch, f, searched):
+    entered = []
+    search = binary._squarefree_elements
+
+    def counting(kernel):
+        entered.append(len(kernel))
+        return search(kernel)
+
+    monkeypatch.setattr(binary, "_squarefree_elements", counting)
+    rc, dec = complex_rank(f)
+    assert reconstruction_check(f, dec)
+    assert entered == ([2] if searched else [])
 
 
 def test_binary_gcd_common_factor():
     # y(y-x) and y^2(y-x) share y(y-x); in the chart t = y/x that is
     # t(t-1) with no x factor
-    h1 = BinaryForm.from_plain([ZERO, Scalar.of(-1), ONE])
-    h2 = BinaryForm.from_plain([ZERO, ZERO, Scalar.of(-1), ONE])
+    h1 = [ZERO, Scalar.of(-1), ONE]
+    h2 = [ZERO, ZERO, Scalar.of(-1), ONE]
     x_mult, g = binary_gcd([h1, h2])
     assert x_mult == 0
     assert g == [ZERO, Scalar.of(-1), ONE]
@@ -272,12 +299,8 @@ def test_binary_gcd_common_factor():
 
 def test_binary_roots_exact_charts():
     # the form y vanishes at [1:0]; the form x vanishes at [0:1]
-    assert binary_roots_exact(
-        BinaryForm.from_plain([ZERO, ONE])) == [(ONE, ZERO)]
-    assert binary_roots_exact(
-        BinaryForm.from_plain([ONE, ZERO])) == [(ZERO, ONE)]
-    with pytest.raises(ValueError):
-        binary_roots_exact(BinaryForm.from_plain([ZERO, ZERO, ONE]))
+    assert binary_roots_exact([ZERO, ONE]) == [(ONE, ZERO)]
+    assert binary_roots_exact([ONE, ZERO]) == [(ZERO, ONE)]
 
 
 def test_decomposition_determinism():
@@ -355,7 +378,7 @@ def test_steps_match_the_walk_over_every_step(monkeypatch):
         return real_kernel(f, r)
 
     def gcd(forms):
-        gcd_steps.append(forms[0].degree)
+        gcd_steps.append(len(forms[0]) - 1)
         return real_gcd(forms)
 
     forms = monomials(8) + seeded_forms(40) + gap_forms()

@@ -18,6 +18,7 @@ import sympy
 from test_forms import LinearForm, power_of_linear
 from waringlab import linalg
 from waringlab.binary import complex_rank, power_point
+from waringlab.factory import _genericity_certs
 from waringlab.forms import HomogeneousForm, monomial_exponents
 from waringlab.points import CurveSpec, PointSet, ProjectivePoint
 from waringlab.scalars import ONE, ZERO, Scalar
@@ -28,8 +29,7 @@ from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
                              membership, off_curve_agreement,
                              pair_power_basis, parametrize_conic, power_row,
                              power_vector, restrict_to_conic,
-                             restrict_to_line, spans_disjoint,
-                             unique_intersection_point)
+                             restrict_to_line, unique_intersection_point)
 
 
 def P(*vals) -> ProjectivePoint:
@@ -497,7 +497,8 @@ def test_pair_power_basis_in_p3():
     d = 3
     basis = pair_power_basis(pair, d)
     assert len(basis) == 2 * (d + 1)
-    assert spans_disjoint(line_power_basis(l1, d), line_power_basis(l2, d))
+    assert grassmann_disjoint(line_power_basis(l1, d),
+                              line_power_basis(l2, d))
     with pytest.raises(ValueError):
         pair_power_basis(l1, d)
 
@@ -518,11 +519,38 @@ def test_curve_power_basis_dispatch():
     assert len(curve_power_basis(smooth, d, param)) == 2 * d + 1
 
 
-def test_spans_disjoint_detects_overlap():
-    line = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
-    basis = line_power_basis(line, 2)
-    assert not spans_disjoint(basis, [power_vector(P(1, 5, 0), 2)])
-    assert spans_disjoint(basis, [power_vector(P(0, 0, 1), 2)])
+def grassmann_disjoint(u_rows, v_rows) -> bool:
+    """Reference: two spans meet only in zero iff their ranks add up."""
+    both = list(u_rows) + list(v_rows)
+    return linalg.rank(both) == linalg.rank(u_rows) + linalg.rank(v_rows)
+
+
+def test_genericity_certs_match_the_grassmann_rank_formula():
+    # E off the line z = 0, E with one point on it, and E dependent
+    # (d + 2 points on the line y = 0); every verdict against the ranks
+    rng = random.Random(97)
+    d = 3
+    basis = line_power_basis(CurveSpec.line(P(1, 0, 0), P(0, 1, 0)), d)
+    seen = set()
+    for trial in range(12):
+        kind = trial % 3
+        if kind == 2:
+            e = [P(t, 0, 1) for t in rng.sample(range(-6, 7), d + 2)]
+        else:
+            e = [P(x, y, 1) for x, y in rng.sample(
+                [(x, y) for x in range(-3, 4) for y in range(-3, 4)],
+                rng.randint(1, 3))]
+            if kind == 1:
+                e[0] = P(rng.randint(-4, 4), 1, 0)
+        rows = [power_vector(p, d) for p in e]
+        independent = linalg.rank(rows) == len(rows)
+        want = (independent, independent and grassmann_disjoint(rows, basis))
+        certs = _genericity_certs(e, d, basis)
+        assert [c.name for c in certs] == ["off-curve-independent",
+                                           "off-curve-span-disjoint"]
+        assert tuple(c.passed for c in certs) == want
+        seen.add(want)
+    assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_curve_meet_point_against_line_span():
