@@ -31,8 +31,8 @@ from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
 from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
 from .spans import (ConicParametrization, catalecticant_rank,
                     conic_power_basis, curve_power_basis, h1_ideal,
-                    line_power_basis, membership, power_vector,
-                    restrict_to_conic, restrict_to_line)
+                    line_power_basis, membership, power_row,
+                    power_vector, restrict_to_conic, restrict_to_line)
 
 CASE_A = "a"
 CASE_B = "b"
@@ -306,8 +306,9 @@ def _genericity_certs(e_points: Sequence[ProjectivePoint], d: int,
                 Certificate("off-curve-span-disjoint", True, "empty E")]
     rep = h1_ideal(PointSet.of(e_points), d)
     # E independent and curve_basis a basis: disjoint iff the union is free
-    disjoint = rep.independent and linalg.rank(
-        [power_vector(p, d) for p in e_points] + list(curve_basis)
+    disjoint = rep.independent and linalg.row_rank(
+        [power_row(p, d) for p in e_points]
+        + [linalg._clear_row(row) for row in curve_basis]
     ) == len(e_points) + len(curve_basis)
     return [Certificate("off-curve-independent", rep.independent, "",
                         (("h1", str(rep.h1)),)),

@@ -2,12 +2,17 @@
 
 Fraction-free (Bareiss) elimination runs on Gaussian integers (pairs of
 ints): pivots takes rows already in them, such as spans.power_row, and the
-other entry points clear each row of denominators once.  Rank and span
-membership read the pivots of the forward pass.  The reduced row echelon
-form also clears the rows above each pivot and divides once, at the end;
-nullspaces, solutions, row space bases and span intersections are read off
-it.  Pivots are chosen by position, not magnitude, so results are
-deterministic.
+other entry points clear each row of denominators once.  Span membership
+reads the pivots of the forward pass.  The reduced row echelon form also
+clears the rows above each pivot and divides once, at the end; nullspaces,
+solutions, row space bases and span intersections are read off it.  Pivots
+are chosen by position, not magnitude, so results are deterministic.
+
+Ranks (row_rank, and rank on top of it) rest on a certificate mod p: a
+forward elimination over F_p picks r independent rows, and the rows it
+calls dependent are checked exactly, through one small solve on the kernel.
+A check that fails, which happens only when p divides a minor, hands the
+question to the exact kernel, so the answer is always the exact rank.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 
 Matrix = list[list[Scalar]]
 GInt = tuple[int, int]
@@ -107,8 +112,80 @@ def pivots(rows: Sequence[Sequence[GInt]]) -> tuple[int, ...]:
     return _eliminate([list(row) for row in rows], False)[0]
 
 
+def _independent_mod_p(rows: Sequence[Sequence[GInt]]
+                       ) -> tuple[list[int], list[int]]:
+    """Rows R and columns C of a forward elimination of the rows' images
+    re + im*s in F_p, taken in order: row R[k] is the k-th row independent
+    of the rows before it, and C[k] its leading column after reduction.
+
+    Kept row k is M[R[k]] less multiples of the kept rows before it,
+    scaled to a leading 1 at C[k]; it vanishes at every earlier C.  So the
+    image of M[R, C] is a lower triangular matrix with nonzero diagonal
+    times a unit upper triangular one: it is invertible mod p.
+    """
+    p, s = _CERT_PRIMES[0]
+    kept: list[tuple[int, list[int]]] = []
+    picked: list[int] = []
+    for i, row in enumerate(rows):
+        v = [(re + im * s) % p for re, im in row]
+        for c, b in kept:
+            f = v[c]
+            if f:
+                v[c:] = [(x - f * y) % p for x, y in zip(v[c:], b)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is not None:
+            inv = pow(v[c], -1, p)
+            kept.append((c, [x * inv % p for x in v[c:]]))
+            picked.append(i)
+    return picked, [c for c, _ in kept]
+
+
+def row_rank(rows: Sequence[Sequence[GInt]]) -> int:
+    """Rank over Q(i) of Gaussian-integer rows, which are not mutated.
+
+    Soundness.  Sending i to s, with s^2 = -1 mod p, maps Z[i] onto F_p
+    as a ring, so the determinant of an integer minor maps to the
+    determinant of its image.  The elimination mod p gives rows R and
+    columns C whose minor M[R, C] is nonzero mod p, hence nonzero: the
+    rank is at least r = #R, and when R holds every row that is the rank.
+    Otherwise one fraction-free solve of M[R, C]^T x = M[j, C]^T for all
+    leftover rows j at once gives D x_j in Z[i], where D = +-det M[R, C]
+    is the final Bareiss pivot (D = 1 when r = 0).  When D M[j] equals
+    sum_k (D x_j)_k M[R[k]] on every column, every row lies in the span of
+    the R rows, so the rank is exactly r.  A failed check means p divided
+    a minor that the exact rank needs, and the exact kernel decides.
+    """
+    picked, cols = _independent_mod_p(rows)
+    r = len(picked)
+    if r == len(rows):
+        return r
+    base = [rows[i] for i in picked]
+    kept = set(picked)
+    rest = [row for i, row in enumerate(rows) if i not in kept]
+    if r:
+        system = [[row[c] for row in base + rest] for c in cols]
+        found, divisors = _eliminate(system, True)
+        if found != tuple(range(r)):
+            return len(pivots(rows))
+        dr, di = divisors[r]
+    else:
+        system, (dr, di) = [], (1, 0)
+    for j, row in enumerate(rest):
+        xs = [(system[k][r + j], base[k]) for k in range(r)]
+        for col, (ar, ai) in enumerate(row):
+            sr = dr * ar - di * ai
+            si = dr * ai + di * ar
+            for (xr, xi), b in xs:
+                br, bi = b[col]
+                sr -= xr * br - xi * bi
+                si -= xr * bi + xi * br
+            if sr or si:
+                return len(pivots(rows))
+    return r
+
+
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    return len(pivots([_clear_row(row) for row in rows]))
+    return row_rank([_clear_row(row) for row in rows])
 
 
 def in_span(columns: Sequence[Sequence[Scalar]],

@@ -5,8 +5,9 @@ point p corresponds to the d-th power form (p.x)^d, whose coefficient
 vector in the monomial basis is power_vector(p, d); a form P lies in the
 span of the Veronese image of S exactly when its coefficient vector is a
 linear combination of those vectors.  Scaling a vector leaves its span
-alone, so h1 and membership eliminate the cached power_row(p, d), the same
-vector in Gaussian integers, as it is.  The failure of a finite set to impose
+alone, so h1 ranks (linalg.row_rank) and membership eliminates
+(linalg.pivots) the cached power_row(p, d), the same vector in Gaussian
+integers, as it is.  The failure of a finite set to impose
 independent conditions in degree d is the single number
 
     h1 = (number of points) - 1 - (projective dimension of the span)
@@ -67,7 +68,7 @@ def h1_ideal(s: PointSet, d: int) -> SpanReport:
     """Failure of s to impose independent conditions in degree d."""
     if len(s) == 0:
         raise ValueError("empty point set")
-    span_dim = len(linalg.pivots([power_row(p, d) for p in s])) - 1
+    span_dim = linalg.row_rank([power_row(p, d) for p in s]) - 1
     h1 = len(s) - 1 - span_dim
     return SpanReport(len(s), span_dim, h1, h1 == 0)
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Sequence, TypeVar
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 
 # Fraction in, Fraction out; Scalar in, Scalar out.  A zero test is `not c`.
 C = TypeVar("C", Fraction, Scalar)
@@ -197,13 +197,7 @@ def _snap(x: float) -> list[Fraction]:
 
 # -- modular images --------------------------------------------------------------
 
-# Primes p = 4q + 1 with q prime, each paired with a square root s of -1
-# (2 is a non-residue because p = 5 mod 8).  Sending re + im*i to re + im*s
-# is a ring map from the p-integral Gaussian rationals onto F_p.  As
-# gcd(r, p - 1) <= 4 whenever 4 < r < q, no binomial t^r - c with c != 0 of
-# such a degree splits mod p, which is the shape of a monomial's kernel.
-_CERT_PRIMES = tuple((p, pow(2, (p - 1) // 4, p))
-                     for p in (1000003157, 2305843009213694597))
+# The primes p and the images s of i are the table scalars._CERT_PRIMES.
 
 
 def _fp(z: Scalar, p: int, s: int) -> Optional[int]:

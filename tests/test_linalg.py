@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waringlab import linalg
-from waringlab.scalars import ONE, ZERO, Scalar
+from waringlab.scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 
 
 def to_sympy(rows):
@@ -214,3 +214,77 @@ def test_inexact_gaussian_division_raises():
     with pytest.raises(ArithmeticError):
         linalg._gdiv_exact((1, 0), (2, 0))
     assert linalg._gdiv_exact((2, 4), (1, 1)) == (3, 1)
+
+
+# -- the rank certificate mod p -------------------------------------------------
+
+P_CERT, S_CERT = _CERT_PRIMES[0]
+
+
+def gint_matrix(rng: random.Random, nr: int, nc: int, r: int):
+    """An nr x nc Gaussian-integer product of inner width r."""
+    def entries(a, b):
+        return [[(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(b)]
+                for _ in range(a)]
+    left, right = entries(nr, r), entries(r, nc)
+    return [[(sum(a * c - b * e for (a, b), (c, e) in zip(row, col)),
+              sum(a * e + b * c for (a, b), (c, e) in zip(row, col)))
+             for col in zip(*right)] if r else [(0, 0)] * nc for row in left]
+
+
+def gint_shapes(rng: random.Random):
+    """Tall, wide, square, rank-deficient, zero-row and empty matrices."""
+    yield []
+    yield [[] for _ in range(3)]
+    for nr, nc in ((7, 3), (3, 8), (5, 5), (1, 4), (6, 1)):
+        yield gint_matrix(rng, nr, nc, max(nr, nc))
+        yield gint_matrix(rng, nr, nc, rng.randint(0, min(nr, nc) - 1))
+        rows = gint_matrix(rng, nr, nc, min(nr, nc))
+        rows[rng.randrange(nr)] = [(0, 0)] * nc
+        yield rows
+        yield [[(0, 0)] * nc for _ in range(nr)]
+
+
+def test_row_rank_matches_pivots_on_seeded_gaussian_integers():
+    rng = random.Random(53)
+    deficient = 0
+    for _ in range(6):
+        for rows in gint_shapes(rng):
+            before = [list(row) for row in rows]
+            got = linalg.row_rank(rows)
+            assert got == len(linalg.pivots(rows))
+            assert rows == before
+            deficient += got < len(rows)
+    assert deficient > 30
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda nc: st.lists(st.lists(
+        st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+        min_size=nc, max_size=nc), min_size=0, max_size=6)))
+def test_row_rank_matches_pivots_on_random_rows(rows):
+    # repeat a combination of two rows, so that deficits come up often
+    if len(rows) >= 2:
+        rows = rows + [[(a + 2 * c - e, b + 2 * e + c)
+                        for (a, b), (c, e) in zip(rows[0], rows[1])]]
+    assert linalg.row_rank(rows) == len(linalg.pivots(rows))
+
+
+def test_row_rank_survives_a_prime_that_drops_rank(monkeypatch):
+    # p itself, and i against s (both map to s mod p), vanish or coincide
+    # mod p, so only the exact check of the leftover rows sees the rank
+    cases = [([[(P_CERT, 0)]], 1),
+             ([[(1, 0), (0, 0)], [(1, 0), (P_CERT, 0)]], 2),
+             ([[(1, 0), (0, 1)], [(1, 0), (S_CERT, 0)]], 2)]
+    calls = []
+    exact = linalg.pivots
+    monkeypatch.setattr(linalg, "pivots",
+                        lambda rows: calls.append(1) or exact(rows))
+    for rows, want in cases:
+        assert linalg.row_rank(rows) == want
+    assert len(calls) == len(cases)
+    # a deficit that is real is certified without the exact fallback
+    assert linalg.row_rank([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]) == 1
+    assert linalg.row_rank([[(2, 0)], [(P_CERT, 0)]]) == 1
+    assert len(calls) == len(cases)

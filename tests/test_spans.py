@@ -240,6 +240,32 @@ def test_h1_ideal_leaves_the_cached_rows_unchanged():
         assert all(type(z) is tuple for z in row)
 
 
+def test_h1_ideal_checks_only_the_deficit_exactly(monkeypatch):
+    shapes = []
+    exact = linalg._eliminate
+
+    def counted(m, reduce):
+        shapes.append((len(m), len(m[0]) if m else 0))
+        return exact(m, reduce)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    # independent points: the certificate mod p settles the rank alone
+    rng = random.Random(86)
+    generic = PointSet.of(P(*(rng.randint(-5, 5) for _ in range(4)), 1)
+                          for _ in range(20))
+    assert h1_ideal(generic, 8).h1 == 0
+    assert shapes == []
+    # 2d + 1 + k points on a conic: one exact solve, on the kept rows
+    d, k = 5, 3
+    conic = PointSet.of(P(1 - t * t, 2 * t, 0, 0, 1 + t * t)
+                        for t in range(-6, 2 * d + k - 5))
+    assert len(conic) == 2 * d + 1 + k
+    assert h1_ideal(conic, d).h1 == k
+    assert len(shapes) == 1
+    rows, cols = shapes[0]
+    assert rows == 2 * d + 1 and cols <= len(conic)
+
+
 def test_h1_rejects_empty_set():
     with pytest.raises(ValueError):
         h1_ideal(PointSet.of([]), 3)

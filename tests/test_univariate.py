@@ -15,10 +15,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waringlab.scalars import ONE, ZERO, Scalar
+from waringlab.scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 import waringlab.univariate as univariate
-from waringlab.univariate import (_CERT_PRIMES, BoxScalar, Interval,
-                                  _cannot_split, _fp, _fp_rem, _round_out,
+from waringlab.univariate import (BoxScalar, Interval, _cannot_split,
+                                  _fp, _fp_rem, _round_out,
                                   _sturm_count, all_roots_real, as_real_poly,
                                   cauchy_bound, certified_root_boxes,
                                   fraction_sqrt, gaussian_sqrt,
