@@ -3,7 +3,10 @@
 Subcommands: generate (write an instance file), verify (classify an
 instance or a raw triple, exit 0 on pass), rank (binary ranks with
 decompositions), h1 (span report for a point set), suite (batch
-generate-and-verify over the standard grid).
+generate-and-verify over the standard grid).  The suite's cells run on a
+pool of forked worker processes, one per available CPU, and its report is
+byte for byte the same as from a single process; every other command runs
+in the calling process.
 
 All I/O is JSON with rationals as strings; outputs are byte-reproducible
 from the command line and the input files.  Errors leave as machine
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from math import comb
 
@@ -223,8 +227,66 @@ def _suite_cell(cell: tuple[str, int, int], seed: int) -> dict:
     }
 
 
+def _pooled_rows(cells: list, seed: int, workers: int) -> list[dict] | None:
+    """The cells' rows from `workers` forked processes, or None if the pool
+    cannot start or breaks.
+
+    Cells are submitted heaviest first (the grid reversed: case c, then the
+    largest d and m) and read back in grid order.  So the rows come in grid
+    order, and when cells fail, the error raised is that of the first
+    failing cell in grid order, as in one process; the cells still queued
+    are then cancelled.  Every worker has exited on return.
+
+    The pool modules are imported here, so that they add nothing to the
+    import of this module.  A forked worker inherits the whole parent: the
+    command line runs single-threaded, and the pool forks its workers
+    before it starts its own manager thread.
+    """
+    import multiprocessing
+    from concurrent.futures.process import (BrokenProcessPool,
+                                            ProcessPoolExecutor)
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    children = set(multiprocessing.active_children())
+    try:
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"))
+    except (OSError, NotImplementedError):  # the latter: no working sem_open
+        return None
+    with pool:
+        try:
+            futures = [pool.submit(_suite_cell, c, seed)
+                       for c in reversed(cells)]
+        except (OSError, BrokenProcessPool):
+            # the first submit forks every worker; if a later fork fails,
+            # the ones already started wait on the queue until stopped
+            for proc in set(multiprocessing.active_children()) - children:
+                proc.terminate()
+                proc.join()
+            return None
+        try:
+            return [f.result() for f in reversed(futures)]
+        except BrokenProcessPool:
+            return None
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+
+def _suite_rows(seed: int) -> list[dict]:
+    """One row per grid cell, in grid order."""
+    cells = _suite_grid()
+    # the CPUs this process may run on; the call exists on Linux only
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)) if affinity else 1, len(cells))
+    rows = _pooled_rows(cells, seed, workers) if workers > 1 else None
+    if rows is None:
+        rows = [_suite_cell(c, seed) for c in cells]
+    return rows
+
+
 def cmd_suite(args: argparse.Namespace) -> int:
-    rows = [_suite_cell(c, args.seed) for c in _suite_grid()]
+    rows = _suite_rows(args.seed)
     failures = [r for r in rows if not (r["overall_pass"]
                                         and r["label_match"])]
     payload = {

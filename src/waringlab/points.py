@@ -82,12 +82,12 @@ class PointSet:
     points: tuple[ProjectivePoint, ...]
 
     def __post_init__(self) -> None:
-        seen = []
+        # canonical points are equal exactly when their sort keys are
+        unique: dict = {}
         for p in self.points:
-            if p not in seen:
-                seen.append(p)
-        seen.sort(key=lambda p: p.sort_key())
-        object.__setattr__(self, "points", tuple(seen))
+            unique.setdefault(p.sort_key(), p)
+        object.__setattr__(self, "points",
+                           tuple(unique[k] for k in sorted(unique)))
         if self.points:
             m = self.points[0].m
             if any(p.m != m for p in self.points):

@@ -354,11 +354,6 @@ def restrict_to_conic(form: HomogeneousForm,
     return BinaryForm.from_scaled(sol)
 
 
-def embed_on_line(line: CurveSpec,
-                  points1: Sequence[tuple[Scalar, Scalar]]) -> list[ProjectivePoint]:
-    return [line.point_at(s, t) for s, t in points1]
-
-
 def curve_meet_point(form: HomogeneousForm, anchors: PointSet,
                      curve_basis: Sequence[Sequence[Scalar]], d: int):
     """Single point of span({form} u powers(anchors)) meet a curve span."""

@@ -23,9 +23,9 @@ from .forms import HomogeneousForm
 from .points import (SMOOTH_CONIC, CurveSpec, PointSet, ProjectivePoint,
                      find_rich_conics, find_rich_lines, split_on_curve)
 from .spans import (NotUnique, curve_meet_point, h1_ideal, line_power_basis,
-                    membership, off_curve_agreement, pair_power_basis,
-                    parametrize_conic, power_vector, restrict_to_conic,
-                    restrict_to_line, unique_intersection_point)
+                    membership, pair_power_basis, parametrize_conic,
+                    power_vector, restrict_to_conic, restrict_to_line,
+                    unique_intersection_point)
 
 
 @dataclass(frozen=True)
@@ -566,9 +566,3 @@ def classify(inst: Instance, line_threshold: Optional[int] = None,
                            case_label=inst.case_label, mode="instance",
                            line_threshold=line_threshold,
                            conic_threshold=conic_threshold)
-
-
-def coherence_check(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
-                    curve: CurveSpec, d: int):
-    """Off-curve agreement read through the span hypothesis machinery."""
-    return off_curve_agreement(s_c, s_r, curve, d)

@@ -17,6 +17,8 @@ import time
 import pytest
 
 from test_binary import oracle_complex_rank
+from test_spans import embed_on_line
+from test_verifier import coherence_check
 
 from waringlab.binary import (BinaryForm, complex_rank, power_point,
                               real_rank, reconstruct, reconstruction_check)
@@ -24,9 +26,8 @@ from waringlab.factory import generate_instance
 from waringlab.points import (REDUCIBLE_CONIC, CurveSpec, PointSet,
                               ProjectivePoint)
 from waringlab.scalars import ONE, ZERO, Scalar
-from waringlab.spans import (Conclusion, HypothesisFails, embed_on_line,
-                             h1_ideal)
-from waringlab.verifier import classify, coherence_check, detect_structure
+from waringlab.spans import Conclusion, HypothesisFails, h1_ideal
+from waringlab.verifier import classify, detect_structure
 
 SUB_CHECKS = {"a": ("a.i", "a.ii", "a.iii"),
               "b": ("b.i", "b.ii", "b.iii", "b.iv"),

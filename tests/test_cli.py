@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import concurrent.futures.process
 import contextlib
 import io
 import json
+import multiprocessing
+import os
 import sys
 import tempfile
 from fractions import Fraction
@@ -366,6 +369,116 @@ def test_suite_runs_full_grid(tmp_path, capsys):
     assert ("c", 5, 3) in cells and ("a", 3, 2) in cells
     golden = Path(__file__).parent / "golden" / "suite-seed0.json"
     assert out_path.read_bytes() == golden.read_bytes()
+
+
+# -- the suite's worker pool ---------------------------------------------------
+
+def _pin_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _quick_cell(cell, seed):
+    """A cheap stand-in for cli._suite_cell that says where it ran."""
+    case, d, m = cell
+    return {"case": case, "d": d, "m": m, "seed": seed,
+            "overall_pass": True, "label_match": True, "headline": case,
+            "in_worker": multiprocessing.parent_process() is not None}
+
+
+def _cell_failing_on_b43_and_c64(cell, seed):
+    if cell in (("b", 4, 3), ("c", 6, 4)):
+        raise ValueError(f"cell {cell} failed")
+    return _quick_cell(cell, seed)
+
+
+def _cell_killing_its_worker(cell, seed):
+    if cell == ("c", 6, 4) and multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _quick_cell(cell, seed)
+
+
+def _quick_suite(capsys, monkeypatch, cell, cpus: int):
+    monkeypatch.setattr(cli, "_suite_cell", cell)
+    _pin_cpus(monkeypatch, cpus)
+    result = run(capsys, "suite", "--seed", "3")
+    assert multiprocessing.active_children() == []
+    return result
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_suite_bytes_do_not_depend_on_the_worker_count(seed, monkeypatch,
+                                                       capsys):
+    outputs = []
+    for cpus in (1, 2):
+        _pin_cpus(monkeypatch, cpus)
+        rc, out, err = run(capsys, "suite", "--seed", str(seed))
+        assert rc == 0 and err == ""
+        assert multiprocessing.active_children() == []
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    if seed == 0:
+        golden = Path(__file__).parent / "golden" / "suite-seed0.json"
+        assert outputs[0] == golden.read_text()
+
+
+def test_suite_runs_its_cells_in_workers_in_grid_order(monkeypatch, capsys):
+    rc, out, _ = _quick_suite(capsys, monkeypatch, _quick_cell, 2)
+    rows = json.loads(out)["rows"]
+    assert rc == 0
+    assert [(r["case"], r["d"], r["m"]) for r in rows] == cli._suite_grid()
+    assert all(r["in_worker"] for r in rows)
+
+
+def test_suite_reports_the_first_failing_cell_in_grid_order(monkeypatch,
+                                                            capsys):
+    # c64 fails first in time (it is submitted first), b43 first in the grid
+    alone = _quick_suite(capsys, monkeypatch, _cell_failing_on_b43_and_c64, 1)
+    pooled = _quick_suite(capsys, monkeypatch, _cell_failing_on_b43_and_c64,
+                          2)
+    assert pooled == alone
+    rc, out, err = pooled
+    assert rc == 2 and out == ""
+    assert json.loads(err) == {"error": "ValueError",
+                               "message": "cell ('b', 4, 3) failed"}
+
+
+def test_suite_runs_in_process_when_the_pool_cannot_start(monkeypatch,
+                                                          capsys):
+    def no_pool(*args, **kwargs):
+        raise OSError("no pool here")
+
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        no_pool)
+    rc, out, err = _quick_suite(capsys, monkeypatch, _quick_cell, 2)
+    assert rc == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 28 and not any(r["in_worker"] for r in rows)
+
+
+def test_suite_stops_the_started_workers_when_a_fork_fails(monkeypatch,
+                                                           capsys):
+    start = multiprocessing.context.ForkProcess.start
+    forks = []
+
+    def second_fork_fails(proc):
+        forks.append(proc)
+        if len(forks) == 2:
+            raise OSError("fork failed")
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start",
+                        second_fork_fails)
+    rc, out, _ = _quick_suite(capsys, monkeypatch, _quick_cell, 2)
+    assert rc == 0 and len(forks) == 2
+    assert not any(r["in_worker"] for r in json.loads(out)["rows"])
+
+
+def test_suite_runs_in_process_when_a_worker_dies(monkeypatch, capsys):
+    rc, out, err = _quick_suite(capsys, monkeypatch,
+                                _cell_killing_its_worker, 2)
+    assert rc == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 28 and not any(r["in_worker"] for r in rows)
 
 
 def test_unknown_case_choice_exits_with_usage_error(capsys):

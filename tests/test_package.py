@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 from waringlab import spans
@@ -54,3 +56,16 @@ def test_power_row_keeps_the_cache_the_bench_reads():
     assert hasattr(row, "cache_info") and hasattr(row, "cache_clear")
     assert row.__wrapped__.__module__ == "waringlab.spans"
     assert row.cache_info().maxsize is None
+
+
+def test_importing_the_cli_loads_no_pool_module():
+    # the suite imports its worker pool when it runs: at module level the
+    # pool modules would add their import time to every command's start
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import waringlab.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'}"
+             " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe, str(SRC.parent)],
+                         capture_output=True, text=True, check=True,
+                         timeout=60).stdout
+    assert out == "[]\n"

@@ -61,6 +61,39 @@ def test_pointset_dedup_and_union():
     assert P(1, 0) in s and P(1, 1) not in s
 
 
+def _list_dedup(points) -> tuple:
+    # the reference: first occurrence of each point by equality, then sorted
+    seen = []
+    for p in points:
+        if p not in seen:
+            seen.append(p)
+    seen.sort(key=lambda p: p.sort_key())
+    return tuple(seen)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pointset_dedup_matches_list_dedup(seed):
+    rng = random.Random(seed)
+    m = 1 + seed % 4
+    pool = []
+    while len(pool) < 12:
+        coords = [Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                            rng.choice((0, 0, 1, -2)))
+                  for _ in range(m + 1)]
+        if any(not c.is_zero for c in coords):
+            pool.append(ProjectivePoint(tuple(coords)))
+    # scaled copies of pool points: equal after canonicalisation, distinct
+    # objects with other coordinates before it
+    picks = [rng.choice(pool) for _ in range(40)]
+    points = [ProjectivePoint(tuple(c * Scalar.of(k) for c in p.coords))
+              for p, k in zip(picks, rng.choices((1, 2, -3), k=40))]
+    s = PointSet.of(points)
+    reference = _list_dedup(points)
+    assert s.points == reference
+    assert all(a is b for a, b in zip(s.points, reference))
+    assert len(s) == len(set(s.points)) < len(points)
+
+
 def test_pointset_conjugation_stability():
     i = Scalar.of(0, 1)
     pair = PointSet.of([ProjectivePoint((ONE, i, ZERO)),

@@ -25,11 +25,16 @@ from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
                              catalecticant_rank, conic_power_basis,
                              curve_meet_point, curve_power_basis,
-                             embed_on_line, h1_ideal, line_power_basis,
+                             h1_ideal, line_power_basis,
                              membership, off_curve_agreement,
                              pair_power_basis, parametrize_conic, power_row,
                              power_vector, restrict_to_conic,
                              restrict_to_line, unique_intersection_point)
+
+
+def embed_on_line(line: CurveSpec, points1) -> list[ProjectivePoint]:
+    """The points of a line at the parameters (s, t) in points1."""
+    return [line.point_at(s, t) for s, t in points1]
 
 
 def P(*vals) -> ProjectivePoint:

@@ -11,9 +11,8 @@ from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
                               ProjectivePoint)
 from waringlab.scalars import Scalar
-from waringlab.spans import Conclusion
-from waringlab.verifier import (classify, classify_triple, coherence_check,
-                                detect_structure)
+from waringlab.spans import Conclusion, off_curve_agreement
+from waringlab.verifier import classify, classify_triple, detect_structure
 
 NO_STRUCTURE_NOTE = ("no rich line, conic, or disjoint line pair found; "
                      "input sits outside the structure dichotomy")
@@ -21,6 +20,12 @@ NO_STRUCTURE_NOTE = ("no rich line, conic, or disjoint line pair found; "
 
 def P(*vals) -> ProjectivePoint:
     return ProjectivePoint.of(*vals)
+
+
+def coherence_check(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
+                    curve: CurveSpec, d: int):
+    """Off-curve agreement of an instance's two point sets."""
+    return off_curve_agreement(s_c, s_r, curve, d)
 
 
 def worked_example():
