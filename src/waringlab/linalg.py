@@ -188,14 +188,6 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return row_rank([_clear_row(row) for row in rows])
 
 
-def in_span(columns: Sequence[Sequence[Scalar]],
-            vector: Sequence[Scalar]) -> bool:
-    """Whether vector is a combination of the columns: one elimination of
-    [columns | vector], whose last column must not be a pivot."""
-    rows = [_clear_row(row) for row in zip(*columns, vector)]
-    return len(columns) not in pivots(rows)
-
-
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
     m = [_clear_row(row) for row in rows]

@@ -10,7 +10,10 @@ echelon basis of its span.  A conic (smooth or reducible) stores a plane
 (echelon basis rows plus pivot columns) and the six coefficients of a
 quadratic form in plane coordinates, scaled so the first nonzero coefficient
 is 1.  TwoDisjointLines stores the pair.  Rich-curve search is exhaustive
-and exact; see find_rich_lines / find_rich_conics.
+and exact, and it rests on one bound: a curve through t of n sorted points
+has its first k points among the first n - t + k.  So a rich line takes
+its two points, a rich plane its first two and a smooth conic its five from
+that head of the sorted points; see find_rich_lines / find_rich_conics.
 """
 
 from __future__ import annotations
@@ -269,14 +272,6 @@ class CurveSpec:
     def point_from_plane(self, u: Sequence[Scalar]) -> ProjectivePoint:
         return ProjectivePoint(_from_plane(self.plane_rows, u))
 
-    def point_at(self, s: Scalar, t: Scalar) -> ProjectivePoint:
-        """Point s*b1 + t*b2 of a line."""
-        if self.kind != LINE:
-            raise ValueError("point_at is for lines")
-        b1, b2 = self.line_basis
-        return ProjectivePoint(tuple(s * a + t * b
-                                     for a, b in zip(b1.coords, b2.coords)))
-
     @property
     def is_real(self) -> bool:
         if self.kind == LINE:
@@ -503,7 +498,9 @@ def find_rich_lines(s: PointSet,
         raise ValueError("threshold must be at least 2")
     seen: dict = {}
     pts = list(s)
-    for p, q in itertools.combinations(pts, 2):
+    # a negative slice end would keep all but the last few points
+    head = pts[:max(0, len(pts) - threshold + 2)]
+    for p, q in itertools.combinations(head, 2):
         line = CurveSpec.line(p, q)
         key = line.sort_key()
         if key in seen:
@@ -527,7 +524,11 @@ def _conic_through(points5: Sequence[ProjectivePoint],
 
 def _planes_of(s: PointSet,
                min_members: int) -> list[tuple[tuple, tuple, list[ProjectivePoint]]]:
-    """Planes spanned by triples of s holding >= min_members points of s."""
+    """Planes spanned by triples of s holding >= min_members points of s.
+
+    A rich plane's first two members lie in the head, and its members span
+    it, so a later member lies off their line and completes a visited triple.
+    """
     pts = list(s)
     if len(pts) < min_members:
         return []
@@ -536,21 +537,24 @@ def _planes_of(s: PointSet,
         return [(rows, (0, 1, 2), pts)]
     seen = set()
     out = []
-    for triple in itertools.combinations(pts, 3):
-        if spanning_rank(triple) != 3:
-            continue
-        # the nullspace is read off the RREF, so it names the plane
-        eqs = tuple(tuple(linalg._clear_row(v))
-                    for v in linalg.nullspace([p.coords for p in triple]))
-        if eqs in seen:
-            continue
-        seen.add(eqs)
-        members = [p for p in pts if _incident(eqs, p.zcoords)]
-        if len(members) < min_members:
-            continue
-        reduced, pivots = linalg.rref([list(p.coords) for p in triple])
-        rows = tuple(tuple(r) for r in reduced[:3])
-        out.append((rows, tuple(pivots), members))
+    for i, j in itertools.combinations(range(len(pts) - min_members + 2), 2):
+        for x in pts[j + 1:]:
+            triple = (pts[i], pts[j], x)
+            # a collinear triple leaves an (m-1)-dimensional kernel; the
+            # kernel of a plane is read off the RREF, so it names the plane
+            kernel = linalg.nullspace([p.coords for p in triple])
+            if len(kernel) != s.m - 2:
+                continue
+            eqs = tuple(tuple(linalg._clear_row(v)) for v in kernel)
+            if eqs in seen:
+                continue
+            seen.add(eqs)
+            members = [p for p in pts if _incident(eqs, p.zcoords)]
+            if len(members) < min_members:
+                continue
+            reduced, pivots = linalg.rref([list(p.coords) for p in triple])
+            rows = tuple(tuple(r) for r in reduced[:3])
+            out.append((rows, tuple(pivots), members))
     return out
 
 
@@ -558,9 +562,7 @@ def find_rich_conics(s: PointSet,
                      threshold: int) -> list[tuple[CurveSpec, int]]:
     """All point-determined conics with >= threshold incidences in s.
 
-    Smooth candidates: a conic missing at most n-threshold points of an
-    n-point plane cluster must pick up 5 points inside any window of
-    n-threshold+5 cluster points, so 5-subsets of that window suffice.
+    Smooth candidates come from 5-subsets of each rich plane's head.
     Reducible candidates: one branch carries >= threshold/2 points, so pairs
     (rich line, any 2-point line) cover them.  Conics not determined by
     their incidences (pencil members) are skipped by construction.
@@ -568,36 +570,25 @@ def find_rich_conics(s: PointSet,
     if threshold < 5:
         raise ValueError("threshold must be at least 5")
     found: dict = {}
+    half = (threshold + 1) // 2
     for rows, pivots, members in _planes_of(s, threshold):
         cluster = PointSet(tuple(members))
         pts = list(cluster)
-        n = len(pts)
-        window = pts[:min(n, n - threshold + 5)]
         candidates: list[list[Scalar]] = []
-        for five in itertools.combinations(window, 5):
+        for five in itertools.combinations(pts[:len(pts) - threshold + 5], 5):
             vec = _conic_through(five, pivots)
             if vec is not None:
                 candidates.append(vec)
-        half = (threshold + 1) // 2
-        counts: dict = {}
-        line_list = []
-        for p, q in itertools.combinations(pts, 2):
-            l = CurveSpec.line(p, q)
-            k = l.sort_key()
-            if k in counts:
-                continue
-            counts[k] = sum(1 for x in pts if l.contains(x))
-            line_list.append(l)
-        rich = [l for l in line_list
-                if counts[l.sort_key()] >= max(2, half)]
-        rich.sort(key=lambda l: (-counts[l.sort_key()], l.sort_key()))
-        for big in rich:
-            nbig = counts[big.sort_key()]
-            for other in line_list:
-                if other == big:
-                    continue
+        # sorted by count, so the rich branches form a prefix
+        lines = find_rich_lines(cluster, 2)
+        for big, nbig in lines:
+            if nbig < half:
+                break
+            for other, nother in lines:
                 # the pair cannot reach threshold incidences otherwise
-                if nbig + counts[other.sort_key()] < threshold:
+                if nbig + nother < threshold:
+                    break
+                if other is big:
                     continue
                 try:
                     conic = CurveSpec.reducible_from_lines(big, other)

@@ -90,7 +90,7 @@ def membership(form: HomogeneousForm, s: PointSet, d: int,
             raise ValueError("real membership needs real points")
     elif field_tag != "C":
         raise ValueError("field must be R or C")
-    # scaled columns span the same lines, so in_span's answer is unchanged
+    # scaled columns span the same lines, so the pivot columns are unchanged
     target = linalg._clear_row(form.coeff_vector())
     rows = list(zip(*[power_row(p, d) for p in s], target))
     return len(s) not in linalg.pivots(rows)
@@ -221,9 +221,6 @@ class ConicParametrization:
     @property
     def is_real(self) -> bool:
         return all(q.is_real for q in self.quadrics)
-
-    def point_at(self, s: Scalar, t: Scalar) -> ProjectivePoint:
-        return ProjectivePoint(tuple(q.evaluate(s, t) for q in self.quadrics))
 
 
 def parametrize_conic(curve: CurveSpec,

@@ -199,18 +199,20 @@ def detect_structure(union: PointSet, d: int,
     ct = 2 * d + 2 if conic_threshold is None else conic_threshold
     lines = find_rich_lines(union, lt)
     conics = find_rich_conics(union, ct)
-    pairs = []
+    pairs = sorted(_disjoint_pairs(lines),
+                   key=lambda row: (-(row[1] + row[2]), row[0].sort_key()))
+    return DetectedStructure(tuple(lines), tuple(conics), tuple(pairs))
+
+
+def _disjoint_pairs(lines: list[tuple[CurveSpec, int]]):
+    """Each disjoint pair of the counted lines, with the count on each leg."""
     for (l1, n1), (l2, n2) in itertools.combinations(lines, 2):
         try:
             pair = CurveSpec.two_lines(l1, l2)
         except ValueError:
             continue
-        first, second = pair.branches
-        counts = {l1.sort_key(): n1, l2.sort_key(): n2}
-        pairs.append((pair, counts[first.sort_key()],
-                      counts[second.sort_key()]))
-    pairs.sort(key=lambda row: (-(row[1] + row[2]), row[0].sort_key()))
-    return DetectedStructure(tuple(lines), tuple(conics), tuple(pairs))
+        # two_lines orders its legs by key
+        yield (pair, n1, n2) if pair.branches[0] is l1 else (pair, n2, n1)
 
 
 # -- steps every case shares -------------------------------------------------------
@@ -545,16 +547,10 @@ def classify_triple(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
         notes.append("no rich line, conic, or disjoint line pair found; "
                      "input sits outside the structure dichotomy")
         near = find_rich_lines(union, d + 1)
-        for (l1, n1), (l2, n2) in itertools.combinations(near, 2):
-            if n1 == d + 1 and n2 == d + 1:
-                try:
-                    CurveSpec.two_lines(l1, l2)
-                except ValueError:
-                    continue
-                notes.append("two disjoint lines hold exactly d+1 points "
-                             "each; such points impose independent "
-                             "conditions and carry no span failure")
-                break
+        if any(n1 == n2 == d + 1 for _pair, n1, n2 in _disjoint_pairs(near)):
+            notes.append("two disjoint lines hold exactly d+1 points "
+                         "each; such points impose independent "
+                         "conditions and carry no span failure")
     return CaseReport(mode, m, d, case_label, tuple(hyp), h1_total,
                       det.lines, det.conics, det.pairs, tuple(attempts),
                       tuple(notes))

@@ -2,20 +2,30 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from waringlab import linalg, points
 from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
-                              ProjectivePoint, _conj_line, find_rich_conics,
-                              find_rich_lines, spanning_rank, split_on_curve)
+                              ProjectivePoint, _conj_line, _incident,
+                              find_rich_conics, find_rich_lines,
+                              spanning_rank, split_on_curve)
 from waringlab.scalars import ONE, ZERO, Scalar
 
 
 def P(*vals) -> ProjectivePoint:
     return ProjectivePoint.of(*vals)
+
+
+def line_point(line: CurveSpec, s: Scalar, t: Scalar) -> ProjectivePoint:
+    """The point s*b1 + t*b2 of a line with basis (b1, b2)."""
+    b1, b2 = line.line_basis
+    return ProjectivePoint(tuple(s * a + t * b
+                                 for a, b in zip(b1.coords, b2.coords)))
 
 
 def difference(s: PointSet, t: PointSet) -> PointSet:
@@ -109,7 +119,7 @@ def test_line_membership_and_point_at():
     assert line.kind == LINE
     assert line.contains(P(1, 5, 0))
     assert not line.contains(P(1, 0, 1))
-    q = line.point_at(Scalar.of(2), Scalar.of(3))
+    q = line_point(line, Scalar.of(2), Scalar.of(3))
     assert line.contains(q)
     # the same line from different spanning points compares equal
     other = CurveSpec.line(P(1, 1, 0), P(1, -1, 0))
@@ -230,6 +240,107 @@ def test_find_rich_conics_in_higher_ambient():
     hits = find_rich_conics(PointSet.of(pts), 7)
     assert len(hits) == 1
     assert hits[0][1] == 7
+
+
+# -- the head windows of the rich-curve search ----------------------------------
+
+def planted_set(seed: int) -> tuple[PointSet, list, list]:
+    """Two meeting lines, a 4-7 point conic and 0-3 strays in P^(2 + seed % 3).
+
+    The first line lies in x0 = 0, so its 3-4 points sort first: the three
+    smallest points of the reducible conic the two lines form lie on one
+    branch.  The second line holds 2-7 points in P^2 and 6 = 2d + 2 (d = 2)
+    in P^3 and P^4, where every plane through it and one more point is rich.
+    The conic points lie far out along x1, so they sort last: at a threshold
+    equal to their number, the first two points of the conic's plane are the
+    last two points that the head keeps.
+    Returns the set, the first line's points and the conic's points.
+    """
+    rng = random.Random(seed)
+    m = 2 + seed % 3
+
+    def vec(lead: int) -> list[int]:
+        return [lead] + [rng.randint(-3, 3) for _ in range(m)]
+
+    def on_line(a, b, ts) -> list[ProjectivePoint]:
+        return [P(*(x + t * y for x, y in zip(a, b))) for t in ts]
+
+    u = [0, 1] + vec(0)[2:]
+    v = [0, 0, 1] + vec(0)[3:]
+    first = on_line(u, v, range(rng.randint(3, 4)))
+    node = [x + 9 * y for x, y in zip(u, v)]
+    size = 6 if m >= 3 else rng.randint(2, 7)
+    second = on_line(node, vec(rng.randint(1, 3)), range(1, size + 1))
+    a, b, c = [1, 1000] + vec(0)[2:], vec(0), vec(0)
+    conic = [P(*(x + t * y + t * t * z for x, y, z in zip(a, b, c)))
+             for t in range(-2, rng.randint(2, 5))]
+    strays = [P(*vec(rng.randint(1, 3))) for _ in range(rng.randint(0, 3))]
+    return PointSet.of(first + second + conic + strays), first, conic
+
+
+def all_pairs_rich_lines(s: PointSet, threshold: int):
+    """The all-pairs reference for find_rich_lines: a line from every pair."""
+    seen: dict = {}
+    pts = list(s)
+    for p, q in itertools.combinations(pts, 2):
+        line = CurveSpec.line(p, q)
+        key = line.sort_key()
+        if key in seen:
+            continue
+        count = sum(1 for x in pts if line.contains(x))
+        seen[key] = (line, count)
+    out = [(line, c) for line, c in seen.values() if c >= threshold]
+    out.sort(key=lambda pair: (-pair[1], pair[0].sort_key()))
+    return out
+
+
+def all_triples_planes(s: PointSet):
+    """Every plane that a triple of s spans, with its members in s."""
+    pts = list(s)
+    seen = set()
+    out = []
+    for triple in itertools.combinations(pts, 3):
+        if spanning_rank(triple) != 3:
+            continue
+        eqs = tuple(tuple(linalg._clear_row(v))
+                    for v in linalg.nullspace([p.coords for p in triple]))
+        if eqs in seen:
+            continue
+        seen.add(eqs)
+        members = [p for p in pts if _incident(eqs, p.zcoords)]
+        reduced, pivots = linalg.rref([list(p.coords) for p in triple])
+        out.append((tuple(tuple(r) for r in reduced[:3]), tuple(pivots),
+                    members))
+    return out
+
+
+def _as_json(found) -> list:
+    return [(curve.to_json(), count) for curve, count in found]
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_rich_line_head_is_exact(seed):
+    s, first, conic = planted_set(seed)
+    pts = list(s)
+    assert pts[:len(first)] == sorted(first, key=ProjectivePoint.sort_key)
+    assert pts[-len(conic):] == sorted(conic, key=ProjectivePoint.sort_key)
+    table = all_pairs_rich_lines(s, 2)
+    for threshold in range(2, len(pts) + 2):
+        want = [(l, c) for l, c in table if c >= threshold]
+        assert _as_json(find_rich_lines(s, threshold)) == _as_json(want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 4, 5])
+def test_rich_plane_head_is_exact(seed, monkeypatch):
+    s, _first, _conic = planted_set(seed)
+    assert s.m >= 3
+    planes = all_triples_planes(s)
+    got = [find_rich_conics(s, t) for t in range(5, len(s) + 2)]
+    monkeypatch.setattr(points, "_planes_of", lambda _s, t: [
+        plane for plane in planes if len(plane[2]) >= t])
+    want = [find_rich_conics(s, t) for t in range(5, len(s) + 2)]
+    assert [_as_json(x) for x in got] == [_as_json(x) for x in want]
+    assert any(conic.kind == REDUCIBLE_CONIC for conic, _ in want[0])
 
 
 def test_curve_json_roundtrip():

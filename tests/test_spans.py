@@ -16,6 +16,8 @@ import pytest
 import sympy
 
 from test_forms import LinearForm, power_of_linear
+from test_linalg import in_span
+from test_points import line_point
 from waringlab import linalg
 from waringlab.binary import complex_rank, power_point
 from waringlab.factory import _genericity_certs
@@ -34,7 +36,7 @@ from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
 
 def embed_on_line(line: CurveSpec, points1) -> list[ProjectivePoint]:
     """The points of a line at the parameters (s, t) in points1."""
-    return [line.point_at(s, t) for s, t in points1]
+    return [line_point(line, s, t) for s, t in points1]
 
 
 def P(*vals) -> ProjectivePoint:
@@ -51,8 +53,13 @@ class VeroneseSpace:
         return comb(self.m + self.d, self.d) - 1
 
 
+def conic_point(param, s: Scalar, t: Scalar) -> ProjectivePoint:
+    """The point of a parametrized conic at the parameter (s, t)."""
+    return ProjectivePoint(tuple(q.evaluate(s, t) for q in param.quadrics))
+
+
 def embed_on_conic(param, points1) -> list[ProjectivePoint]:
-    return [param.point_at(s, t) for s, t in points1]
+    return [conic_point(param, s, t) for s, t in points1]
 
 
 def pow_form(p: ProjectivePoint, d: int) -> HomogeneousForm:
@@ -223,7 +230,7 @@ def test_h1_and_membership_agree_with_scalar_rank_and_span():
                 if form.is_zero:
                     continue
                 got = membership(form, s, d, "C")
-                assert got == linalg.in_span(vectors, form.coeff_vector())
+                assert got == in_span(vectors, form.coeff_vector())
                 seen.add(("member", got))
     assert seen == {("h1 > 0", True), ("h1 > 0", False),
                     ("member", True), ("member", False)}
@@ -487,7 +494,7 @@ def test_parametrize_conic_identities():
     seen = set()
     for s, t in ((ONE, ZERO), (ZERO, ONE), (ONE, ONE),
                  (ONE, Scalar.of(-2))):
-        p = param.point_at(s, t)
+        p = conic_point(param, s, t)
         assert conic.contains(p)
         seen.add(p)
     assert len(seen) == 4
@@ -501,7 +508,7 @@ def test_conic_restriction_doubles_degree():
                             [ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO])
     param = parametrize_conic(conic, P(1, 0, 0))
     d = 3
-    p = param.point_at(ONE, ONE)
+    p = conic_point(param, ONE, ONE)
     g = restrict_to_conic(pow_form(p, d), param)
     assert g.degree == 2 * d
     rc, dec = complex_rank(g)
