@@ -20,8 +20,8 @@ from .points import (CurveSpec, PointSet, ProjectivePoint, find_rich_conics,
 from .scalars import Scalar, format_rational, parse_rational
 from .spans import (Conclusion, HypothesisFails, NotUnique, SpanReport,
                     catalecticant_rank, h1_ideal, membership,
-                    off_curve_agreement, parametrize_conic, restrict_to_conic,
-                    restrict_to_line, unique_intersection_point)
+                    off_curve_agreement, parametrize_conic, parametrize_line,
+                    restrict_to_curve, unique_intersection_point)
 from .verifier import (CaseAttempt, CaseReport, CheckResult, classify,
                        classify_triple, detect_structure, verify_case_a,
                        verify_case_b, verify_case_c)
@@ -41,7 +41,7 @@ __all__ = [
     "Scalar", "format_rational", "parse_rational",
     "Conclusion", "HypothesisFails", "NotUnique", "SpanReport",
     "catalecticant_rank", "h1_ideal", "membership", "off_curve_agreement",
-    "parametrize_conic", "restrict_to_conic", "restrict_to_line",
+    "parametrize_conic", "parametrize_line", "restrict_to_curve",
     "unique_intersection_point",
     "CaseAttempt", "CaseReport", "CheckResult", "classify",
     "classify_triple", "detect_structure", "verify_case_a", "verify_case_b",

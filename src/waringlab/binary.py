@@ -450,7 +450,7 @@ def _real_rooted_search(f: BinaryForm, kernel: list[list[Scalar]],
             q_plain = poly_mul(q_plain, [b, -a])
         sys_rows = [[sum((q * hrow[i + j] for i, q in enumerate(q_plain)),
                          ZERO) for j in range(c + 1)] for hrow in h_rows]
-        sol_space = linalg.nullspace(sys_rows, num_cols=c + 1)
+        sol_space = linalg.nullspace(sys_rows)
         if not sol_space:
             continue
         candidates = list(sol_space)

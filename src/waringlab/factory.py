@@ -29,10 +29,10 @@ from .forms import HomogeneousForm, substitute
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
                      ProjectivePoint, spanning_rank, split_on_curve)
 from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
-from .spans import (ConicParametrization, catalecticant_rank,
-                    conic_power_basis, curve_power_basis, h1_ideal,
-                    line_power_basis, membership, power_row,
-                    power_vector, restrict_to_conic, restrict_to_line)
+from .spans import (CurveParametrization, catalecticant_rank,
+                    curve_power_basis, h1_ideal, membership,
+                    parametrize_line, power_basis, power_row, power_vector,
+                    restrict_to_curve)
 
 CASE_A = "a"
 CASE_B = "b"
@@ -174,12 +174,10 @@ class _Piece:
     lam_r: list[Scalar]
 
 
-def _transplant(gap: BinaryForm, embed: Callable, restrict: Callable,
+def _transplant(gap: BinaryForm, param: CurveParametrization,
                 d: int) -> _Piece:
-    """Embed both certified decompositions of a gap form on a curve.
-
-    embed(s, t) gives the ambient coordinates of the parameter point [s:t];
-    restrict(form) reads a form on the curve back as a binary form.
+    """Embed both certified decompositions of a gap form on a curve through
+    param.point, and check that the result restricts back to the gap form.
     """
     rc, dec_c = complex_rank(gap)
     rr, dec_r = real_rank(gap)
@@ -193,27 +191,14 @@ def _transplant(gap: BinaryForm, embed: Callable, restrict: Callable,
         raise ConstraintViolation(
             "gap-ranks", f"need a real rank gap, got ({rc}, {rr})")
     qc, pts_c, lam_c = _embedded_power_sum(
-        [embed(s, t) for s, t in dec_c.points], dec_c.coeffs, d)
+        [param.point(s, t) for s, t in dec_c.points], dec_c.coeffs, d)
     qr, pts_r, lam_r = _embedded_power_sum(
-        [embed(s, t) for s, t in dec_r.points], dec_r.coeffs, d)
+        [param.point(s, t) for s, t in dec_r.points], dec_r.coeffs, d)
     if qc != qr:
         raise ArithmeticError("two transplants of one form disagree")
-    if restrict(qc) != gap:
+    if restrict_to_curve(qc, param) != gap:
         raise ArithmeticError("transplant does not restrict back")
     return _Piece(qc, rc, rr, pts_c, lam_c, pts_r, lam_r)
-
-
-def _line_maps(line: CurveSpec) -> tuple[Callable, Callable]:
-    """[s:t] -> s*b1 + t*b2 along the line basis, and restriction back."""
-    b1, b2 = line.line_basis
-    return (lambda s, t: tuple(s * a + t * b
-                               for a, b in zip(b1.coords, b2.coords)),
-            lambda form: restrict_to_line(form, line))
-
-
-def _conic_maps(param: ConicParametrization) -> tuple[Callable, Callable]:
-    return (lambda s, t: tuple(q.evaluate(s, t) for q in param.quadrics),
-            lambda form: restrict_to_conic(form, param))
 
 
 def _check_budget(d: int, size_c: int, size_r: int) -> None:
@@ -284,10 +269,7 @@ def _common_certs(inst_form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
     if rep.h1 <= 0:
         raise ConstraintViolation("h1-positive", "union imposes "
                                   "independent conditions")
-    on_c, off_c = split_on_curve(s_c, curve)
-    on_r, off_r = split_on_curve(s_r, curve)
-    same = sorted(p.sort_key() for p in off_c) == sorted(
-        p.sort_key() for p in off_r)
+    same = split_on_curve(s_c, curve)[1] == split_on_curve(s_r, curve)[1]
     certs.append(Certificate("off-curve-agreement", same))
     if not same:
         raise ConstraintViolation("off-curve-agreement",
@@ -335,16 +317,17 @@ def _union_threshold(pieces: Sequence[_Piece], need: int,
 def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
            e_points: Sequence[ProjectivePoint],
            e_coeffs: Optional[Sequence[Scalar]], seed: int, rank_note: str,
-           thresholds: Callable[[list[_Piece]], list[Certificate]],
-           param: Optional[ConicParametrization] = None) -> Instance:
+           thresholds: Callable[[list[_Piece]], list[Certificate]]
+           ) -> Instance:
     """The construction every case shares, on a validated real curve.
 
-    arcs lists (gap form, (embed, restrict)) for each curve component
-    that carries a gap; thresholds checks the curve's richness on the
+    arcs lists (gap form, parametrization) for each curve component that
+    carries a gap; the first one's parametrization also gives the power
+    basis of a smooth conic.  thresholds checks the curve's richness on the
     transplanted pieces and returns its certificates.
     """
     want = 2 * d if curve.kind == SMOOTH_CONIC else d
-    for gap, _maps in arcs:
+    for gap, _param in arcs:
         if gap.degree != want or not gap.is_real:
             raise ConstraintViolation(
                 "gap-ranks", f"gap forms must be real of degree {want}")
@@ -353,7 +336,7 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
             raise ConstraintViolation("off-curve", "E must be real")
         if curve.contains(p):
             raise ConstraintViolation("off-curve", "E must avoid the curve")
-    pieces = [_transplant(gap, *maps, d) for gap, maps in arcs]
+    pieces = [_transplant(gap, param, d) for gap, param in arcs]
     size_c = sum(pc.rc for pc in pieces) + len(e_points)
     size_r = sum(pc.rr for pc in pieces) + len(e_points)
     _check_budget(d, size_c, size_r)
@@ -379,7 +362,7 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
         "budget", True, "",
         (("sizes", f"{size_c}+{size_r}"), ("limit", str(3 * d - 1)))))
     certs += _genericity_certs(e_points, d,
-                               curve_power_basis(curve, d, param))
+                               curve_power_basis(curve, d, arcs[0][1]))
     if not all(c.passed for c in certs):
         bad = next(c for c in certs if not c.passed)
         raise ConstraintViolation(bad.name, "genericity failure")
@@ -401,7 +384,7 @@ def make_case_a(m: int, d: int, gap_form: BinaryForm,
         raise ConstraintViolation("curve", "need a line in the right space")
     if not line.is_real:
         raise ConstraintViolation("curve", "the line must be real")
-    return _build(CASE_A, m, d, line, [(gap_form, _line_maps(line))],
+    return _build(CASE_A, m, d, line, [(gap_form, parametrize_line(line))],
                   e_points, e_coeffs, seed,
                   "certified binary ranks on the line",
                   lambda pieces: [_union_threshold(pieces, d + 2,
@@ -410,7 +393,7 @@ def make_case_a(m: int, d: int, gap_form: BinaryForm,
 
 def make_case_b(m: int, d: int, gap_form: BinaryForm,
                 e_points: Sequence[ProjectivePoint],
-                param: ConicParametrization,
+                param: CurveParametrization,
                 e_coeffs: Optional[Sequence[Scalar]] = None,
                 seed: int = 0) -> Instance:
     """Rank disagreement carried by a smooth conic (degree-2d gap form)."""
@@ -421,12 +404,11 @@ def make_case_b(m: int, d: int, gap_form: BinaryForm,
     if not curve.is_real or not param.is_real:
         raise ConstraintViolation("curve", "conic and parametrization "
                                   "must be real")
-    return _build(CASE_B, m, d, curve, [(gap_form, _conic_maps(param))],
+    return _build(CASE_B, m, d, curve, [(gap_form, param)],
                   e_points, e_coeffs, seed,
                   "certified binary ranks on the conic",
                   lambda pieces: [_union_threshold(pieces, 2 * d + 2,
-                                                   "two_d_plus_2")],
-                  param)
+                                                   "two_d_plus_2")])
 
 
 def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
@@ -463,8 +445,8 @@ def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
              ("d_plus_1", str(d + 1))))]
 
     return _build(CASE_B, m, d, curve,
-                  [(gap_left, _line_maps(line_left)),
-                   (gap_right, _line_maps(line_right))],
+                  [(gap_left, parametrize_line(line_left)),
+                   (gap_right, parametrize_line(line_right))],
                   e_points, e_coeffs, seed,
                   "certified per-branch binary ranks", thresholds)
 
@@ -498,8 +480,8 @@ def make_case_c(m: int, d: int, gap_left: BinaryForm,
              ("d_plus_2", str(d + 2))))]
 
     return _build(CASE_C, m, d, curve,
-                  [(gap_left, _line_maps(left)),
-                   (gap_right, _line_maps(right))],
+                  [(gap_left, parametrize_line(left)),
+                   (gap_right, parametrize_line(right))],
                   e_points, e_coeffs, seed,
                   "certified per-line binary ranks", thresholds)
 
@@ -539,9 +521,11 @@ def _random_transplant(rng: random.Random) -> tuple[int, int, int, int]:
     return a, b, c, e
 
 
-def _random_line(rng: random.Random, m: int) -> CurveSpec:
+def _random_line(rng: random.Random, m: int,
+                 through: Optional[ProjectivePoint] = None) -> CurveSpec:
+    """A line through two seeded points, or through `through` and one."""
     for _ in range(100):
-        p = _random_point(rng, m)
+        p = _random_point(rng, m) if through is None else through
         q = _random_point(rng, m)
         try:
             return CurveSpec.line(p, q)
@@ -551,7 +535,7 @@ def _random_line(rng: random.Random, m: int) -> CurveSpec:
 
 
 def _standard_conic(rng: random.Random, m: int
-                    ) -> ConicParametrization:
+                    ) -> CurveParametrization:
     """A real smooth conic: the parameter quadrics (s^2, st, t^2) pushed
     into a seeded rational 3-space of the ambient."""
     for _ in range(100):
@@ -568,8 +552,7 @@ def _standard_conic(rng: random.Random, m: int
         for j in range(m + 1):
             quadrics.append(BinaryForm.from_plain(
                 [rows[0][j], rows[1][j], rows[2][j]]))
-        param = ConicParametrization(curve, tuple(quadrics))
-        return param
+        return CurveParametrization(curve, tuple(quadrics))
     raise ArithmeticError("conic sampling failed")
 
 
@@ -628,7 +611,7 @@ def _generate_a(d: int, m: int, seed: int) -> Instance:
         gap = conjugate_pair_form(d, _random_transplant(rng))
         e_count = rng.randint(0, d - 2)
         try:
-            basis = line_power_basis(line, d)
+            basis = power_basis(parametrize_line(line), d)
             e_pts = _sample_e(rng, m, d, e_count, line, basis, [])
             return make_case_a(m, d, gap, e_pts, line,
                                _e_coeffs(rng, len(e_pts), d), seed)
@@ -647,8 +630,8 @@ def _generate_b(d: int, m: int, seed: int) -> Instance:
                 node = _random_point(rng, m)
                 if not node.is_real:
                     continue
-                l1 = _line_through(rng, m, node)
-                l2 = _line_through(rng, m, node)
+                l1 = _random_line(rng, m, node)
+                l2 = _random_line(rng, m, node)
                 if l1 == l2 or not (l1.is_real and l2.is_real):
                     continue
                 pts = list(l1.line_basis) + list(l2.line_basis)
@@ -661,24 +644,13 @@ def _generate_b(d: int, m: int, seed: int) -> Instance:
             param = _standard_conic(rng, m)
             gap = conjugate_pair_form(2 * d, _random_transplant(rng))
             e_count = rng.randint(0, max(0, (d - 3) // 2))
-            basis = conic_power_basis(param, d)
+            basis = power_basis(param, d)
             e_pts = _sample_e(rng, m, d, e_count, param.curve, basis, [])
             return make_case_b(m, d, gap, e_pts, param,
                                _e_coeffs(rng, len(e_pts), d), seed)
         except (ConstraintViolation, ArithmeticError, ValueError):
             continue
     raise ArithmeticError(f"case-b generation failed for seed {seed}")
-
-
-def _line_through(rng: random.Random, m: int,
-                  p: ProjectivePoint) -> CurveSpec:
-    for _ in range(100):
-        q = _random_point(rng, m)
-        try:
-            return CurveSpec.line(p, q)
-        except ValueError:
-            continue
-    raise ArithmeticError("line sampling failed")
 
 
 def _generate_c(d: int, m: int, seed: int) -> Instance:

@@ -206,14 +206,9 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, tuple[int, ...]]:
     return reduced, pivots
 
 
-def nullspace(rows: Sequence[Sequence[Scalar]],
-              num_cols: Optional[int] = None) -> list[list[Scalar]]:
-    """Canonical kernel basis: one vector per free column, unit there."""
-    if not rows:
-        if num_cols is None:
-            raise ValueError("need num_cols for an empty matrix")
-        return [[ONE if i == j else ZERO for i in range(num_cols)]
-                for j in range(num_cols)]
+def nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    """Canonical kernel basis of a nonempty matrix: one vector per free
+    column, unit there."""
     nc = len(rows[0])
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)

@@ -486,9 +486,11 @@ def _line_equation_in_plane(line: CurveSpec, rows, pivots) -> list[Scalar]:
 def split_on_curve(s: PointSet, curve: CurveSpec) -> tuple[PointSet, PointSet]:
     if len(s) and curve.m != s.m:
         raise ValueError("curve and set live in different spaces")
-    on = tuple(p for p in s if curve.contains(p))
-    off = tuple(p for p in s if not curve.contains(p))
-    return PointSet(on), PointSet(off)
+    on: list[ProjectivePoint] = []
+    off: list[ProjectivePoint] = []
+    for p in s:
+        (on if curve.contains(p) else off).append(p)
+    return PointSet(tuple(on)), PointSet(tuple(off))
 
 
 def find_rich_lines(s: PointSet,

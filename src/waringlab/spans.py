@@ -14,11 +14,12 @@ independent conditions in degree d is the single number
 
 and that number drives every hypothesis check downstream.
 
-The powers of the points of a curve span the graded pieces of
-(sum_i images_i(t) x_i)^d, where images_i(t) is coordinate i along the
-curve's parameter: u_i + v_i t on the line through u and v, and the plain
-coefficients of the i-th quadric on a parametrized conic.  Piece k is
-sum_e multinomial(d, e) row_e[k] x^e, read off forms.substitution_rows.
+A CurveParametrization is the one map [s:t] -> point of a curve, its
+coordinate images_i as binary forms: u_i s + v_i t on the line through u
+and v, the i-th quadric on a parametrized conic.  The powers of the curve's
+points span the graded pieces of (sum_i images_i(t) x_i)^d (power_basis),
+and a form in that span restricts to a binary form (restrict_to_curve)
+whose decompositions embed back through the same map (point).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .forms import (HomogeneousForm, gaussian_power, monomial_exponents,
                     multinomial, substitute, substitution_rows)
 from .points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC, TWO_DISJOINT_LINES,
                      CurveSpec, PointSet, ProjectivePoint, _CONIC_EXPS,
-                     _conic_matrix, _eval_conic, _quad_apply)
+                     _conic_matrix, _eval_conic, _quad_apply, split_on_curve)
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -143,16 +144,14 @@ def off_curve_agreement(a: PointSet, b: PointSet, curve: CurveSpec, d: int):
     t = 1 if curve.kind == LINE else 2
     if d <= t:
         raise ValueError("need degree larger than the curve degree")
-    combined = a.union(b)
-    off = PointSet.of(p for p in combined if not curve.contains(p))
+    a_off = split_on_curve(a, curve)[1]
+    b_off = split_on_curve(b, curve)[1]
+    off = a_off.union(b_off)
     if len(off) > 0:
         report = h1_ideal(off, d - t)
         if report.h1 > 0:
             return HypothesisFails(report.h1)
-    a_off = [p for p in a if not curve.contains(p)]
-    b_off = [p for p in b if not curve.contains(p)]
-    return Conclusion(sorted(p.sort_key() for p in a_off)
-                      == sorted(p.sort_key() for p in b_off))
+    return Conclusion(a_off == b_off)
 
 
 def catalecticant_rank(form: HomogeneousForm, t: Optional[int] = None) -> int:
@@ -178,53 +177,35 @@ def catalecticant_rank(form: HomogeneousForm, t: Optional[int] = None) -> int:
     return linalg.rank(rows)
 
 
-# -- power bases along curves ----------------------------------------------------
-
-def _power_basis(images: Sequence[Sequence[Scalar]],
-                 d: int) -> list[list[Scalar]]:
-    """Coefficient vectors of the t-graded pieces of (sum images_i(t) x_i)^d.
-
-    Piece k is sum_e multinomial(d, e) * row_e[k] * x^e, read off the one
-    substitution table of forms.substitution_rows.
-    """
-    rows = substitution_rows(images, d)
-    weights = [Scalar.of(multinomial(d, e))
-               for e in monomial_exponents(len(images), d)]
-    # the cached bases keep every entry, so zeros stay the shared ZERO
-    return [[ZERO if row[k].is_zero else w * row[k]
-             for w, row in zip(weights, rows)] for k in range(len(rows[0]))]
-
-
-@lru_cache(maxsize=512)
-def _line_power_basis_cached(line: CurveSpec,
-                             d: int) -> tuple[tuple[Scalar, ...], ...]:
-    u, v = line.line_basis
-    basis = _power_basis([[a, b] for a, b in zip(u.coords, v.coords)], d)
-    if linalg.rank(basis) != d + 1:
-        raise ArithmeticError("line power basis degenerated")
-    return tuple(tuple(row) for row in basis)
-
-
-def line_power_basis(line: CurveSpec, d: int) -> list[list[Scalar]]:
-    """d+1 independent vectors spanning the powers of points on a line."""
-    if line.kind != LINE:
-        raise ValueError("need a line")
-    return [list(row) for row in _line_power_basis_cached(line, d)]
-
+# -- curves parametrized by P^1 -------------------------------------------------
 
 @dataclass(frozen=True)
-class ConicParametrization:
-    """Quadric images of the coordinates under a bijection P^1 -> conic."""
+class CurveParametrization:
+    """Coordinate images of a bijection P^1 -> curve, as binary forms:
+    degree 1 along a line, degree 2 along a smooth conic."""
     curve: CurveSpec
-    quadrics: tuple[BinaryForm, ...]
+    images: tuple[BinaryForm, ...]
 
     @property
     def is_real(self) -> bool:
-        return all(q.is_real for q in self.quadrics)
+        return all(q.is_real for q in self.images)
+
+    def point(self, s: Scalar, t: Scalar) -> tuple[Scalar, ...]:
+        """Ambient coordinates of the parameter point [s:t], unscaled."""
+        return tuple(q.evaluate(s, t) for q in self.images)
+
+
+def parametrize_line(line: CurveSpec) -> CurveParametrization:
+    """[s:t] -> s*b1 + t*b2 along the line basis (b1, b2)."""
+    if line.kind != LINE:
+        raise ValueError("need a line")
+    u, v = line.line_basis
+    return CurveParametrization(line, tuple(
+        BinaryForm.from_plain([a, b]) for a, b in zip(u.coords, v.coords)))
 
 
 def parametrize_conic(curve: CurveSpec,
-                      base: ProjectivePoint) -> ConicParametrization:
+                      base: ProjectivePoint) -> CurveParametrization:
     """Parametrize a smooth conic by secant lines through a point on it.
 
     The pencil of lines through the base point meets the conic in one
@@ -275,52 +256,62 @@ def parametrize_conic(curve: CurveSpec,
             for k, c in enumerate(q.plain_coeffs()):
                 plain[k] = plain[k] + c * curve.plane_rows[i][j]
         ambient.append(BinaryForm.from_plain(plain))
-    return ConicParametrization(curve, tuple(ambient))
+    return CurveParametrization(curve, tuple(ambient))
 
 
-@lru_cache(maxsize=256)
-def _conic_power_basis_cached(param: ConicParametrization,
-                              d: int) -> tuple[tuple[Scalar, ...], ...]:
-    basis = _power_basis([q.plain_coeffs() for q in param.quadrics], d)
-    if linalg.rank(basis) != 2 * d + 1:
-        raise ArithmeticError("conic power basis degenerated")
-    return tuple(tuple(row) for row in basis)
-
-
-def conic_power_basis(param: ConicParametrization,
-                      d: int) -> list[list[Scalar]]:
-    """2d+1 independent vectors spanning the powers of conic points."""
-    return [list(row) for row in _conic_power_basis_cached(param, d)]
-
-
-def pair_power_basis(pair: CurveSpec, d: int) -> list[list[Scalar]]:
-    """Powers along two disjoint lines: the two line bases, jointly free."""
-    if pair.kind != TWO_DISJOINT_LINES:
-        raise ValueError("need two disjoint lines")
-    basis = (line_power_basis(pair.branches[0], d)
-             + line_power_basis(pair.branches[1], d))
-    if linalg.rank(basis) != 2 * (d + 1):
-        raise ArithmeticError("disjoint lines share power directions")
+@lru_cache(maxsize=512)
+def power_basis(param: CurveParametrization,
+                d: int) -> tuple[tuple[Scalar, ...], ...]:
+    """deg*d + 1 independent vectors spanning the d-th powers of the curve's
+    points, deg being the degree of the images: the coefficient vectors of
+    the t-graded pieces of (sum images_i(t) x_i)^d.  Piece k is
+    sum_e multinomial(d, e) * row_e[k] * x^e, read off the one substitution
+    table of forms.substitution_rows.  Shared cached tuples: never mutate.
+    """
+    rows = substitution_rows([q.plain_coeffs() for q in param.images], d)
+    weights = [Scalar.of(multinomial(d, e))
+               for e in monomial_exponents(len(param.images), d)]
+    # the cached bases keep every entry, so zeros stay the shared ZERO
+    basis = tuple(tuple(ZERO if row[k].is_zero else w * row[k]
+                        for w, row in zip(weights, rows))
+                  for k in range(len(rows[0])))
+    if linalg.rank(basis) != param.images[0].degree * d + 1:
+        noun = "line" if param.curve.kind == LINE else "conic"
+        raise ArithmeticError(f"{noun} power basis degenerated")
     return basis
 
 
+def pair_power_basis(pair: CurveSpec,
+                     d: int) -> tuple[tuple[Scalar, ...], ...]:
+    """Powers along two disjoint lines: the two line bases, jointly free."""
+    if pair.kind != TWO_DISJOINT_LINES:
+        raise ValueError("need two disjoint lines")
+    left, right = (power_basis(parametrize_line(line), d)
+                   for line in pair.branches)
+    if linalg.rank(left + right) != 2 * (d + 1):
+        raise ArithmeticError("disjoint lines share power directions")
+    return left + right
+
+
 def curve_power_basis(curve: CurveSpec, d: int,
-                      param: Optional[ConicParametrization] = None
-                      ) -> list[list[Scalar]]:
+                      param: Optional[CurveParametrization] = None
+                      ) -> Sequence[Sequence[Scalar]]:
+    """A basis of the powers along any curve kind; a curve whose
+    parametrization is given reads it, and smooth conics need one."""
+    if param is not None and param.curve == curve:
+        return power_basis(param, d)
     if curve.kind == LINE:
-        return line_power_basis(curve, d)
+        return power_basis(parametrize_line(curve), d)
     if curve.kind == TWO_DISJOINT_LINES:
         return pair_power_basis(curve, d)
     if curve.kind == SMOOTH_CONIC:
-        if param is None or param.curve != curve:
-            raise ValueError("smooth conics need their parametrization")
-        return conic_power_basis(param, d)
+        raise ValueError("smooth conics need their parametrization")
     if curve.kind == REDUCIBLE_CONIC:
         branches = curve.branch_lines()
         if branches is None:
             raise ValueError("branches are not rational")
-        left = line_power_basis(branches[0], d)
-        right = line_power_basis(branches[1], d)
+        left, right = (power_basis(parametrize_line(line), d)
+                       for line in branches)
         basis = linalg.row_space_basis(left + right)
         if len(basis) != 2 * d + 1:
             raise ArithmeticError("reducible conic power span degenerated")
@@ -328,26 +319,20 @@ def curve_power_basis(curve: CurveSpec, d: int,
     raise ValueError(f"unknown curve kind {curve.kind}")
 
 
-def restrict_to_line(form: HomogeneousForm, line: CurveSpec) -> BinaryForm:
-    """Coordinates of the form along a line, as a binary form.
+def restrict_to_curve(form: HomogeneousForm,
+                      param: CurveParametrization) -> BinaryForm:
+    """Coordinates of the form along a parametrized curve, as a binary form
+    of degree deg * form.degree.
 
-    The basis is chosen so that a point s*b1 + t*b2 of the line pairs with
-    the parameter point [s:t]; ranks and decompositions transfer verbatim.
+    The basis is chosen so that the curve point param.point(s, t) pairs
+    with the parameter point [s:t]; ranks and decompositions transfer
+    verbatim.
     """
-    sol = linalg.solve_columns(line_power_basis(line, form.degree),
+    sol = linalg.solve_columns(power_basis(param, form.degree),
                                list(form.coeff_vector()))
     if sol is None:
-        raise ValueError("form does not lie on the line's power span")
-    return BinaryForm.from_scaled(sol)
-
-
-def restrict_to_conic(form: HomogeneousForm,
-                      param: ConicParametrization) -> BinaryForm:
-    """Coordinates along a parametrized smooth conic, degree doubled."""
-    sol = linalg.solve_columns(conic_power_basis(param, form.degree),
-                               list(form.coeff_vector()))
-    if sol is None:
-        raise ValueError("form does not lie on the conic's power span")
+        noun = "line" if param.curve.kind == LINE else "conic"
+        raise ValueError(f"form does not lie on the {noun}'s power span")
     return BinaryForm.from_scaled(sol)
 
 

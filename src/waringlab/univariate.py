@@ -664,11 +664,6 @@ class BoxScalar:
     def width(self) -> Fraction:
         return max(self.re.width, self.im.width)
 
-    @property
-    def excludes_zero(self) -> bool:
-        return (not self.re.contains(Fraction(0))
-                or not self.im.contains(Fraction(0)))
-
     def contains_zero(self) -> bool:
         return self.re.contains(Fraction(0)) and self.im.contains(Fraction(0))
 
@@ -687,7 +682,8 @@ def interval_solve(matrix: list[list[BoxScalar]],
     if any(len(row) != ncols + 1 for row in m) or n < ncols:
         raise ValueError("system shape mismatch")
     for col in range(ncols):
-        piv = next((i for i in range(col, n) if m[i][col].excludes_zero), None)
+        piv = next((i for i in range(col, n)
+                    if not m[i][col].contains_zero()), None)
         if piv is None:
             raise ZeroDivisionError("no usable pivot; refine the boxes")
         m[col], m[piv] = m[piv], m[col]

@@ -22,9 +22,9 @@ from .factory import Instance
 from .forms import HomogeneousForm
 from .points import (SMOOTH_CONIC, CurveSpec, PointSet, ProjectivePoint,
                      find_rich_conics, find_rich_lines, split_on_curve)
-from .spans import (NotUnique, curve_meet_point, h1_ideal, line_power_basis,
-                    membership, pair_power_basis, parametrize_conic,
-                    power_vector, restrict_to_conic, restrict_to_line,
+from .spans import (CurveParametrization, NotUnique, curve_meet_point,
+                    h1_ideal, membership, pair_power_basis, parametrize_conic,
+                    parametrize_line, power_vector, restrict_to_curve,
                     unique_intersection_point)
 
 
@@ -132,10 +132,6 @@ class CaseReport:
         }
 
 
-def _sorted_keys(points) -> list:
-    return sorted(p.sort_key() for p in points)
-
-
 def _is_real_data(form: HomogeneousForm, s_c: PointSet,
                   s_r: PointSet) -> bool:
     return (form.is_real and s_c.is_conjugation_stable()
@@ -223,7 +219,7 @@ def _split(s_c: PointSet, s_r: PointSet, curve: CurveSpec, check_id: str
     on_c, off_c = split_on_curve(s_c, curve)
     on_r, off_r = split_on_curve(s_r, curve)
     agree = CheckResult(
-        check_id, _sorted_keys(off_c) == _sorted_keys(off_r), "",
+        check_id, off_c == off_r, "",
         (("off_complex", str(len(off_c))), ("off_real", str(len(off_r)))))
     return (on_c, off_c, on_r, off_r), agree
 
@@ -263,12 +259,13 @@ def _meet_both_ways(read, parts: tuple[PointSet, ...], real_data: bool,
     return p1, CheckResult(label, True, note)
 
 
-def _rank_checks(restrict, part: HomogeneousForm, curve, on_c: PointSet,
-                 on_r: PointSet, prefix: str) -> list[CheckResult]:
-    """Evincing as cardinality: restrict(part, curve) has certified binary
-    ranks equal to the on-curve set sizes."""
+def _rank_checks(param: CurveParametrization, part: HomogeneousForm,
+                 on_c: PointSet, on_r: PointSet,
+                 prefix: str) -> list[CheckResult]:
+    """Evincing as cardinality: part restricted along param has certified
+    binary ranks equal to the on-curve set sizes."""
     try:
-        restricted = restrict(part, curve)
+        restricted = restrict_to_curve(part, param)
     except (ValueError, ArithmeticError) as err:
         return [CheckResult(prefix + "restriction", False, str(err))]
     out: list[CheckResult] = []
@@ -317,7 +314,7 @@ def verify_case_a(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
     sub = [meet]
     if point is not None:
         meets.append(("P_l", point))
-        sub += _rank_checks(restrict_to_line, point, line, on_c, on_r,
+        sub += _rank_checks(parametrize_line(line), point, on_c, on_r,
                             "a.ii.")
         sub += _membership_checks(point, on_c, on_r, d, "a.ii.")
     checks += _roll_up("a.ii", sub)
@@ -424,7 +421,7 @@ def _smooth_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
     except (ValueError, ArithmeticError) as err:
         return [CheckResult("b.ii.parametrization", False, str(err))]
     return [CheckResult("b.ii.parametrization", True)] + _rank_checks(
-        restrict_to_conic, point, param, on_c, on_r, "b.ii.")
+        param, point, on_c, on_r, "b.ii.")
 
 
 def _reducible_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
@@ -451,10 +448,9 @@ def _reducible_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
     meets.append(("P_C_right", part_r))
     for tag, part, branch in (("left.", part_l, left),
                               ("right.", part_r, right)):
-        bc = PointSet.of(p for p in on_c if branch.contains(p))
-        br = PointSet.of(p for p in on_r if branch.contains(p))
-        out += _rank_checks(restrict_to_line, part, branch, bc, br,
-                            "b.ii." + tag)
+        out += _rank_checks(parametrize_line(branch), part,
+                            split_on_curve(on_c, branch)[0],
+                            split_on_curve(on_r, branch)[0], "b.ii." + tag)
     return out
 
 
@@ -465,10 +461,8 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
     left, right = pair.branches
     parts, agree = _split(s_c, s_r, pair, "c.i")
     checks = [agree]
-    lc = PointSet.of(p for p in s_c if left.contains(p))
-    lr = PointSet.of(p for p in s_r if left.contains(p))
-    rc_set = PointSet.of(p for p in s_c if right.contains(p))
-    rr_set = PointSet.of(p for p in s_r if right.contains(p))
+    lc, lr, rc_set, rr_set = (split_on_curve(s, line)[0]
+                              for line in (left, right) for s in (s_c, s_r))
     u_left, u_right = lc.union(lr), rc_set.union(rr_set)
     checks.append(CheckResult(
         "c.ii", len(u_left) >= d + 2 and len(u_right) >= d + 2, "",
@@ -489,17 +483,14 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
         return CaseAttempt("c", pair, tuple(checks), ())
     meets = [("O_Gamma", point)]
     sub: list[CheckResult] = []
-    left_basis = line_power_basis(left, d)
-    right_basis = line_power_basis(right, d)
-    sol = linalg.solve_columns(left_basis + right_basis,
-                               list(point.coeff_vector()))
+    sol = linalg.solve_columns(basis, list(point.coeff_vector()))
     if sol is None:
         sub.append(CheckResult("c.iv.split", False,
                                "meet point left the joint span"))
     else:
         n = form.num_vars
-        o_l = HomogeneousForm.combination(n, d, sol[:d + 1], left_basis)
-        o_r = HomogeneousForm.combination(n, d, sol[d + 1:], right_basis)
+        o_l = HomogeneousForm.combination(n, d, sol[:d + 1], basis[:d + 1])
+        o_r = HomogeneousForm.combination(n, d, sol[d + 1:], basis[d + 1:])
         if real_data and (not o_l.is_real or not o_r.is_real):
             sub.append(CheckResult("c.iv.split", False,
                                    "line components are not real"))
@@ -512,7 +503,7 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
             for tag, part, line, bc, br in (
                     ("left.", o_l, left, lc, lr),
                     ("right.", o_r, right, rc_set, rr_set)):
-                sub += _rank_checks(restrict_to_line, part, line, bc, br,
+                sub += _rank_checks(parametrize_line(line), part, bc, br,
                                     "c.iv." + tag)
                 sub += _membership_checks(part, bc, br, d, "c.iv." + tag)
     checks += _roll_up("c.iv", sub)

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from test_binary import oracle_complex_rank
-from test_spans import embed_on_line
 from test_verifier import coherence_check
 
 from waringlab.binary import (BinaryForm, complex_rank, power_point,
@@ -26,7 +25,8 @@ from waringlab.factory import generate_instance
 from waringlab.points import (REDUCIBLE_CONIC, CurveSpec, PointSet,
                               ProjectivePoint)
 from waringlab.scalars import ONE, ZERO, Scalar
-from waringlab.spans import Conclusion, HypothesisFails, h1_ideal
+from waringlab.spans import (Conclusion, HypothesisFails, h1_ideal,
+                             parametrize_line)
 from waringlab.verifier import classify, detect_structure
 
 SUB_CHECKS = {"a": ("a.i", "a.ii", "a.iii"),
@@ -133,10 +133,10 @@ def test_criterion_3_collinear_h1_law():
                     and any(not c.is_zero for c in p1.coords) \
                     and p0 != p1:
                 break
-        line = CurveSpec.line(p0, p1)
+        param = parametrize_line(CurveSpec.line(p0, p1))
         params = rng.sample(range(-30, 31), d + 1 + k)
-        pts = PointSet.of(embed_on_line(
-            line, [(ONE, Scalar.of(t)) for t in params]))
+        pts = PointSet.of(ProjectivePoint(param.point(ONE, Scalar.of(t)))
+                          for t in params)
         assert len(pts) == d + 1 + k
         rep = h1_ideal(pts, d)
         assert rep.h1 == k

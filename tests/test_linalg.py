@@ -58,12 +58,6 @@ def test_nullspace_vectors_annihilate():
                 assert acc.is_zero
 
 
-def test_nullspace_empty_matrix_needs_num_cols():
-    basis = linalg.nullspace([], num_cols=3)
-    assert len(basis) == 3
-    assert basis[0][0] == ONE
-
-
 def low_rank_matrix(rng: random.Random, nr: int, nc: int, r: int):
     """A product of an nr x r and an r x nc Gaussian-rational matrix."""
     left = random_matrix(rng, nr, r, complex_entries=True)

@@ -15,17 +15,11 @@ from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               find_rich_conics, find_rich_lines,
                               spanning_rank, split_on_curve)
 from waringlab.scalars import ONE, ZERO, Scalar
+from waringlab.spans import parametrize_line
 
 
 def P(*vals) -> ProjectivePoint:
     return ProjectivePoint.of(*vals)
-
-
-def line_point(line: CurveSpec, s: Scalar, t: Scalar) -> ProjectivePoint:
-    """The point s*b1 + t*b2 of a line with basis (b1, b2)."""
-    b1, b2 = line.line_basis
-    return ProjectivePoint(tuple(s * a + t * b
-                                 for a, b in zip(b1.coords, b2.coords)))
 
 
 def difference(s: PointSet, t: PointSet) -> PointSet:
@@ -119,7 +113,8 @@ def test_line_membership_and_point_at():
     assert line.kind == LINE
     assert line.contains(P(1, 5, 0))
     assert not line.contains(P(1, 0, 1))
-    q = line_point(line, Scalar.of(2), Scalar.of(3))
+    q = ProjectivePoint(parametrize_line(line).point(Scalar.of(2),
+                                                      Scalar.of(3)))
     assert line.contains(q)
     # the same line from different spanning points compares equal
     other = CurveSpec.line(P(1, 1, 0), P(1, -1, 0))

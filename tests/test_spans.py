@@ -17,26 +17,19 @@ import sympy
 
 from test_forms import LinearForm, power_of_linear
 from test_linalg import in_span
-from test_points import line_point
 from waringlab import linalg
 from waringlab.binary import complex_rank, power_point
-from waringlab.factory import _genericity_certs
+from waringlab.factory import _genericity_certs, _standard_conic
 from waringlab.forms import HomogeneousForm, monomial_exponents
 from waringlab.points import CurveSpec, PointSet, ProjectivePoint
 from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
-                             catalecticant_rank, conic_power_basis,
-                             curve_meet_point, curve_power_basis,
-                             h1_ideal, line_power_basis,
-                             membership, off_curve_agreement,
-                             pair_power_basis, parametrize_conic, power_row,
-                             power_vector, restrict_to_conic,
-                             restrict_to_line, unique_intersection_point)
-
-
-def embed_on_line(line: CurveSpec, points1) -> list[ProjectivePoint]:
-    """The points of a line at the parameters (s, t) in points1."""
-    return [line_point(line, s, t) for s, t in points1]
+                             catalecticant_rank, curve_meet_point,
+                             curve_power_basis, h1_ideal, membership,
+                             off_curve_agreement, pair_power_basis,
+                             parametrize_conic, parametrize_line, power_basis,
+                             power_row, power_vector, restrict_to_curve,
+                             unique_intersection_point)
 
 
 def P(*vals) -> ProjectivePoint:
@@ -51,15 +44,6 @@ class VeroneseSpace:
     @property
     def N(self) -> int:
         return comb(self.m + self.d, self.d) - 1
-
-
-def conic_point(param, s: Scalar, t: Scalar) -> ProjectivePoint:
-    """The point of a parametrized conic at the parameter (s, t)."""
-    return ProjectivePoint(tuple(q.evaluate(s, t) for q in param.quadrics))
-
-
-def embed_on_conic(param, points1) -> list[ProjectivePoint]:
-    return [conic_point(param, s, t) for s, t in points1]
 
 
 def pow_form(p: ProjectivePoint, d: int) -> HomogeneousForm:
@@ -403,31 +387,32 @@ def test_line_restriction_round_trip():
     line = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
     d = 3
     f = pow_sum([P(1, 2, 0), P(1, -1, 0)], [1, -3], d)
-    g = restrict_to_line(f, line)
+    g = restrict_to_curve(f, parametrize_line(line))
     assert g == power_point((ONE, Scalar.of(2)), d) + power_point(
         (ONE, Scalar.of(-1)), d).scale(Scalar.of(-3))
     rc, dec = complex_rank(g)
     assert rc == 2
     assert set(dec.points) == {(ONE, Scalar.of(2)), (ONE, Scalar.of(-1))}
-    with pytest.raises(ValueError):
-        restrict_to_line(pow_form(P(0, 0, 1), d), line)
+    with pytest.raises(ValueError, match="the line's power span"):
+        restrict_to_curve(pow_form(P(0, 0, 1), d), parametrize_line(line))
 
 
 def test_embed_on_line_hits_expected_points():
-    line = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
-    got = embed_on_line(line, [(ONE, Scalar.of(2)), (ZERO, ONE)])
+    param = parametrize_line(CurveSpec.line(P(1, 0, 0), P(0, 1, 0)))
+    got = [ProjectivePoint(param.point(s, t))
+           for s, t in [(ONE, Scalar.of(2)), (ZERO, ONE)]]
     assert got == [P(1, 2, 0), P(0, 1, 0)]
 
 
 def test_line_power_basis_rank_and_guard():
     line = CurveSpec.line(P(1, 2, 3), P(0, 1, -1))
-    basis = line_power_basis(line, 4)
+    basis = power_basis(parametrize_line(line), 4)
     assert len(basis) == 5
     conic_plane = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
     conic = CurveSpec.conic(conic_plane,
                             [ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO])
-    with pytest.raises(ValueError):
-        line_power_basis(conic, 4)
+    with pytest.raises(ValueError, match="need a line"):
+        parametrize_line(conic)
 
 
 def _sympy_graded_pieces(images, d: int) -> list:
@@ -465,7 +450,7 @@ def test_line_power_basis_is_the_sympy_expansion():
         for d in (1, 2, 4, 6):
             want = _sympy_graded_pieces(
                 [[a, b] for a, b in zip(u.coords, v.coords)], d)
-            _assert_pieces(line_power_basis(line, d), want)
+            _assert_pieces(power_basis(parametrize_line(line), d), want)
 
 
 def test_conic_power_basis_is_the_sympy_expansion():
@@ -481,8 +466,8 @@ def test_conic_power_basis_is_the_sympy_expansion():
             param = parametrize_conic(conic, conic.point_from_plane(on_conic))
             for d in (1, 2, 3):
                 want = _sympy_graded_pieces(
-                    [q.plain_coeffs() for q in param.quadrics], d)
-                _assert_pieces(conic_power_basis(param, d), want)
+                    [q.plain_coeffs() for q in param.images], d)
+                _assert_pieces(power_basis(param, d), want)
 
 
 def test_parametrize_conic_identities():
@@ -494,7 +479,7 @@ def test_parametrize_conic_identities():
     seen = set()
     for s, t in ((ONE, ZERO), (ZERO, ONE), (ONE, ONE),
                  (ONE, Scalar.of(-2))):
-        p = conic_point(param, s, t)
+        p = ProjectivePoint(param.point(s, t))
         assert conic.contains(p)
         seen.add(p)
     assert len(seen) == 4
@@ -508,14 +493,14 @@ def test_conic_restriction_doubles_degree():
                             [ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO])
     param = parametrize_conic(conic, P(1, 0, 0))
     d = 3
-    p = conic_point(param, ONE, ONE)
-    g = restrict_to_conic(pow_form(p, d), param)
+    p = ProjectivePoint(param.point(ONE, ONE))
+    g = restrict_to_curve(pow_form(p, d), param)
     assert g.degree == 2 * d
     rc, dec = complex_rank(g)
     assert rc == 1 and dec.points == ((ONE, ONE),)
-    with pytest.raises(ValueError):
-        restrict_to_conic(pow_form(P(1, 1, 0), d), param)
-    assert len(conic_power_basis(param, d)) == 2 * d + 1
+    with pytest.raises(ValueError, match="the conic's power span"):
+        restrict_to_curve(pow_form(P(1, 1, 0), d), param)
+    assert len(power_basis(param, d)) == 2 * d + 1
 
 
 def test_embed_on_conic_stays_on_conic():
@@ -523,9 +508,58 @@ def test_embed_on_conic_stays_on_conic():
     conic = CurveSpec.conic(plane,
                             [ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO])
     param = parametrize_conic(conic, P(1, 0, 0))
-    pts = embed_on_conic(param, [(ONE, ZERO), (ONE, Scalar.of(3))])
+    pts = [ProjectivePoint(param.point(s, t))
+           for s, t in [(ONE, ZERO), (ONE, Scalar.of(3))]]
     assert all(conic.contains(p) for p in pts)
     assert len(set(pts)) == 2
+
+
+def _seeded_parametrization(seed: int):
+    """In P^(2 + seed % 3), by seed % 4: a real line, a Gaussian line, the
+    conic x0 x2 - x1^2 of a seeded plane through parametrize_conic, and a
+    factory._standard_conic."""
+    rng = random.Random(seed)
+    m, kind = 2 + seed % 3, seed % 4
+    if kind == 3:
+        return _standard_conic(rng, m)
+    while True:
+        rows = [[Scalar.of(rng.randint(-3, 3),
+                           rng.randint(-2, 2) if kind == 1 else 0)
+                 for _ in range(m + 1)] for _ in range(3)]
+        if linalg.rank(rows) == 3:
+            break
+    pts = [ProjectivePoint(tuple(row)) for row in rows]
+    if kind < 2:
+        return parametrize_line(CurveSpec.line(pts[0], pts[1]))
+    conic = CurveSpec.conic(pts, [ZERO, ZERO, ONE, -ONE, ZERO, ZERO])
+    return parametrize_conic(conic, conic.point_from_plane((ONE, ZERO, ZERO)))
+
+
+def raw_power(coords, d: int) -> HomogeneousForm:
+    """(z.x)^d for the unscaled coordinates z."""
+    lead = next(c for c in coords if not c.is_zero)
+    return pow_form(ProjectivePoint(tuple(coords)), d).scale(lead ** d)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_restriction_reads_back_the_parametrized_powers(seed):
+    # point and power_basis describe one map: the powers of the curve points
+    # param.point(s, t) restrict to the powers (s x + t y)^(deg d)
+    param = _seeded_parametrization(seed)
+    deg = param.images[0].degree
+    rng = random.Random(1000 + seed)
+    params = [(2, 1), (1, 3), (-1, 2), (3, -2), (0, 1), (1, 0), (2, 5)]
+    for d in (1, 2, 3):
+        form = want = None
+        for s, t in rng.sample(params, 3):
+            s, t = Scalar.of(s), Scalar.of(t)
+            c = Scalar.of(rng.randint(1, 3), rng.randint(-2, 2))
+            assert param.curve.contains(ProjectivePoint(param.point(s, t)))
+            f = raw_power(param.point(s, t), d).scale(c)
+            g = power_point((s, t), deg * d).scale(c)
+            form = f if form is None else form + f
+            want = g if want is None else want + g
+        assert restrict_to_curve(form, param) == want
 
 
 def test_pair_power_basis_in_p3():
@@ -535,8 +569,8 @@ def test_pair_power_basis_in_p3():
     d = 3
     basis = pair_power_basis(pair, d)
     assert len(basis) == 2 * (d + 1)
-    assert grassmann_disjoint(line_power_basis(l1, d),
-                              line_power_basis(l2, d))
+    assert grassmann_disjoint(power_basis(parametrize_line(l1), d),
+                              power_basis(parametrize_line(l2), d))
     with pytest.raises(ValueError):
         pair_power_basis(l1, d)
 
@@ -568,7 +602,8 @@ def test_genericity_certs_match_the_grassmann_rank_formula():
     # (d + 2 points on the line y = 0); every verdict against the ranks
     rng = random.Random(97)
     d = 3
-    basis = line_power_basis(CurveSpec.line(P(1, 0, 0), P(0, 1, 0)), d)
+    basis = power_basis(parametrize_line(CurveSpec.line(P(1, 0, 0),
+                                                        P(0, 1, 0))), d)
     seen = set()
     for trial in range(12):
         kind = trial % 3
@@ -597,8 +632,8 @@ def test_curve_meet_point_against_line_span():
     g = pow_sum([P(1, 0, 0), P(1, 1, 0)], [1, 1], d)
     form = pow_sum([P(1, 0, 0), P(1, 1, 0), P(0, 0, 1)], [1, 1, 2], d)
     got = curve_meet_point(form, PointSet.of([P(0, 0, 1)]),
-                           line_power_basis(line, d), d)
+                           power_basis(parametrize_line(line), d), d)
     assert got == g.canonical()
     stray = curve_meet_point(pow_form(P(1, 1, 1), d), PointSet.of(
-        [P(0, 0, 1)]), line_power_basis(line, d), d)
+        [P(0, 0, 1)]), power_basis(parametrize_line(line), d), d)
     assert isinstance(stray, NotUnique)
