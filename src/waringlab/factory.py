@@ -29,10 +29,9 @@ from .forms import HomogeneousForm, substitute
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
                      ProjectivePoint, spanning_rank, split_on_curve)
 from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
-from .spans import (CurveParametrization, catalecticant_rank,
-                    curve_power_basis, h1_ideal, membership,
-                    parametrize_line, power_basis, power_row, power_vector,
-                    restrict_to_curve)
+from .spans import (CurveParametrization, catalecticant_rank, h1_ideal,
+                    membership, parametrize_line, power_basis, power_row,
+                    power_vector, restrict_to_curve)
 
 CASE_A = "a"
 CASE_B = "b"
@@ -281,12 +280,18 @@ def _common_certs(inst_form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
 
 
 def _genericity_certs(e_points: Sequence[ProjectivePoint], d: int,
-                      curve_basis: Sequence[Sequence[Scalar]]
+                      params: Sequence[CurveParametrization]
                       ) -> list[Certificate]:
+    """E imposes independent conditions, and its powers meet the powers
+    along the arcs params only in zero."""
     if not e_points:
         return [Certificate("off-curve-independent", True, "empty E"),
                 Certificate("off-curve-span-disjoint", True, "empty E")]
     rep = h1_ideal(PointSet.of(e_points), d)
+    # two arcs of a reducible conic share the node's power direction
+    curve_basis = (power_basis(params[0], d) if len(params) == 1 else
+                   linalg.row_space_basis([row for prm in params
+                                           for row in power_basis(prm, d)]))
     # E independent and curve_basis a basis: disjoint iff the union is free
     disjoint = rep.independent and linalg.row_rank(
         [power_row(p, d) for p in e_points]
@@ -322,12 +327,13 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
     """The construction every case shares, on a validated real curve.
 
     arcs lists (gap form, parametrization) for each curve component that
-    carries a gap; the first one's parametrization also gives the power
-    basis of a smooth conic.  thresholds checks the curve's richness on the
-    transplanted pieces and returns its certificates.
+    carries a gap; a parametrization of degree deg takes a gap form of
+    degree deg * d, and the arcs' power bases span the curve's powers.
+    thresholds checks the curve's richness on the transplanted pieces and
+    returns its certificates.
     """
-    want = 2 * d if curve.kind == SMOOTH_CONIC else d
-    for gap, _param in arcs:
+    for gap, param in arcs:
+        want = param.images[0].degree * d
         if gap.degree != want or not gap.is_real:
             raise ConstraintViolation(
                 "gap-ranks", f"gap forms must be real of degree {want}")
@@ -361,8 +367,7 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
     certs.append(Certificate(
         "budget", True, "",
         (("sizes", f"{size_c}+{size_r}"), ("limit", str(3 * d - 1)))))
-    certs += _genericity_certs(e_points, d,
-                               curve_power_basis(curve, d, arcs[0][1]))
+    certs += _genericity_certs(e_points, d, [param for _, param in arcs])
     if not all(c.passed for c in certs):
         bad = next(c for c in certs if not c.passed)
         raise ConstraintViolation(bad.name, "genericity failure")
@@ -433,7 +438,7 @@ def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
             raise ConstraintViolation(
                 "node-avoidance", "a decomposition point hit the node")
         rich = _union_threshold(pieces, 2 * d + 2, "two_d_plus_2")
-        counts = [sum(1 for p in union if branch.contains(p))
+        counts = [len(split_on_curve(union, branch)[0])
                   for branch in (line_left, line_right)]
         if min(counts) < d + 1:
             raise ConstraintViolation(
@@ -557,10 +562,7 @@ def _standard_conic(rng: random.Random, m: int
 
 
 def _sample_e(rng: random.Random, m: int, d: int, count: int,
-              curve: CurveSpec,
-              curve_basis: Sequence[Sequence[Scalar]],
-              taken: Sequence[ProjectivePoint]
-              ) -> list[ProjectivePoint]:
+              param: CurveParametrization) -> list[ProjectivePoint]:
     if count == 0:
         return []
     for _ in range(300):
@@ -569,14 +571,12 @@ def _sample_e(rng: random.Random, m: int, d: int, count: int,
         while len(chosen) < count and guard < 200:
             guard += 1
             p = _random_point(rng, m)
-            if not p.is_real or curve.contains(p):
-                continue
-            if p in chosen or p in taken:
+            if not p.is_real or param.curve.contains(p) or p in chosen:
                 continue
             chosen.append(p)
         if len(chosen) < count:
             continue
-        if all(c.passed for c in _genericity_certs(chosen, d, curve_basis)):
+        if all(c.passed for c in _genericity_certs(chosen, d, [param])):
             return chosen
     raise ArithmeticError("off-curve sampling failed to reach genericity")
 
@@ -611,8 +611,7 @@ def _generate_a(d: int, m: int, seed: int) -> Instance:
         gap = conjugate_pair_form(d, _random_transplant(rng))
         e_count = rng.randint(0, d - 2)
         try:
-            basis = power_basis(parametrize_line(line), d)
-            e_pts = _sample_e(rng, m, d, e_count, line, basis, [])
+            e_pts = _sample_e(rng, m, d, e_count, parametrize_line(line))
             return make_case_a(m, d, gap, e_pts, line,
                                _e_coeffs(rng, len(e_pts), d), seed)
         except (ConstraintViolation, ArithmeticError):
@@ -644,8 +643,7 @@ def _generate_b(d: int, m: int, seed: int) -> Instance:
             param = _standard_conic(rng, m)
             gap = conjugate_pair_form(2 * d, _random_transplant(rng))
             e_count = rng.randint(0, max(0, (d - 3) // 2))
-            basis = power_basis(param, d)
-            e_pts = _sample_e(rng, m, d, e_count, param.curve, basis, [])
+            e_pts = _sample_e(rng, m, d, e_count, param)
             return make_case_b(m, d, gap, e_pts, param,
                                _e_coeffs(rng, len(e_pts), d), seed)
         except (ConstraintViolation, ArithmeticError, ValueError):

@@ -32,9 +32,9 @@ from . import linalg
 from .binary import BinaryForm
 from .forms import (HomogeneousForm, gaussian_power, monomial_exponents,
                     multinomial, substitute, substitution_rows)
-from .points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC, TWO_DISJOINT_LINES,
-                     CurveSpec, PointSet, ProjectivePoint, _CONIC_EXPS,
-                     _conic_matrix, _eval_conic, _quad_apply, split_on_curve)
+from .points import (LINE, SMOOTH_CONIC, TWO_DISJOINT_LINES, CurveSpec,
+                     PointSet, ProjectivePoint, _CONIC_EXPS, _conic_matrix,
+                     _eval_conic, _quad_apply, split_on_curve)
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -291,32 +291,6 @@ def pair_power_basis(pair: CurveSpec,
     if linalg.rank(left + right) != 2 * (d + 1):
         raise ArithmeticError("disjoint lines share power directions")
     return left + right
-
-
-def curve_power_basis(curve: CurveSpec, d: int,
-                      param: Optional[CurveParametrization] = None
-                      ) -> Sequence[Sequence[Scalar]]:
-    """A basis of the powers along any curve kind; a curve whose
-    parametrization is given reads it, and smooth conics need one."""
-    if param is not None and param.curve == curve:
-        return power_basis(param, d)
-    if curve.kind == LINE:
-        return power_basis(parametrize_line(curve), d)
-    if curve.kind == TWO_DISJOINT_LINES:
-        return pair_power_basis(curve, d)
-    if curve.kind == SMOOTH_CONIC:
-        raise ValueError("smooth conics need their parametrization")
-    if curve.kind == REDUCIBLE_CONIC:
-        branches = curve.branch_lines()
-        if branches is None:
-            raise ValueError("branches are not rational")
-        left, right = (power_basis(parametrize_line(line), d)
-                       for line in branches)
-        basis = linalg.row_space_basis(left + right)
-        if len(basis) != 2 * d + 1:
-            raise ArithmeticError("reducible conic power span degenerated")
-        return basis
-    raise ValueError(f"unknown curve kind {curve.kind}")
 
 
 def restrict_to_curve(form: HomogeneousForm,

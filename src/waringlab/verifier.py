@@ -157,16 +157,7 @@ def check_hypotheses(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
     checks.append(CheckResult(
         "rank-inequality", len(s_c) < len(s_r), "",
         (("complex", str(len(s_c))), ("real", str(len(s_r))))))
-    try:
-        ok_c = membership(form, s_c, d, "C")
-        checks.append(CheckResult("membership-complex", ok_c))
-    except ValueError as err:
-        checks.append(CheckResult("membership-complex", False, str(err)))
-    try:
-        ok_r = membership(form, s_r, d, "R")
-        checks.append(CheckResult("membership-real", ok_r))
-    except ValueError as err:
-        checks.append(CheckResult("membership-real", False, str(err)))
+    checks += _membership_checks(form, s_c, s_r, d, "")
     rep = h1_ideal(s_c.union(s_r), d)
     checks.append(CheckResult(
         "h1-positive", rep.h1 > 0, "",
@@ -300,29 +291,47 @@ def _membership_checks(point_form: HomogeneousForm, on_c: PointSet,
     return out
 
 
-# -- case (a) ----------------------------------------------------------------------
+def _single_curve(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
+                  curve: CurveSpec, d: int, label: str, meet_name: str,
+                  bound: tuple[str, int], evince
+                  ) -> tuple[list[CheckResult], list, PointSet]:
+    """Steps i to iii of a single-curve case, and the on-curve union.
 
-def verify_case_a(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
-                  line: CurveSpec, d: int) -> CaseAttempt:
-    parts, agree = _split(s_c, s_r, line, "a.i")
+    i: the sets agree off the curve.  ii: the meet point, named meet_name,
+    is evinced on the curve; evince(point, on_c, on_r, meets) gives those
+    checks and may add meet points.  iii: the on-curve union reaches
+    bound = (key, value) and the complex side stays smaller.
+    """
+    parts, agree = _split(s_c, s_r, curve, label + ".i")
     on_c, _, on_r, _ = parts
     checks = [agree]
     meets: list[tuple[str, HomogeneousForm]] = []
     point, meet = _meet_both_ways(
         lambda off, on: unique_intersection_point(form, off, on, d),
-        parts, _is_real_data(form, s_c, s_r), "a.ii.meet")
+        parts, _is_real_data(form, s_c, s_r), label + ".ii.meet")
     sub = [meet]
     if point is not None:
-        meets.append(("P_l", point))
-        sub += _rank_checks(parametrize_line(line), point, on_c, on_r,
-                            "a.ii.")
-        sub += _membership_checks(point, on_c, on_r, d, "a.ii.")
-    checks += _roll_up("a.ii", sub)
+        meets.append((meet_name, point))
+        sub += evince(point, on_c, on_r, meets)
+        sub += _membership_checks(point, on_c, on_r, d, label + ".ii.")
+    checks += _roll_up(label + ".ii", sub)
     union = on_c.union(on_r)
+    key, need = bound
     checks.append(CheckResult(
-        "a.iii", len(union) >= d + 2 and len(on_c) < len(on_r), "",
-        (("on_curve_union", str(len(union))), ("d_plus_2", str(d + 2)),
+        label + ".iii", len(union) >= need and len(on_c) < len(on_r), "",
+        (("on_curve_union", str(len(union))), (key, str(need)),
          ("on_complex", str(len(on_c))), ("on_real", str(len(on_r))))))
+    return checks, meets, union
+
+
+# -- case (a) ----------------------------------------------------------------------
+
+def verify_case_a(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
+                  line: CurveSpec, d: int) -> CaseAttempt:
+    checks, meets, _ = _single_curve(
+        form, s_c, s_r, line, d, "a", "P_l", ("d_plus_2", d + 2),
+        lambda point, on_c, on_r, _meets: _rank_checks(
+            parametrize_line(line), point, on_c, on_r, "a.ii."))
     return CaseAttempt("a", line, tuple(checks), tuple(meets))
 
 
@@ -365,46 +374,34 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
 
 def verify_case_b(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
                   conic: CurveSpec, d: int) -> CaseAttempt:
-    parts, agree = _split(s_c, s_r, conic, "b.i")
-    on_c, _, on_r, _ = parts
-    checks = [agree]
-    meets: list[tuple[str, HomogeneousForm]] = []
-    point, meet = _meet_both_ways(
-        lambda off, on: unique_intersection_point(form, off, on, d),
-        parts, _is_real_data(form, s_c, s_r), "b.ii.meet")
-    sub = [meet]
-    if point is not None:
-        meets.append(("P_C", point))
-        if conic.kind == SMOOTH_CONIC:
-            sub += _smooth_conic_evincing(point, conic, on_c, on_r)
-        else:
-            sub += _reducible_conic_evincing(point, conic, on_c, on_r, d,
-                                             meets)
-        sub += _membership_checks(point, on_c, on_r, d, "b.ii.")
-    checks += _roll_up("b.ii", sub)
-    union = on_c.union(on_r)
-    checks.append(CheckResult(
-        "b.iii", len(union) >= 2 * d + 2 and len(on_c) < len(on_r), "",
-        (("on_curve_union", str(len(union))),
-         ("two_d_plus_2", str(2 * d + 2)),
-         ("on_complex", str(len(on_c))), ("on_real", str(len(on_r))))))
-    if conic.kind == SMOOTH_CONIC:
+    smooth = conic.kind == SMOOTH_CONIC
+    branches = None if smooth else conic.branch_lines()
+    node = None if smooth else conic.node
+
+    def evince(point, on_c, on_r, meets):
+        if smooth:
+            return _smooth_conic_evincing(point, conic, on_c, on_r)
+        return _reducible_conic_evincing(point, branches, node, on_c, on_r,
+                                         d, meets)
+
+    checks, meets, union = _single_curve(
+        form, s_c, s_r, conic, d, "b", "P_C", ("two_d_plus_2", 2 * d + 2),
+        evince)
+    if smooth:
         checks.append(CheckResult("b.iv", True, "smooth conic; no branch "
                                   "condition applies"))
-        return CaseAttempt("b", conic, tuple(checks), tuple(meets))
-    node = conic.node
-    branches = conic.branch_lines()
-    if branches is None or node is None:
+    elif branches is None or node is None:
         checks.append(CheckResult("b.iv", False,
                                   "branches are not rational"))
-        return CaseAttempt("b", conic, tuple(checks), tuple(meets))
-    counts = [(tag, sum(1 for p in union
-                        if branch.contains(p) and p != node))
-              for tag, branch in zip(("left", "right"), branches)]
-    checks.append(CheckResult(
-        "b.iv", all(cnt >= d + 1 for _, cnt in counts), "",
-        tuple((tag, str(cnt)) for tag, cnt in counts)
-        + (("d_plus_1", str(d + 1)),)))
+    else:
+        # the node lies on both branches and counts on neither
+        counts = [(tag, len(split_on_curve(union, branch)[0])
+                   - (node in union))
+                  for tag, branch in zip(("left", "right"), branches)]
+        checks.append(CheckResult(
+            "b.iv", all(cnt >= d + 1 for _, cnt in counts), "",
+            tuple((tag, str(cnt)) for tag, cnt in counts)
+            + (("d_plus_1", str(d + 1)),)))
     return CaseAttempt("b", conic, tuple(checks), tuple(meets))
 
 
@@ -424,11 +421,12 @@ def _smooth_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
         param, point, on_c, on_r, "b.ii.")
 
 
-def _reducible_conic_evincing(point: HomogeneousForm, conic: CurveSpec,
+def _reducible_conic_evincing(point: HomogeneousForm,
+                              branches: Optional[tuple[CurveSpec,
+                                                       CurveSpec]],
+                              node: Optional[ProjectivePoint],
                               on_c: PointSet, on_r: PointSet, d: int,
                               meets: list) -> list[CheckResult]:
-    branches = conic.branch_lines()
-    node = conic.node
     if branches is None or node is None:
         return [CheckResult("b.ii.split", False,
                             "branches are not rational")]

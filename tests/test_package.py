@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,7 @@ from waringlab import spans
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "waringlab"
 TESTS = Path(__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
 def test_no_assert_in_the_package():
@@ -69,3 +72,32 @@ def test_importing_the_cli_loads_no_pool_module():
                          capture_output=True, text=True, check=True,
                          timeout=60).stdout
     assert out == "[]\n"
+
+
+def test_names_the_bench_tracer_reads_stay_public_functions():
+    # bench/tracer.py wraps only public module-level functions and stops a
+    # traced run when a name in BUSY, COUNTED or _OBSERVERS finds none;
+    # the names are read from its source, so no tracer is installed
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), str(TRACER))
+    groups = {}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            target = node.targets[0].id
+            if target in ("BUSY", "COUNTED"):
+                groups[target] = ast.literal_eval(node.value)
+            elif target == "_OBSERVERS":
+                groups[target] = [ast.literal_eval(k)
+                                  for k in node.value.keys]
+    assert sorted(groups) == ["BUSY", "COUNTED", "_OBSERVERS"]
+    missing = []
+    for name in sorted({n for names in groups.values() for n in names}):
+        layer, _, func = name.partition(".")
+        module = importlib.import_module("waringlab." + layer)
+        obj = vars(module).get(func)
+        target = getattr(obj, "__wrapped__", obj)
+        if (func.startswith("_") or not inspect.isfunction(target)
+                or target.__module__ != module.__name__):
+            missing.append(name)
+    assert not missing, "not public functions of waringlab: " + ", ".join(
+        missing)

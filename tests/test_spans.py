@@ -25,7 +25,7 @@ from waringlab.points import CurveSpec, PointSet, ProjectivePoint
 from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
                              catalecticant_rank, curve_meet_point,
-                             curve_power_basis, h1_ideal, membership,
+                             h1_ideal, membership,
                              off_curve_agreement, pair_power_basis,
                              parametrize_conic, parametrize_line, power_basis,
                              power_row, power_vector, restrict_to_curve,
@@ -575,55 +575,72 @@ def test_pair_power_basis_in_p3():
         pair_power_basis(l1, d)
 
 
-def test_curve_power_basis_dispatch():
-    d = 3
-    l1 = CurveSpec.line(P(1, 0, 0), P(0, 0, 1))
-    l2 = CurveSpec.line(P(0, 1, 0), P(0, 0, 1))
-    red = CurveSpec.reducible_from_lines(l1, l2)
-    assert len(curve_power_basis(red, d)) == 2 * d + 1
-    assert len(curve_power_basis(l1, d)) == d + 1
-    plane = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
-    smooth = CurveSpec.conic(plane,
-                             [ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO])
-    with pytest.raises(ValueError):
-        curve_power_basis(smooth, d)
-    param = parametrize_conic(smooth, P(1, 0, 0))
-    assert len(curve_power_basis(smooth, d, param)) == 2 * d + 1
-
-
 def grassmann_disjoint(u_rows, v_rows) -> bool:
     """Reference: two spans meet only in zero iff their ranks add up."""
     both = list(u_rows) + list(v_rows)
     return linalg.rank(both) == linalg.rank(u_rows) + linalg.rank(v_rows)
 
 
-def test_genericity_certs_match_the_grassmann_rank_formula():
-    # E off the line z = 0, E with one point on it, and E dependent
-    # (d + 2 points on the line y = 0); every verdict against the ranks
-    rng = random.Random(97)
-    d = 3
-    basis = power_basis(parametrize_line(CurveSpec.line(P(1, 0, 0),
-                                                        P(0, 1, 0))), d)
+def assert_genericity_verdicts(params, d, off, on_curve, collinear):
+    """Twelve E against the arcs params, cycling through E off the curve
+    (off()), the same with its first point moved to on_curve(), and the
+    dependent collinear(); every verdict against the ranks of the stacked
+    arc bases, which two meeting arcs make dependent."""
+    curve_rows = [row for prm in params for row in power_basis(prm, d)]
     seen = set()
     for trial in range(12):
         kind = trial % 3
         if kind == 2:
-            e = [P(t, 0, 1) for t in rng.sample(range(-6, 7), d + 2)]
+            e = collinear()
         else:
-            e = [P(x, y, 1) for x, y in rng.sample(
-                [(x, y) for x in range(-3, 4) for y in range(-3, 4)],
-                rng.randint(1, 3))]
+            e = off()
             if kind == 1:
-                e[0] = P(rng.randint(-4, 4), 1, 0)
+                e[0] = on_curve()
         rows = [power_vector(p, d) for p in e]
         independent = linalg.rank(rows) == len(rows)
-        want = (independent, independent and grassmann_disjoint(rows, basis))
-        certs = _genericity_certs(e, d, basis)
+        want = (independent,
+                independent and grassmann_disjoint(rows, curve_rows))
+        certs = _genericity_certs(e, d, params)
         assert [c.name for c in certs] == ["off-curve-independent",
                                            "off-curve-span-disjoint"]
         assert tuple(c.passed for c in certs) == want
         seen.add(want)
     assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_genericity_certs_match_the_grassmann_rank_formula():
+    # one arc, the line z = 0: E off it, E with one point on it, and
+    # d + 2 points on the line y = 0
+    rng = random.Random(97)
+    d = 3
+    z0 = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
+    grid = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+    assert_genericity_verdicts(
+        [parametrize_line(z0)], d,
+        lambda: [P(x, y, 1) for x, y in rng.sample(grid, rng.randint(1, 3))],
+        lambda: P(rng.randint(-4, 4), 1, 0),
+        lambda: [P(t, 0, 1) for t in rng.sample(range(-6, 7), d + 2)])
+    # two arcs meeting at the node [1:0:0]: the branches z = 0 and y = 0
+    red = CurveSpec.reducible_from_lines(
+        z0, CurveSpec.line(P(1, 0, 0), P(0, 0, 1)))
+    off_branches = [(x, y) for x, y in grid if y != 0]
+    assert_genericity_verdicts(
+        [parametrize_line(line) for line in red.branch_lines()], d,
+        lambda: [P(x, y, 1) for x, y in rng.sample(off_branches,
+                                                   rng.randint(1, 2))],
+        lambda: P(rng.randint(-4, 4), 1, 0),
+        lambda: [P(t, 1, 1) for t in rng.sample(range(-6, 7), d + 2)])
+    # two disjoint lines in P^3
+    pair = CurveSpec.two_lines(CurveSpec.line(P(1, 0, 0, 0), P(0, 1, 0, 0)),
+                               CurveSpec.line(P(0, 0, 1, 0), P(0, 0, 0, 1)))
+    off_lines = [(x, y, z) for x in range(-2, 3) for y in range(-2, 3)
+                 for z in range(-2, 3) if (x, y) != (0, 0)]
+    assert_genericity_verdicts(
+        [parametrize_line(line) for line in pair.branches], d,
+        lambda: [P(x, y, z, 1) for x, y, z in rng.sample(off_lines,
+                                                          rng.randint(1, 3))],
+        lambda: P(rng.randint(-4, 4), 1, 0, 0),
+        lambda: [P(t, 1, t, 1) for t in rng.sample(range(-6, 7), d + 2)])
 
 
 def test_curve_meet_point_against_line_span():

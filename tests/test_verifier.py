@@ -11,8 +11,9 @@ from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
                               ProjectivePoint)
 from waringlab.scalars import Scalar
-from waringlab.spans import Conclusion, off_curve_agreement
-from waringlab.verifier import classify, classify_triple, detect_structure
+from waringlab.spans import Conclusion, off_curve_agreement, power_vector
+from waringlab.verifier import (classify, classify_triple, detect_structure,
+                                verify_case_b)
 
 NO_STRUCTURE_NOTE = ("no rich line, conic, or disjoint line pair found; "
                      "input sits outside the structure dichotomy")
@@ -187,6 +188,30 @@ def test_case_b_smooth_and_reducible_reports():
         if len(seen) == 2:
             break
     assert len(seen) == 2
+
+
+def test_case_b_branch_counts_leave_out_a_node_in_s_r():
+    # branches z = 0 and y = 0 meet at the node [1:0:0], which S_R holds;
+    # off the node the left branch has d = 3 points and the right d + 1
+    d = 3
+    left = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
+    right = CurveSpec.line(P(1, 0, 0), P(0, 0, 1))
+    conic = CurveSpec.reducible_from_lines(left, right)
+    assert conic.node == P(1, 0, 0)
+    s_c = PointSet.of([P(0, 1, 0), P(0, 0, 1)])
+    s_r = PointSet.of([P(1, 0, 0), P(1, 1, 0), P(2, 1, 0), P(1, 0, 1),
+                       P(2, 0, 1), P(3, 0, 1)])
+    form = HomogeneousForm.combination(
+        3, d, [Scalar.of(1)] * len(s_r), [power_vector(p, d) for p in s_r])
+    att = verify_case_b(form, s_c, s_r, conic, d)
+    checks = {c.check_id: c for c in att.checks}
+    assert checks["b.iii"].passed
+    assert dict(checks["b.iv"].data) == {"left": "3", "right": "4",
+                                         "d_plus_1": "4"}
+    assert not checks["b.iv"].passed
+    # a point on the node leaves the branch split undetermined
+    assert not checks["b.ii.split"].passed
+    assert [n for n, _ in att.meet_points] == ["P_C"]
 
 
 def test_case_c_meet_points_are_real():
