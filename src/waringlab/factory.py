@@ -24,14 +24,14 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .binary import BinaryForm, complex_rank, real_rank
+from .binary import BinaryDecomposition, BinaryForm, complex_rank, real_rank
 from .forms import HomogeneousForm, substitute
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
                      ProjectivePoint, spanning_rank, split_on_curve)
 from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
 from .spans import (CurveParametrization, catalecticant_rank, h1_ideal,
                     membership, parametrize_line, power_basis, power_row,
-                    power_vector, restrict_to_curve)
+                    power_sum, restrict_to_curve)
 
 CASE_A = "a"
 CASE_B = "b"
@@ -156,9 +156,10 @@ def _embedded_power_sum(raw_points: Sequence[tuple[Scalar, ...]],
     points = [ProjectivePoint(tuple(raw)) for raw in raw_points]
     fixed = [lam * next(c for c in raw if not c.is_zero) ** d
              for raw, lam in zip(raw_points, coeffs)]
-    total = HomogeneousForm.combination(
-        len(raw_points[0]), d, fixed, [power_vector(p, d) for p in points])
-    return total, points, fixed
+    return power_sum(len(raw_points[0]), d, fixed, points), points, fixed
+
+
+_Ranked = tuple[int, BinaryDecomposition, int, BinaryDecomposition]
 
 
 @dataclass(frozen=True)
@@ -173,11 +174,9 @@ class _Piece:
     lam_r: list[Scalar]
 
 
-def _transplant(gap: BinaryForm, param: CurveParametrization,
-                d: int) -> _Piece:
-    """Embed both certified decompositions of a gap form on a curve through
-    param.point, and check that the result restricts back to the gap form.
-    """
+def _gap_decompositions(gap: BinaryForm) -> _Ranked:
+    """The certified complex and real ranks and decompositions of a gap
+    form, which must be exact and show a real rank gap."""
     rc, dec_c = complex_rank(gap)
     rr, dec_r = real_rank(gap)
     if dec_c.mode != "exact" or dec_r.mode != "exact":
@@ -189,6 +188,15 @@ def _transplant(gap: BinaryForm, param: CurveParametrization,
     if rr <= rc:
         raise ConstraintViolation(
             "gap-ranks", f"need a real rank gap, got ({rc}, {rr})")
+    return rc, dec_c, rr, dec_r
+
+
+def _transplant(gap: BinaryForm, param: CurveParametrization, d: int,
+                ranked: _Ranked) -> _Piece:
+    """Embed both decompositions of a gap form on a curve through
+    param.point, and check that the result restricts back to the gap form.
+    """
+    rc, dec_c, rr, dec_r = ranked
     qc, pts_c, lam_c = _embedded_power_sum(
         [param.point(s, t) for s, t in dec_c.points], dec_c.coeffs, d)
     qr, pts_r, lam_r = _embedded_power_sum(
@@ -288,15 +296,14 @@ def _genericity_certs(e_points: Sequence[ProjectivePoint], d: int,
         return [Certificate("off-curve-independent", True, "empty E"),
                 Certificate("off-curve-span-disjoint", True, "empty E")]
     rep = h1_ideal(PointSet.of(e_points), d)
+    curve_rows = [row for prm in params for row in power_basis(prm, d).pieces]
     # two arcs of a reducible conic share the node's power direction
-    curve_basis = (power_basis(params[0], d) if len(params) == 1 else
-                   linalg.row_space_basis([row for prm in params
-                                           for row in power_basis(prm, d)]))
-    # E independent and curve_basis a basis: disjoint iff the union is free
+    curve_dim = (len(curve_rows) if len(params) == 1
+                 else linalg.row_rank(curve_rows))
+    # E independent: disjoint iff the dimensions add up
     disjoint = rep.independent and linalg.row_rank(
-        [power_row(p, d) for p in e_points]
-        + [linalg._clear_row(row) for row in curve_basis]
-    ) == len(e_points) + len(curve_basis)
+        [power_row(p, d) for p in e_points] + curve_rows
+    ) == len(e_points) + curve_dim
     return [Certificate("off-curve-independent", rep.independent, "",
                         (("h1", str(rep.h1)),)),
             Certificate("off-curve-span-disjoint", disjoint)]
@@ -322,15 +329,17 @@ def _union_threshold(pieces: Sequence[_Piece], need: int,
 def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
            e_points: Sequence[ProjectivePoint],
            e_coeffs: Optional[Sequence[Scalar]], seed: int, rank_note: str,
-           thresholds: Callable[[list[_Piece]], list[Certificate]]
-           ) -> Instance:
+           thresholds: Callable[[list[_Piece]], list[Certificate]],
+           node: Optional[ProjectivePoint] = None) -> Instance:
     """The construction every case shares, on a validated real curve.
 
     arcs lists (gap form, parametrization) for each curve component that
     carries a gap; a parametrization of degree deg takes a gap form of
     degree deg * d, and the arcs' power bases span the curve's powers.
-    thresholds checks the curve's richness on the transplanted pieces and
-    returns its certificates.
+    No decomposition point may land on node; that is tested on the
+    parameter points' images, before anything is embedded.  thresholds
+    checks the curve's richness on the transplanted pieces and returns its
+    certificates.
     """
     for gap, param in arcs:
         want = param.images[0].degree * d
@@ -342,16 +351,23 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
             raise ConstraintViolation("off-curve", "E must be real")
         if curve.contains(p):
             raise ConstraintViolation("off-curve", "E must avoid the curve")
-    pieces = [_transplant(gap, param, d) for gap, param in arcs]
-    size_c = sum(pc.rc for pc in pieces) + len(e_points)
-    size_r = sum(pc.rr for pc in pieces) + len(e_points)
+    ranked = [_gap_decompositions(gap) for gap, _ in arcs]
+    size_c = sum(rc for rc, _, _, _ in ranked) + len(e_points)
+    size_r = sum(rr for _, _, rr, _ in ranked) + len(e_points)
     _check_budget(d, size_c, size_r)
+    if node is not None and any(
+            ProjectivePoint(param.point(s, t)) == node
+            for (_, param), (_, dec_c, _, dec_r) in zip(arcs, ranked)
+            for s, t in dec_c.points + dec_r.points):
+        raise ConstraintViolation(
+            "node-avoidance", "a decomposition point hit the node")
+    pieces = [_transplant(gap, param, d, rk)
+              for (gap, param), rk in zip(arcs, ranked)]
     rich = thresholds(pieces)
     if e_coeffs is None:
         e_coeffs = [ONE] * len(e_points)
     form = sum((pc.part for pc in pieces[1:]), pieces[0].part)
-    form = form + HomogeneousForm.combination(
-        m + 1, d, e_coeffs, [power_vector(p, d) for p in e_points])
+    form = form + power_sum(m + 1, d, e_coeffs, e_points)
     pts_c = [p for pc in pieces for p in pc.pts_c]
     pts_r = [p for pc in pieces for p in pc.pts_r]
     s_c = PointSet.of(pts_c + list(e_points))
@@ -434,9 +450,6 @@ def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
 
     def thresholds(pieces: list[_Piece]) -> list[Certificate]:
         union = _on_curve_union(pieces)
-        if node in union:
-            raise ConstraintViolation(
-                "node-avoidance", "a decomposition point hit the node")
         rich = _union_threshold(pieces, 2 * d + 2, "two_d_plus_2")
         counts = [len(split_on_curve(union, branch)[0])
                   for branch in (line_left, line_right)]
@@ -453,7 +466,7 @@ def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
                   [(gap_left, parametrize_line(line_left)),
                    (gap_right, parametrize_line(line_right))],
                   e_points, e_coeffs, seed,
-                  "certified per-branch binary ranks", thresholds)
+                  "certified per-branch binary ranks", thresholds, node)
 
 
 def make_case_c(m: int, d: int, gap_left: BinaryForm,

@@ -7,21 +7,24 @@ a single degree block means plain lexicographic descending, so x0^d comes
 first and x_{n-1}^d last.  Every coefficient vector in the package is aligned
 to this order.
 
-The package expands forms in two ways:
+The package expands forms in two ways, both on Gaussian integers (pairs
+of ints), so no Fraction enters an expansion:
 
 - gaussian_power expands the d-th power of a linear form whose
-  coefficients are Gaussian integers (pairs of ints), by the multinomial
-  theorem; spans.power_row caches these rows for the primitive integer
+  coefficients are Gaussian integers, by the multinomial theorem;
+  spans.power_row caches these rows for the primitive integer
   representatives of points, and linalg eliminates them as they are.
 - substitution_rows is the one table for pushing forms through a
-  polynomial substitution x_i -> images_i(t): the curve power bases in
-  spans, the conic check in spans.parametrize_conic and the GL2
-  transplants in factory all read it, and substitute sums it against a
-  form's coefficients.
+  polynomial substitution x_i -> images_i(t).  One common L clears the
+  images' denominators, and the table holds the products of the cleared
+  images together with their scale L^d.  The curve power bases in spans
+  keep the table's rows and scale; substitute (the conic check in
+  spans.parametrize_conic, the GL2 transplants in factory) sums the rows
+  against a form's coefficients and divides by the scale once per entry.
 
-A point power is the constant-image case of the table, but it stays on
-integer tables: no Fraction enters it, and the rows need no clearing
-before elimination.
+HomogeneousForm.combination likewise sums Gaussian-integer rows, such as
+power rows and power-basis pieces, against Scalar coefficients: the
+coefficients are cleared once and each entry is divided once.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping, Sequence
 
+from . import linalg
+from .linalg import GInt
 from .scalars import ONE, ZERO, Scalar, parse_int
-from .univariate import poly_mul
 
 Exponent = tuple[int, ...]
 
@@ -93,16 +97,16 @@ class HomogeneousForm:
 
     @staticmethod
     def combination(num_vars: int, degree: int, coeffs: Sequence[Scalar],
-                    vectors: Sequence[Sequence[Scalar]]) -> "HomogeneousForm":
-        """sum coeff * vector over coefficient vectors, read as a form."""
-        if len(coeffs) != len(vectors):
+                    rows: Sequence[Sequence[GInt]]) -> "HomogeneousForm":
+        """sum coeff * row over Gaussian-integer coefficient rows, such as
+        spans.power_row, read as a form."""
+        if len(coeffs) != len(rows):
             raise ValueError("need one coefficient per vector")
-        acc = [ZERO] * len(monomial_exponents(num_vars, degree))
-        for lam, vec in zip(coeffs, vectors):
-            if len(vec) != len(acc):
-                raise ValueError("coefficient vector has wrong length")
-            acc = [a if v.is_zero else a + lam * v for a, v in zip(acc, vec)]
-        return HomogeneousForm.from_coeff_vector(num_vars, degree, acc)
+        width = len(monomial_exponents(num_vars, degree))
+        if any(len(row) != width for row in rows):
+            raise ValueError("coefficient vector has wrong length")
+        return HomogeneousForm.from_coeff_vector(
+            num_vars, degree, linalg._combine(coeffs, rows, width))
 
     # -- basic structure ---------------------------------------------------
 
@@ -208,45 +212,61 @@ def gaussian_power(z: Sequence[tuple[int, int]],
     return tuple(out)
 
 
+def _gpoly_mul(a: Sequence[GInt], b: Sequence[GInt]) -> list[GInt]:
+    """Product of two polynomials with Gaussian-integer coefficients."""
+    out_re, out_im = [0] * (len(a) + len(b) - 1), [0] * (len(a) + len(b) - 1)
+    for i, (ar, ai) in enumerate(a):
+        if not (ar or ai):
+            continue
+        for j, (br, bi) in enumerate(b, i):
+            if br or bi:
+                out_re[j] += ar * br - ai * bi
+                out_im[j] += ar * bi + ai * br
+    return list(zip(out_re, out_im))
+
+
 def substitution_rows(images: Sequence[Sequence[Scalar]],
-                      degree: int) -> list[list[Scalar]]:
-    """t-coefficients of prod_i images[i](t)^e_i, one row per monomial x^e.
+                      degree: int) -> tuple[list[list[GInt]], int]:
+    """t-coefficients of prod_i images[i](t)^e_i, one row per monomial x^e,
+    in Gaussian integers, and their scale.
 
     images[i] is the image of x_i as a coefficient list in t (ascending);
     all images share one length k + 1, and every row is padded to length
     degree*k + 1.  Rows follow monomial_exponents(len(images), degree).
+    One common L clears every image's denominators, and the cleared
+    images are multiplied out on (re, im) int pairs: the rows are L^degree
+    times the true ones, and L^degree is the scale returned with them.
     Like gaussian_power, each coordinate gets one table of powers, so
     every monomial costs one product of table entries.
     """
     lengths = {len(image) for image in images}
     if len(lengths) != 1:
         raise ValueError("images must share one length")
-    width = degree * (lengths.pop() - 1) + 1
+    size = lengths.pop()
+    width = degree * (size - 1) + 1
+    flat, lcm = linalg._clear([c for image in images for c in image])
     tables = []
-    for image in images:
-        table = [[ONE]]
+    for i in range(len(images)):
+        image = flat[i * size:(i + 1) * size]
+        table = [[(1, 0)]]
         for _ in range(degree):
-            table.append(poly_mul(table[-1], image))
+            table.append(_gpoly_mul(table[-1], image))
         tables.append(table)
     rows = []
     for exp in monomial_exponents(len(images), degree):
-        row = [ONE]
+        row = None
         for table, e in zip(tables, exp):
             if e:
-                row = poly_mul(row, table[e])
-        rows.append(row + [ZERO] * (width - len(row)))
-    return rows
+                row = table[e] if row is None else _gpoly_mul(row, table[e])
+        row = row or [(1, 0)]
+        rows.append(row + [(0, 0)] * (width - len(row)))
+    return rows, lcm ** degree
 
 
 def substitute(form: HomogeneousForm,
                images: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-    """t-coefficients of form(images(t)): sum_e F_e * row_e."""
+    """t-coefficients of form(images(t)): sum_e F_e * row_e / scale."""
     if len(images) != form.num_vars:
         raise ValueError("need one image per variable")
-    rows = substitution_rows(images, form.degree)
-    acc = [ZERO] * len(rows[0])
-    for exp, row in zip(monomial_exponents(form.num_vars, form.degree), rows):
-        c = form.coeffs.get(exp)
-        if c is not None:
-            acc = [a + c * r for a, r in zip(acc, row)]
-    return acc
+    rows, scale = substitution_rows(images, form.degree)
+    return linalg._combine(form.coeff_vector(), rows, len(rows[0]), scale)

@@ -1,12 +1,15 @@
 """Exact linear algebra over the Gaussian rationals, on one kernel.
 
 Fraction-free (Bareiss) elimination runs on Gaussian integers (pairs of
-ints): pivots takes rows already in them, such as spans.power_row, and the
-other entry points clear each row of denominators once.  Span membership
-reads the pivots of the forward pass.  The reduced row echelon form also
-clears the rows above each pivot and divides once, at the end; nullspaces,
-solutions, row space bases and span intersections are read off it.  Pivots
-are chosen by position, not magnitude, so results are deterministic.
+ints): pivots, row_rank, span_intersection and ColumnSolver take rows
+already in them, such as spans.power_row and the curve power bases, and
+the other entry points clear each row of denominators once.  Span
+membership reads the pivots of the forward pass.  The reduced row echelon
+form also clears the rows above each pivot and divides once, at the end;
+nullspaces, solutions, row space bases and span intersections are read off
+it.  ColumnSolver keeps a fraction-free inverse for repeated solves against
+fixed independent columns.  Pivots are chosen by position, not magnitude,
+so results are deterministic.
 
 Ranks (row_rank, and rank on top of it) rest on a certificate mod p: a
 forward elimination over F_p picks r independent rows, and the rows it
@@ -41,12 +44,17 @@ def _gdiv_exact(a: GInt, b: GInt) -> GInt:
     return (re // n, im // n)
 
 
-def _clear_row(row: Sequence[Scalar]) -> list[GInt]:
-    """The row times the lcm of its denominators, as Gaussian integers."""
+def _clear(row: Sequence[Scalar]) -> tuple[list[GInt], int]:
+    """The row times the lcm of its denominators, as Gaussian integers,
+    and that lcm."""
     parts = [x.as_integer_ratio() for c in row for x in (c.re, c.im)]
     lcm = math.lcm(*(q for _, q in parts))
     flat = iter([p * (lcm // q) for p, q in parts])
-    return list(zip(flat, flat))
+    return list(zip(flat, flat)), lcm
+
+
+def _clear_row(row: Sequence[Scalar]) -> list[GInt]:
+    return _clear(row)[0]
 
 
 def _eliminate(m: list[list[GInt]], reduce: bool
@@ -190,7 +198,11 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the pivot column indices."""
-    m = [_clear_row(row) for row in rows]
+    return _rref([_clear_row(row) for row in rows])
+
+
+def _rref(m: list[list[GInt]]) -> tuple[Matrix, tuple[int, ...]]:
+    """rref of Gaussian-integer rows, eliminated in place."""
     pivots, divisors = _eliminate(m, True)
     nc = len(divisors)
     reduced: Matrix = []
@@ -246,15 +258,108 @@ def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return reduced[:len(pivots)]
 
 
-def span_intersection(u_columns: Sequence[Sequence[Scalar]],
-                      v_columns: Sequence[Sequence[Scalar]]
+def span_intersection(u_columns: Sequence[Sequence[GInt]],
+                      v_columns: Sequence[Sequence[GInt]]
                       ) -> list[list[Scalar]]:
-    """Canonical basis of span(U) meet span(V), as a list of vectors."""
+    """Canonical basis of span(U) meet span(V), for Gaussian-integer columns.
+
+    Each free column f of [U | V] gives the kernel vector x with x_f =
+    divisors[f] and x at pivot column r equal to -m[r][f], the RREF kernel
+    vector times divisors[f]; its U part gives the common vector U x.
+    """
     if not u_columns or not v_columns:
         return []
-    kernel = nullspace(list(zip(*u_columns, *v_columns)))
-    u_rows = list(zip(*u_columns))
-    # a kernel vector (x, y) of [U | V] gives the common vector U x
-    meets = [[sum((a * b for a, b in zip(vec, row)), ZERO) for row in u_rows]
-             for vec in kernel]
-    return row_space_basis(meets)
+    k = len(u_columns)
+    m = [list(row) for row in zip(*u_columns, *v_columns)]
+    pivots, divisors = _eliminate(m, True)
+    pivot_set = set(pivots)
+    meets = []
+    for free in range(len(divisors)):
+        if free in pivot_set:
+            continue
+        x = [(0, 0)] * k
+        if free < k:
+            x[free] = divisors[free]
+        for r, pc in enumerate(pivots):
+            if pc < k:
+                x[pc] = (-m[r][free][0], -m[r][free][1])
+        meets.append(_combine_ints(x, u_columns, len(m)))
+    reduced, found = _rref(meets)
+    return reduced[:len(found)]
+
+
+def _combine_ints(coeffs: Sequence[GInt], rows: Sequence[Sequence[GInt]],
+                  width: int) -> list[GInt]:
+    """sum_i coeffs[i] * rows[i] over Gaussian integers."""
+    acc_re, acc_im = [0] * width, [0] * width
+    for (cr, ci), row in zip(coeffs, rows):
+        if not (cr or ci):
+            continue
+        for j, (ar, ai) in enumerate(row):
+            if ar or ai:
+                acc_re[j] += cr * ar - ci * ai
+                acc_im[j] += cr * ai + ci * ar
+    return list(zip(acc_re, acc_im))
+
+
+def _combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[GInt]],
+             width: int, scale: int = 1) -> list[Scalar]:
+    """sum_i coeffs[i] * rows[i] / scale for Gaussian-integer rows of the
+    given width: the coefficients are cleared once, and each entry is
+    divided once, at the end."""
+    cleared, lcm = _clear(coeffs)
+    den = (lcm * scale, 0)
+    return [ZERO if z == (0, 0) else _quotient(z, den)
+            for z in _combine_ints(cleared, rows, width)]
+
+
+class ColumnSolver:
+    """Exact solves of  sum_j x_j * columns[j] = target  for fixed,
+    independent Gaussian-integer columns.
+
+    Built once: C, the leading columns of a forward elimination of the
+    columns read as rows (mod p, as in row_rank, or exactly when p divides
+    the minors), and A = D * inverse of the square block columns[.][C],
+    fraction-free, from one Bareiss-Montante pass over [block | I]; D is
+    the final pivot.  A solve clears the target once (target = T / q),
+    forms y = A T[C], and checks sum_j y_j columns[j] = D T exactly at the
+    rows outside C, where it does not hold by construction.  Then
+    x = y / (D q): one division per entry.
+    """
+
+    def __init__(self, columns: Sequence[Sequence[GInt]]) -> None:
+        k = len(columns)
+        self.columns = columns
+        # the leading columns mod p bound a block invertible mod p, hence
+        # invertible; when p divides the minors, the exact pivots decide
+        picked, rows = _independent_mod_p(columns)
+        if len(picked) != k:
+            rows = list(pivots(columns))
+            if len(rows) != k:
+                raise ArithmeticError("solver columns are dependent")
+        self.rows = rows
+        block = [[col[c] for col in columns]
+                 + [(1, 0) if j == i else (0, 0) for j in range(k)]
+                 for i, c in enumerate(self.rows)]
+        _, divisors = _eliminate(block, True)
+        self.det = divisors[k] if k else (1, 0)
+        # A by columns: y = A T[C] sums T[c_i] times column i
+        self.inverse_columns = list(zip(*(row[k:] for row in block)))
+
+    def solve(self, target: Sequence[Scalar],
+              scale: int = 1) -> Optional[list[Scalar]]:
+        """x with sum_j x_j * columns[j] / scale = target, or None when the
+        target lies outside the columns' span."""
+        t, q = _clear(target)
+        y = _combine_ints([t[c] for c in self.rows], self.inverse_columns,
+                          len(self.rows))
+        dr, di = self.det
+        picked = set(self.rows)
+        rebuilt = _combine_ints(y, self.columns, len(t))
+        for j, ((ar, ai), z) in enumerate(zip(t, rebuilt)):
+            if j not in picked and z != (dr * ar - di * ai, dr * ai + di * ar):
+                return None
+        den = (dr * q, di * q)
+        return [ZERO if z == (0, 0) else _quotient((z[0] * scale,
+                                                    z[1] * scale), den)
+                for z in y]

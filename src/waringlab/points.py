@@ -40,9 +40,13 @@ class ProjectivePoint:
         lead = next((c for c in self.coords if not c.is_zero), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        if lead != ONE:
+        if lead.im:
             object.__setattr__(
                 self, "coords", tuple(c / lead for c in self.coords))
+        elif lead.re != 1:
+            r = lead.re
+            object.__setattr__(self, "coords", tuple(
+                Scalar(c.re / r, c.im / r) for c in self.coords))
 
     @staticmethod
     def of(*values) -> "ProjectivePoint":

@@ -1,14 +1,15 @@
 """Spans of Veronese images: evaluation matrices, h1, restriction to curves.
 
 Everything here reduces to exact linear algebra over Q(i).  A projective
-point p corresponds to the d-th power form (p.x)^d, whose coefficient
-vector in the monomial basis is power_vector(p, d); a form P lies in the
+point p corresponds to the d-th power form (p.x)^d; a form P lies in the
 span of the Veronese image of S exactly when its coefficient vector is a
 linear combination of those vectors.  Scaling a vector leaves its span
-alone, so h1 ranks (linalg.row_rank) and membership eliminates
-(linalg.pivots) the cached power_row(p, d), the same vector in Gaussian
-integers, as it is.  The failure of a finite set to impose
-independent conditions in degree d is the single number
+alone, so every span question reads the cached power_row(p, d), the
+power's coefficient vector times a positive integer, in Gaussian integers
+and as it is: h1 ranks (linalg.row_rank), membership eliminates
+(linalg.pivots), and meets intersect (linalg.span_intersection).  The
+failure of a finite set to impose independent conditions in degree d is
+the single number
 
     h1 = (number of points) - 1 - (projective dimension of the span)
 
@@ -20,18 +21,28 @@ and v, the i-th quadric on a parametrized conic.  The powers of the curve's
 points span the graded pieces of (sum_i images_i(t) x_i)^d (power_basis),
 and a form in that span restricts to a binary form (restrict_to_curve)
 whose decompositions embed back through the same map (point).
+
+A power basis is one table and a scale: its pieces are Gaussian-integer
+vectors, the scale L^d of forms.substitution_rows times the true pieces.
+Spans, meets and splits read the pieces as they are.  A restriction
+solves on the pieces through the basis's cached restriction map (pivot
+columns and a fraction-free inverse, linalg.ColumnSolver) and multiplies
+the scale back in, once per coefficient.  The catalecticant bound
+eliminates integer entries too: L d! times c_e / multinomial(d, e).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
 from .binary import BinaryForm
 from .forms import (HomogeneousForm, gaussian_power, monomial_exponents,
                     multinomial, substitute, substitution_rows)
+from .linalg import GInt
 from .points import (LINE, SMOOTH_CONIC, TWO_DISJOINT_LINES, CurveSpec,
                      PointSet, ProjectivePoint, _CONIC_EXPS, _conic_matrix,
                      _eval_conic, _quad_apply, split_on_curve)
@@ -39,18 +50,21 @@ from .scalars import ONE, ZERO, Scalar
 
 
 @lru_cache(maxsize=None)
-def power_row(p: ProjectivePoint, d: int) -> tuple[linalg.GInt, ...]:
+def power_row(p: ProjectivePoint, d: int) -> tuple[GInt, ...]:
     """(z.x)^d in Gaussian integers, z = p.zcoords = z_lead * p.coords, so
-    power_vector(p, d) times z_lead^d.  Shared cached tuples: never mutate."""
+    z_lead^d times the coefficient vector of (p.x)^d; z_lead is a positive
+    integer, as the canonical point leads with 1.  Shared cached tuples:
+    never mutate."""
     return gaussian_power(p.zcoords, d)
 
 
-def power_vector(p: ProjectivePoint, d: int) -> list[Scalar]:
-    """Coefficient vector of (p.x)^d in the fixed monomial order (uncached;
-    z_lead is a positive integer, as the canonical point leads with 1)."""
-    scale = (next(z for z in p.zcoords if z != (0, 0))[0] ** d, 0)
-    return [ZERO if z == (0, 0) else linalg._quotient(z, scale)
-            for z in power_row(p, d)]
+def power_sum(num_vars: int, d: int, coeffs: Sequence[Scalar],
+              points: Sequence[ProjectivePoint]) -> HomogeneousForm:
+    """sum_i coeffs[i] * (points[i].x)^d, read off the cached power rows."""
+    weights = [c / Scalar.of(next(z for z in p.zcoords if z != (0, 0))[0]
+                             ** d) for c, p in zip(coeffs, points)]
+    return HomogeneousForm.combination(num_vars, d, weights,
+                                       [power_row(p, d) for p in points])
 
 
 @dataclass(frozen=True)
@@ -116,7 +130,7 @@ def unique_intersection_point(form: HomogeneousForm, e: PointSet,
         return form.canonical()
     if any(p in t for p in e):
         raise ValueError("the two point sets must be disjoint")
-    found = curve_meet_point(form, e, [power_vector(p, d) for p in t], d)
+    found = curve_meet_point(form, e, [power_row(p, d) for p in t], d)
     if (not isinstance(found, NotUnique) and form.is_real
             and e.is_conjugation_stable()
             and t.is_conjugation_stable() and not found.is_real):
@@ -167,14 +181,20 @@ def catalecticant_rank(form: HomogeneousForm, t: Optional[int] = None) -> int:
     if not 0 <= t <= d:
         raise ValueError("derivative order out of range")
     n = form.num_vars
+    # entry c_e / multinomial(d, e) times L d!, L clearing the coefficients
+    cleared = dict(zip(monomial_exponents(n, d),
+                       linalg._clear_row(form.coeff_vector())))
+    weight = math.factorial(d)
     rows = []
     for u in monomial_exponents(n, t):
         row = []
         for v in monomial_exponents(n, d - t):
             e = tuple(a + b for a, b in zip(u, v))
-            row.append(form.coeff(e) / Scalar.of(multinomial(d, e)))
+            re, im = cleared[e]
+            w = weight // multinomial(d, e)
+            row.append((re * w, im * w))
         rows.append(row)
-    return linalg.rank(rows)
+    return linalg.row_rank(rows)
 
 
 # -- curves parametrized by P^1 -------------------------------------------------
@@ -259,36 +279,56 @@ def parametrize_conic(curve: CurveSpec,
     return CurveParametrization(curve, tuple(ambient))
 
 
+class PowerBasis:
+    """Gaussian-integer pieces that are scale times the curve's power basis.
+
+    Scaling a vector leaves its span alone, so span questions read the
+    pieces as they are; restrictions divide the scale back out.  A plain
+    class: a dataclass would add its code generation to every import.
+    """
+
+    def __init__(self, pieces: tuple[tuple[GInt, ...], ...],
+                 scale: int) -> None:
+        self.pieces = pieces
+        self.scale = scale
+
+    @cached_property
+    def solver(self) -> linalg.ColumnSolver:
+        """The restriction map, built on the first restriction and kept
+        with the cached basis."""
+        return linalg.ColumnSolver(self.pieces)
+
+
 @lru_cache(maxsize=512)
-def power_basis(param: CurveParametrization,
-                d: int) -> tuple[tuple[Scalar, ...], ...]:
+def power_basis(param: CurveParametrization, d: int) -> PowerBasis:
     """deg*d + 1 independent vectors spanning the d-th powers of the curve's
     points, deg being the degree of the images: the coefficient vectors of
     the t-graded pieces of (sum images_i(t) x_i)^d.  Piece k is
-    sum_e multinomial(d, e) * row_e[k] * x^e, read off the one substitution
-    table of forms.substitution_rows.  Shared cached tuples: never mutate.
+    sum_e multinomial(d, e) * row_e[k] * x^e over the one substitution
+    table of forms.substitution_rows, kept in Gaussian integers with the
+    table's scale.  Shared cached tuples: never mutate.
     """
-    rows = substitution_rows([q.plain_coeffs() for q in param.images], d)
-    weights = [Scalar.of(multinomial(d, e))
+    rows, scale = substitution_rows(
+        [q.plain_coeffs() for q in param.images], d)
+    weights = [multinomial(d, e)
                for e in monomial_exponents(len(param.images), d)]
-    # the cached bases keep every entry, so zeros stay the shared ZERO
-    basis = tuple(tuple(ZERO if row[k].is_zero else w * row[k]
-                        for w, row in zip(weights, rows))
-                  for k in range(len(rows[0])))
-    if linalg.rank(basis) != param.images[0].degree * d + 1:
+    pieces = tuple(tuple((w * row[k][0], w * row[k][1])
+                         for w, row in zip(weights, rows))
+                   for k in range(len(rows[0])))
+    if linalg.row_rank(pieces) != param.images[0].degree * d + 1:
         noun = "line" if param.curve.kind == LINE else "conic"
         raise ArithmeticError(f"{noun} power basis degenerated")
-    return basis
+    return PowerBasis(pieces, scale)
 
 
-def pair_power_basis(pair: CurveSpec,
-                     d: int) -> tuple[tuple[Scalar, ...], ...]:
-    """Powers along two disjoint lines: the two line bases, jointly free."""
+def pair_power_basis(pair: CurveSpec, d: int) -> tuple[tuple[GInt, ...], ...]:
+    """Powers along two disjoint lines: the two lines' pieces, jointly free
+    (each line keeps its own scale, which spans and splits do not see)."""
     if pair.kind != TWO_DISJOINT_LINES:
         raise ValueError("need two disjoint lines")
-    left, right = (power_basis(parametrize_line(line), d)
+    left, right = (power_basis(parametrize_line(line), d).pieces
                    for line in pair.branches)
-    if linalg.rank(left + right) != 2 * (d + 1):
+    if linalg.row_rank(left + right) != 2 * (d + 1):
         raise ArithmeticError("disjoint lines share power directions")
     return left + right
 
@@ -302,8 +342,8 @@ def restrict_to_curve(form: HomogeneousForm,
     with the parameter point [s:t]; ranks and decompositions transfer
     verbatim.
     """
-    sol = linalg.solve_columns(power_basis(param, form.degree),
-                               list(form.coeff_vector()))
+    basis = power_basis(param, form.degree)
+    sol = basis.solver.solve(form.coeff_vector(), basis.scale)
     if sol is None:
         noun = "line" if param.curve.kind == LINE else "conic"
         raise ValueError(f"form does not lie on the {noun}'s power span")
@@ -311,9 +351,11 @@ def restrict_to_curve(form: HomogeneousForm,
 
 
 def curve_meet_point(form: HomogeneousForm, anchors: PointSet,
-                     curve_basis: Sequence[Sequence[Scalar]], d: int):
-    """Single point of span({form} u powers(anchors)) meet a curve span."""
-    u_cols = [form.coeff_vector()] + [power_vector(p, d) for p in anchors]
+                     curve_basis: Sequence[Sequence[GInt]], d: int):
+    """Single point of span({form} u powers(anchors)) meet a curve span,
+    the curve span given by Gaussian-integer vectors."""
+    u_cols = ([linalg._clear_row(form.coeff_vector())]
+              + [power_row(p, d) for p in anchors])
     meet = linalg.span_intersection(u_cols, curve_basis)
     if len(meet) != 1:
         which = "empty" if not meet else "positive-dimensional"

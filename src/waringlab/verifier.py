@@ -24,7 +24,7 @@ from .points import (SMOOTH_CONIC, CurveSpec, PointSet, ProjectivePoint,
                      find_rich_conics, find_rich_lines, split_on_curve)
 from .spans import (CurveParametrization, NotUnique, curve_meet_point,
                     h1_ideal, membership, pair_power_basis, parametrize_conic,
-                    parametrize_line, power_vector, restrict_to_curve,
+                    parametrize_line, power_row, restrict_to_curve,
                     unique_intersection_point)
 
 
@@ -350,22 +350,24 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
     pts = list(on_set)
     if node in pts:
         return None
-    cols = [power_vector(p, d) for p in pts]
-    # one elimination of [cols | P]: the split exists and is unique
-    # exactly when the pivots are the support columns
-    reduced, pivots = linalg.rref(list(zip(*cols, point_form.coeff_vector())))
-    if pivots != tuple(range(len(pts))):
+    cols = [power_row(p, d) for p in pts]
+    # the split exists and is unique exactly when the support's powers are
+    # independent and P lies in their span
+    if linalg.row_rank(cols) != len(cols):
+        return None
+    sol = linalg.ColumnSolver(cols).solve(point_form.coeff_vector())
+    if sol is None:
         return None
     lams: tuple[list, list] = ([], [])
     vecs: tuple[list, list] = ([], [])
-    for p, row, col in zip(pts, reduced, cols):
+    for p, lam, col in zip(pts, sol, cols):
         if left.contains(p):
             side = 0
         elif right.contains(p):
             side = 1
         else:
             return None
-        lams[side].append(row[-1])
+        lams[side].append(lam)
         vecs[side].append(col)
     n = point_form.num_vars
     return (HomogeneousForm.combination(n, d, lams[0], vecs[0]),
@@ -481,7 +483,7 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
         return CaseAttempt("c", pair, tuple(checks), ())
     meets = [("O_Gamma", point)]
     sub: list[CheckResult] = []
-    sol = linalg.solve_columns(basis, list(point.coeff_vector()))
+    sol = linalg.ColumnSolver(basis).solve(point.coeff_vector())
     if sol is None:
         sub.append(CheckResult("c.iv.split", False,
                                "meet point left the joint span"))

@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 from waringlab.binary import BinaryForm, complex_rank, real_rank
+from waringlab import factory
 from waringlab.factory import (CASE_A, CASE_B, ConstraintViolation,
                                Instance, _compose_gl2, _random_transplant,
                                conjugate_pair_form, generate_instance,
@@ -19,7 +20,7 @@ from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
                               ProjectivePoint)
 from waringlab.scalars import ONE, ZERO, Scalar
-from waringlab.spans import parametrize_conic
+from waringlab.spans import parametrize_conic, parametrize_line
 
 
 def P(*vals) -> ProjectivePoint:
@@ -156,6 +157,32 @@ def test_case_b_reducible_rejects_bad_inputs():
              [P(1, 1, 1)], left, right)
     _rejects("curve", make_case_b_reducible, 3, 5, gap, gap, [], left,
              right)
+
+
+def test_case_b_reducible_rejects_a_node_hit_before_embedding(monkeypatch):
+    # the left branch z = 0 takes [s:t] to [s:t:0], so the node is the image
+    # of a point of the gap form's real decomposition
+    gap = conjugate_pair_form(5)
+    _, dec_r = real_rank(gap)
+    left = CurveSpec.line(P(1, 0, 0), P(0, 1, 0))
+    node = ProjectivePoint(parametrize_line(left).point(*dec_r.points[2]))
+    assert node == P(3, 1, 0)
+    right = CurveSpec.line(node, P(0, 0, 1))
+    embedded = []
+    embed = factory._embedded_power_sum
+    monkeypatch.setattr(factory, "_embedded_power_sum",
+                        lambda *args: embedded.append(args) or embed(*args))
+    _rejects("node-avoidance", make_case_b_reducible, 2, 5, gap, gap, [],
+             left, right)
+    assert embedded == []
+    # gap ranks fail first, then the budget, and only then the node
+    _rejects("gap-ranks", make_case_b_reducible, 2, 5, gap,
+             conjugate_pair_form(4), [], left, right)
+    assert not CurveSpec.reducible_from_lines(left, right).contains(
+        P(1, 1, 1))
+    _rejects("budget", make_case_b_reducible, 2, 5, gap, gap,
+             [P(1, 1, 1)], left, right)
+    assert embedded == []
 
 
 def test_case_c_rejects_bad_inputs():

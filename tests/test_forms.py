@@ -60,9 +60,10 @@ def combine(terms, degree: int) -> HomogeneousForm:
     terms = list(terms)
     if not terms:
         raise ValueError("combine needs at least one term")
-    return HomogeneousForm.combination(
-        terms[0][1].num_vars, degree, [lam for lam, _ in terms],
-        [power_of_linear(lin, degree).coeff_vector() for _, lin in terms])
+    out = HomogeneousForm(terms[0][1].num_vars, degree)
+    for lam, lin in terms:
+        out = out + power_of_linear(lin, degree).scale(lam)
+    return out
 
 
 def product(a: HomogeneousForm, b: HomogeneousForm) -> HomogeneousForm:
@@ -233,25 +234,30 @@ def test_combine_power_sums():
 
 
 def test_combination_equals_repeated_sums_of_scaled_forms():
+    # Gaussian-integer rows against coefficients with denominators
     rng = random.Random(61)
     for trial in range(12):
         n, d = rng.randint(2, 4), rng.randint(1, 4)
         count = trial % 4
-        forms = [rand_form(rng, n, d, trial % 2 == 0) for _ in range(count)]
-        coeffs = [Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
+        width = len(monomial_exponents(n, d))
+        rows = [[(rng.randint(-4, 4) * (rng.random() < 0.7),
+                  rng.randint(-2, 2) * (trial % 2))
+                 for _ in range(width)] for _ in range(count)]
+        coeffs = [Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                            Fraction(rng.randint(-1, 1), rng.randint(1, 3)))
                   for _ in range(count)]
         want = HomogeneousForm(n, d)
-        for lam, f in zip(coeffs, forms):
-            want = want + f.scale(lam)
-        got = HomogeneousForm.combination(
-            n, d, coeffs, [f.coeff_vector() for f in forms])
+        for lam, row in zip(coeffs, rows):
+            want = want + HomogeneousForm.from_coeff_vector(
+                n, d, [Scalar.of(a, b) for a, b in row]).scale(lam)
+        got = HomogeneousForm.combination(n, d, coeffs, rows)
         assert got == want
         assert dict(got.coeffs) == dict(want.coeffs)
     assert HomogeneousForm.combination(3, 2, [], []).is_zero
     with pytest.raises(ValueError):
-        HomogeneousForm.combination(2, 2, [ONE], [(ONE, ZERO)])
+        HomogeneousForm.combination(2, 2, [ONE], [((1, 0), (0, 0))])
     with pytest.raises(ValueError):
-        HomogeneousForm.combination(2, 1, [ONE, ONE], [(ONE, ZERO)])
+        HomogeneousForm.combination(2, 1, [ONE, ONE], [((1, 0), (0, 0))])
 
 
 def test_is_real_and_conjugate():

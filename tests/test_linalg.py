@@ -169,7 +169,8 @@ def test_in_span_agrees_with_solve():
 
 
 def test_span_intersection_of_coordinate_planes():
-    e = [[ONE, ZERO, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]]
+    e = [[(1, 0), (0, 0), (0, 0)], [(0, 0), (1, 0), (0, 0)],
+         [(0, 0), (0, 0), (1, 0)]]
     meet = linalg.span_intersection([e[0], e[1]], [e[1], e[2]])
     assert meet == [[ZERO, ONE, ZERO]]
     assert linalg.span_intersection([e[0]], [e[2]]) == []
@@ -178,19 +179,22 @@ def test_span_intersection_of_coordinate_planes():
 def test_span_intersection_dimension_formula():
     # dim(U meet V) = dim U + dim V - dim(U + V), checked on random data
     rng = random.Random(31)
-    for _ in range(25):
+    for trial in range(25):
         n = rng.randint(3, 6)
-        u = [[Scalar.of(rng.randint(-2, 2)) for _ in range(n)]
-             for _ in range(rng.randint(1, 3))]
-        v = [[Scalar.of(rng.randint(-2, 2)) for _ in range(n)]
-             for _ in range(rng.randint(1, 3))]
-        du = linalg.rank([list(r) for r in zip(*u)]) if u else 0
-        dv = linalg.rank([list(r) for r in zip(*v)]) if v else 0
-        dsum = linalg.rank([list(r) for r in zip(*(u + v))])
+        u = [[(rng.randint(-2, 2), rng.randint(-1, 1) * (trial % 2))
+              for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        v = [[(rng.randint(-2, 2), rng.randint(-1, 1) * (trial % 2))
+              for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        u_s, v_s = ([[Scalar.of(a, b) for a, b in col] for col in cols]
+                    for cols in (u, v))
+        du = linalg.rank([list(r) for r in zip(*u_s)])
+        dv = linalg.rank([list(r) for r in zip(*v_s)])
+        dsum = linalg.rank([list(r) for r in zip(*(u_s + v_s))])
         meet = linalg.span_intersection(u, v)
         assert len(meet) == du + dv - dsum
         for w in meet:
-            assert in_span(u, w) and in_span(v, w)
+            assert in_span(u_s, w) and in_span(v_s, w)
+        assert meet == linalg.row_space_basis(meet)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ code never checks itself.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,15 +21,17 @@ from test_linalg import in_span
 from waringlab import linalg
 from waringlab.binary import complex_rank, power_point
 from waringlab.factory import _genericity_certs, _standard_conic
-from waringlab.forms import HomogeneousForm, monomial_exponents
+from waringlab.forms import HomogeneousForm, monomial_exponents, multinomial
 from waringlab.points import CurveSpec, PointSet, ProjectivePoint
 from waringlab.scalars import ONE, ZERO, Scalar
-from waringlab.spans import (Conclusion, HypothesisFails, NotUnique,
+from waringlab.univariate import poly_mul
+from waringlab.spans import (Conclusion, CurveParametrization,
+                             HypothesisFails, NotUnique,
                              catalecticant_rank, curve_meet_point,
                              h1_ideal, membership,
                              off_curve_agreement, pair_power_basis,
                              parametrize_conic, parametrize_line, power_basis,
-                             power_row, power_vector, restrict_to_curve,
+                             power_row, restrict_to_curve,
                              unique_intersection_point)
 
 
@@ -44,6 +47,11 @@ class VeroneseSpace:
     @property
     def N(self) -> int:
         return comb(self.m + self.d, self.d) - 1
+
+
+def power_vector(p: ProjectivePoint, d: int) -> tuple[Scalar, ...]:
+    """Coefficient vector of (p.x)^d, expanded in Scalars."""
+    return power_of_linear(LinearForm(p.coords), d).coeff_vector()
 
 
 def pow_form(p: ProjectivePoint, d: int) -> HomogeneousForm:
@@ -137,8 +145,6 @@ def test_power_row_is_the_power_of_linear_vector():
                 coords[0] = ONE
             p = ProjectivePoint(tuple(coords))
             vec = power_vector(p, d)
-            assert tuple(vec) == power_of_linear(
-                LinearForm(p.coords), d).coeff_vector()
             # the cached row is the vector times z_lead^d
             lead = Scalar.of(next(z for z in p.zcoords if z != (0, 0))[0])
             assert power_row(p, d) == tuple(
@@ -207,7 +213,8 @@ def test_h1_and_membership_agree_with_scalar_rank_and_span():
             n = s.m + 1
             coeffs = [Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
                       for _ in pts]
-            inside = HomogeneousForm.combination(n, d, coeffs, vectors)
+            inside = HomogeneousForm.combination(
+                n, d, coeffs, [power_row(p, d) for p in pts])
             stray = P(*(rng.randint(-5, 5) for _ in range(s.m)), 7)
             outside = inside + pow_form(stray, d).scale(Scalar.of(1, 3))
             for form in (inside, outside, pow_form(pts[0], d)):
@@ -407,7 +414,7 @@ def test_embed_on_line_hits_expected_points():
 def test_line_power_basis_rank_and_guard():
     line = CurveSpec.line(P(1, 2, 3), P(0, 1, -1))
     basis = power_basis(parametrize_line(line), 4)
-    assert len(basis) == 5
+    assert len(basis.pieces) == 5
     conic_plane = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
     conic = CurveSpec.conic(conic_plane,
                             [ZERO, ZERO, ONE, Scalar.of(-1), ZERO, ZERO])
@@ -428,12 +435,14 @@ def _sympy_graded_pieces(images, d: int) -> list:
             for k in range(width)]
 
 
-def _assert_pieces(got, want) -> None:
-    assert len(got) == len(want)
-    for got_row, want_row in zip(got, want):
+def _assert_pieces(basis, want) -> None:
+    """The integer pieces over their scale are the sympy pieces."""
+    assert len(basis.pieces) == len(want)
+    for got_row, want_row in zip(basis.pieces, want):
         assert len(got_row) == len(want_row)
-        for g, w in zip(got_row, want_row):
-            assert sympy.expand(to_sym(g) - w) == 0
+        for (a, b), w in zip(got_row, want_row):
+            assert type(a) is int and type(b) is int
+            assert sympy.expand((a + sympy.I * b) / basis.scale - w) == 0
 
 
 def test_line_power_basis_is_the_sympy_expansion():
@@ -500,7 +509,7 @@ def test_conic_restriction_doubles_degree():
     assert rc == 1 and dec.points == ((ONE, ONE),)
     with pytest.raises(ValueError, match="the conic's power span"):
         restrict_to_curve(pow_form(P(1, 1, 0), d), param)
-    assert len(power_basis(param, d)) == 2 * d + 1
+    assert len(power_basis(param, d).pieces) == 2 * d + 1
 
 
 def test_embed_on_conic_stays_on_conic():
@@ -569,16 +578,21 @@ def test_pair_power_basis_in_p3():
     d = 3
     basis = pair_power_basis(pair, d)
     assert len(basis) == 2 * (d + 1)
-    assert grassmann_disjoint(power_basis(parametrize_line(l1), d),
-                              power_basis(parametrize_line(l2), d))
+    assert grassmann_disjoint(power_basis(parametrize_line(l1), d).pieces,
+                              power_basis(parametrize_line(l2), d).pieces)
     with pytest.raises(ValueError):
         pair_power_basis(l1, d)
+
+
+def gint_rank(rows) -> int:
+    """Rank of Gaussian-integer rows, read as Scalars."""
+    return linalg.rank([[Scalar.of(a, b) for a, b in row] for row in rows])
 
 
 def grassmann_disjoint(u_rows, v_rows) -> bool:
     """Reference: two spans meet only in zero iff their ranks add up."""
     both = list(u_rows) + list(v_rows)
-    return linalg.rank(both) == linalg.rank(u_rows) + linalg.rank(v_rows)
+    return gint_rank(both) == gint_rank(u_rows) + gint_rank(v_rows)
 
 
 def assert_genericity_verdicts(params, d, off, on_curve, collinear):
@@ -586,7 +600,7 @@ def assert_genericity_verdicts(params, d, off, on_curve, collinear):
     (off()), the same with its first point moved to on_curve(), and the
     dependent collinear(); every verdict against the ranks of the stacked
     arc bases, which two meeting arcs make dependent."""
-    curve_rows = [row for prm in params for row in power_basis(prm, d)]
+    curve_rows = [row for prm in params for row in power_basis(prm, d).pieces]
     seen = set()
     for trial in range(12):
         kind = trial % 3
@@ -596,8 +610,8 @@ def assert_genericity_verdicts(params, d, off, on_curve, collinear):
             e = off()
             if kind == 1:
                 e[0] = on_curve()
-        rows = [power_vector(p, d) for p in e]
-        independent = linalg.rank(rows) == len(rows)
+        rows = [power_row(p, d) for p in e]
+        independent = gint_rank(rows) == len(rows)
         want = (independent,
                 independent and grassmann_disjoint(rows, curve_rows))
         certs = _genericity_certs(e, d, params)
@@ -648,9 +662,125 @@ def test_curve_meet_point_against_line_span():
     d = 3
     g = pow_sum([P(1, 0, 0), P(1, 1, 0)], [1, 1], d)
     form = pow_sum([P(1, 0, 0), P(1, 1, 0), P(0, 0, 1)], [1, 1, 2], d)
-    got = curve_meet_point(form, PointSet.of([P(0, 0, 1)]),
-                           power_basis(parametrize_line(line), d), d)
+    pieces = power_basis(parametrize_line(line), d).pieces
+    got = curve_meet_point(form, PointSet.of([P(0, 0, 1)]), pieces, d)
     assert got == g.canonical()
     stray = curve_meet_point(pow_form(P(1, 1, 1), d), PointSet.of(
-        [P(0, 0, 1)]), power_basis(parametrize_line(line), d), d)
+        [P(0, 0, 1)]), pieces, d)
     assert isinstance(stray, NotUnique)
+
+
+# -- Gaussian-integer pieces against a Fraction reference ------------------------
+
+def _scalar_pieces(param, d: int) -> list[list[Scalar]]:
+    """The graded pieces of (sum images_i(t) x_i)^d in Scalars: powers of
+    each image by poly_mul, one product of table entries per monomial,
+    weighted by its multinomial coefficient."""
+    images = [list(q.plain_coeffs()) for q in param.images]
+    width = d * (len(images[0]) - 1) + 1
+    tables = []
+    for image in images:
+        table = [[ONE]]
+        for _ in range(d):
+            table.append(poly_mul(table[-1], image))
+        tables.append(table)
+    rows = []
+    for exp in monomial_exponents(len(images), d):
+        row = [Scalar.of(multinomial(d, exp))]
+        for table, e in zip(tables, exp):
+            row = poly_mul(row, table[e])
+        rows.append(row + [ZERO] * (width - len(row)))
+    return [[row[k] for row in rows] for k in range(width)]
+
+
+def _denominator_lcm(param) -> int:
+    return math.lcm(*(x.denominator for q in param.images
+                      for c in q.plain_coeffs() for x in (c.re, c.im)))
+
+
+def _with_thirds(param) -> list:
+    """The parametrization, and the same map with its images divided by 3,
+    whose images always need clearing: a scale off by a power of L shows
+    only where L > 1."""
+    third = Scalar.of(Fraction(1, 3))
+    return [param, CurveParametrization(
+        param.curve, tuple(q.scale(third) for q in param.images))]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_power_basis_matches_the_fraction_reference(seed):
+    # real and Gaussian lines and smooth conics in P^2..P^4, d = 1..6: the
+    # pieces over the scale L^d are the Scalar pieces, L clearing the images
+    for param in _with_thirds(_seeded_parametrization(seed)):
+        lcm = _denominator_lcm(param)
+        for d in range(1, 7):
+            basis = power_basis(param, d)
+            assert basis.scale == lcm ** d
+            got = [[Scalar.of(a, b) / Scalar.of(basis.scale) for a, b in piece]
+                   for piece in basis.pieces]
+            assert got == _scalar_pieces(param, d)
+    assert lcm % 3 == 0
+
+
+def _scalar_catalecticant_rank(form: HomogeneousForm, t: int) -> int:
+    """Rank of the matrix of c_e / multinomial(d, e), e = u + v, in sympy."""
+    d, n = form.degree, form.num_vars
+    return sympy.Matrix([
+        [to_sym(form.coeff(tuple(a + b for a, b in zip(u, v)))
+                / Scalar.of(multinomial(d, tuple(a + b
+                                                 for a, b in zip(u, v)))))
+         for v in monomial_exponents(n, d - t)]
+        for u in monomial_exponents(n, t)]).rank()
+
+
+def test_catalecticant_rank_matches_the_fraction_reference():
+    # dense Gaussian-rational forms with denominators, and sums of two or
+    # three powers, whose low ranks a wrong entry weight would raise
+    rng = random.Random(91)
+    seen = set()
+    for trial in range(24):
+        n, d = 2 + trial % 3, 1 + trial % 5
+        if trial % 2:
+            coeffs = {e: Scalar.of(Fraction(rng.randint(-4, 4),
+                                            rng.randint(1, 6)),
+                                   Fraction(rng.randint(-2, 2),
+                                            rng.randint(1, 3)))
+                      for e in monomial_exponents(n, d)}
+            form = HomogeneousForm.from_coeff_map(n, d, coeffs)
+        else:
+            pts = [ProjectivePoint(tuple(
+                Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                          rng.randint(-1, 1)) for _ in range(n - 1))
+                + (ONE,)) for _ in range(2 + trial % 4 // 2)]
+            lams = [Scalar.of(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+                    for _ in pts]
+            form = pow_sum(pts, lams, d)
+        for t in range(d + 1):
+            want = _scalar_catalecticant_rank(form, t)
+            assert catalecticant_rank(form, t) == want
+            seen.add((trial % 2, want < min(comb(n - 1 + t, t),
+                                            comb(n - 1 + d - t, d - t))))
+    # low-rank power sums below the full rank of their catalecticants
+    assert (0, True) in seen and (1, False) in seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_restriction_reads_on_span_forms_and_names_the_span_off_it(seed):
+    # one form on the span restricts to its binary form; one off it raises
+    # the message that names the curve, byte for byte
+    for param in _with_thirds(_seeded_parametrization(seed)):
+        deg = param.images[0].degree
+        d = 3
+        s, t = Scalar.of(2), Scalar.of(-1, 1)
+        on_span = raw_power(param.point(s, t), d).scale(Scalar.of(3, -2))
+        assert restrict_to_curve(on_span, param) == power_point(
+            (s, t), deg * d).scale(Scalar.of(3, -2))
+        m = param.curve.m
+        stray = next(p for p in (P(*row[:m + 1]) for row in (
+            (0, 0, 1, 0, 0), (1, 2, 3, 4, 5), (1, -1, 2, 0, 7)))
+            if not param.curve.contains(p))
+        noun = "line" if deg == 1 else "conic"
+        with pytest.raises(ValueError) as err:
+            restrict_to_curve(on_span + pow_form(stray, d), param)
+        assert str(err.value) == (
+            f"form does not lie on the {noun}'s power span")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+from test_spans import pow_sum
 from waringlab.factory import (conjugate_pair_form, generate_instance,
                                make_case_a)
 from waringlab.forms import HomogeneousForm
@@ -11,7 +12,7 @@ from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
                               ProjectivePoint)
 from waringlab.scalars import Scalar
-from waringlab.spans import Conclusion, off_curve_agreement, power_vector
+from waringlab.spans import Conclusion, off_curve_agreement
 from waringlab.verifier import (classify, classify_triple, detect_structure,
                                 verify_case_b)
 
@@ -201,8 +202,7 @@ def test_case_b_branch_counts_leave_out_a_node_in_s_r():
     s_c = PointSet.of([P(0, 1, 0), P(0, 0, 1)])
     s_r = PointSet.of([P(1, 0, 0), P(1, 1, 0), P(2, 1, 0), P(1, 0, 1),
                        P(2, 0, 1), P(3, 0, 1)])
-    form = HomogeneousForm.combination(
-        3, d, [Scalar.of(1)] * len(s_r), [power_vector(p, d) for p in s_r])
+    form = pow_sum(list(s_r), [1] * len(s_r), d)
     att = verify_case_b(form, s_c, s_r, conic, d)
     checks = {c.check_id: c for c in att.checks}
     assert checks["b.iii"].passed
