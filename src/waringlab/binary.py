@@ -279,11 +279,12 @@ def _implicit_columns(boxes: Sequence[RootBox], infinity_root: bool,
 
 def _solve_exact_coeffs(f: BinaryForm,
                         points: Sequence[Point1]) -> list[Scalar]:
-    cols = [moment_vector(p, f.degree) for p in points]
-    sol = linalg.solve_columns(cols, list(f.coeffs))
+    # a column cleared by lcm takes lcm times its coefficient
+    cleared = [linalg._clear(moment_vector(p, f.degree)) for p in points]
+    sol = linalg.solve_columns([col for col, _ in cleared], f.coeffs)
     if sol is None:
         raise ArithmeticError("apolar support failed to span the form")
-    return sol
+    return [x * lcm for x, (_, lcm) in zip(sol, cleared)]
 
 
 def _implicit_decomposition(f: BinaryForm, h: Sequence[Scalar],

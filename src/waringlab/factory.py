@@ -329,17 +329,17 @@ def _union_threshold(pieces: Sequence[_Piece], need: int,
 def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
            e_points: Sequence[ProjectivePoint],
            e_coeffs: Optional[Sequence[Scalar]], seed: int, rank_note: str,
-           thresholds: Callable[[list[_Piece]], list[Certificate]],
-           node: Optional[ProjectivePoint] = None) -> Instance:
+           thresholds: Callable[[list[_Piece]], list[Certificate]]
+           ) -> Instance:
     """The construction every case shares, on a validated real curve.
 
     arcs lists (gap form, parametrization) for each curve component that
     carries a gap; a parametrization of degree deg takes a gap form of
     degree deg * d, and the arcs' power bases span the curve's powers.
-    No decomposition point may land on node; that is tested on the
-    parameter points' images, before anything is embedded.  thresholds
-    checks the curve's richness on the transplanted pieces and returns its
-    certificates.
+    No decomposition point may land on the curve's node, if it has one;
+    that is tested on the parameter points' images, before anything is
+    embedded.  thresholds checks the curve's richness on the transplanted
+    pieces and returns its certificates.
     """
     for gap, param in arcs:
         want = param.images[0].degree * d
@@ -355,6 +355,7 @@ def _build(label: str, m: int, d: int, curve: CurveSpec, arcs,
     size_c = sum(rc for rc, _, _, _ in ranked) + len(e_points)
     size_r = sum(rr for _, _, rr, _ in ranked) + len(e_points)
     _check_budget(d, size_c, size_r)
+    node = curve.node
     if node is not None and any(
             ProjectivePoint(param.point(s, t)) == node
             for (_, param), (_, dec_c, _, dec_r) in zip(arcs, ranked)
@@ -444,8 +445,7 @@ def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
         raise ConstraintViolation("curve", "lines live in the wrong space")
     if not line_left.is_real or not line_right.is_real:
         raise ConstraintViolation("curve", "branches must be real")
-    node = curve.node
-    if node is None:
+    if curve.node is None:
         raise ArithmeticError("concurrent lines without a node")
 
     def thresholds(pieces: list[_Piece]) -> list[Certificate]:
@@ -466,7 +466,7 @@ def make_case_b_reducible(m: int, d: int, gap_left: BinaryForm,
                   [(gap_left, parametrize_line(line_left)),
                    (gap_right, parametrize_line(line_right))],
                   e_points, e_coeffs, seed,
-                  "certified per-branch binary ranks", thresholds, node)
+                  "certified per-branch binary ranks", thresholds)
 
 
 def make_case_c(m: int, d: int, gap_left: BinaryForm,

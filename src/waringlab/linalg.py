@@ -1,15 +1,15 @@
 """Exact linear algebra over the Gaussian rationals, on one kernel.
 
 Fraction-free (Bareiss) elimination runs on Gaussian integers (pairs of
-ints): pivots, row_rank, span_intersection and ColumnSolver take rows
-already in them, such as spans.power_row and the curve power bases, and
-the other entry points clear each row of denominators once.  Span
+ints): pivots, row_rank, span_intersection and the two column solvers take
+columns already in them, such as spans.power_row and the curve power bases,
+and the other entry points clear each row of denominators once.  Span
 membership reads the pivots of the forward pass.  The reduced row echelon
 form also clears the rows above each pivot and divides once, at the end;
-nullspaces, solutions, row space bases and span intersections are read off
-it.  ColumnSolver keeps a fraction-free inverse for repeated solves against
-fixed independent columns.  Pivots are chosen by position, not magnitude,
-so results are deterministic.
+nullspaces, row space bases, span intersections and one-shot solutions
+(solve_columns) are read off it.  ColumnSolver keeps a fraction-free
+inverse for repeated solves against fixed independent columns.  Pivots are
+chosen by position, not magnitude, so results are deterministic.
 
 Ranks (row_rank, and rank on top of it) rest on a certificate mod p: a
 forward elimination over F_p picks r independent rows, and the rows it
@@ -236,20 +236,25 @@ def nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return basis
 
 
-def solve_columns(columns: Sequence[Sequence[Scalar]],
+def solve_columns(columns: Sequence[Sequence[GInt]],
                   target: Sequence[Scalar]) -> Optional[list[Scalar]]:
-    """One exact solution of  sum_j x_j * columns[j] = target,  or None.
+    """The unique x with  sum_j x_j * columns[j] = target,  for
+    Gaussian-integer columns, or None when there is none or more than one.
 
-    Free variables are pinned to zero, so the answer is deterministic.
+    One forward and backward pass over [columns | T], where target = T / q
+    is cleared once: x is unique exactly when the pivots are the k column
+    indices, and then row r holds divisors[k] * q * x_r at column k.
     """
     k = len(columns)
-    reduced, pivots = rref(list(zip(*columns, target)))
-    if k in pivots:
+    t, q = _clear(target)
+    m = [[col[i] for col in columns] + [z] for i, z in enumerate(t)]
+    found, divisors = _eliminate(m, True)
+    if found != tuple(range(k)):
         return None
-    x = [ZERO] * k
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][k]
-    return x
+    dr, di = divisors[k]
+    den = (dr * q, di * q)
+    return [ZERO if m[r][k] == (0, 0) else _quotient(m[r][k], den)
+            for r in range(k)]
 
 
 def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

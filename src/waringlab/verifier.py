@@ -351,11 +351,9 @@ def _branch_split(point_form: HomogeneousForm, on_set: PointSet,
     if node in pts:
         return None
     cols = [power_row(p, d) for p in pts]
-    # the split exists and is unique exactly when the support's powers are
-    # independent and P lies in their span
-    if linalg.row_rank(cols) != len(cols):
-        return None
-    sol = linalg.ColumnSolver(cols).solve(point_form.coeff_vector())
+    # the split exists and is unique exactly when solve_columns finds x:
+    # it gives None for dependent powers and for P outside their span
+    sol = linalg.solve_columns(cols, point_form.coeff_vector())
     if sol is None:
         return None
     lams: tuple[list, list] = ([], [])
@@ -483,7 +481,7 @@ def verify_case_c(form: HomogeneousForm, s_c: PointSet, s_r: PointSet,
         return CaseAttempt("c", pair, tuple(checks), ())
     meets = [("O_Gamma", point)]
     sub: list[CheckResult] = []
-    sol = linalg.ColumnSolver(basis).solve(point.coeff_vector())
+    sol = linalg.solve_columns(basis, point.coeff_vector())
     if sol is None:
         sub.append(CheckResult("c.iv.split", False,
                                "meet point left the joint span"))

@@ -132,40 +132,51 @@ def test_rref_is_idempotent_and_canonical():
                     assert reduced[i][pc].is_zero
 
 
+def gint_scalars(col):
+    return [Scalar.of(re, im) for re, im in col]
+
+
 def test_solve_columns_finds_exact_solutions():
+    # independent columns give the one solution; dependent columns give
+    # None, even for a target inside their span
     rng = random.Random(19)
+    unique = 0
     for _ in range(40):
         nr, nc = rng.randint(2, 6), rng.randint(1, 4)
-        cols = [
-            [Scalar.of(Fraction(rng.randint(-3, 3))) for _ in range(nr)]
-            for _ in range(nc)]
-        x_true = [Scalar.of(rng.randint(-3, 3)) for _ in range(nc)]
+        cols = [[(rng.randint(-3, 3), rng.randint(-1, 1)) for _ in range(nr)]
+                for _ in range(nc)]
+        x_true = [Scalar.of(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                  for _ in range(nc)]
         target = [ZERO] * nr
         for xj, col in zip(x_true, cols):
-            target = [t + xj * c for t, c in zip(target, col)]
+            target = [t + xj * c for t, c in zip(target, gint_scalars(col))]
         x = linalg.solve_columns(cols, target)
-        assert x is not None
-        rebuilt = [ZERO] * nr
-        for xj, col in zip(x, cols):
-            rebuilt = [t + xj * c for t, c in zip(rebuilt, col)]
-        assert rebuilt == target
+        if len(linalg.pivots(list(zip(*cols)))) == nc:
+            assert x == x_true
+            unique += 1
+        else:
+            assert x is None
+    assert 10 < unique < 40
 
 
 def test_solve_columns_detects_inconsistency():
-    cols = [[ONE, ZERO], [ONE, ZERO]]
+    cols = [[(1, 0), (0, 0)], [(1, 0), (0, 0)]]
     assert linalg.solve_columns(cols, [ZERO, ONE]) is None
+    assert linalg.solve_columns(cols[:1], [ZERO, ONE]) is None
+    assert linalg.solve_columns(cols[:1], [ONE, ZERO]) == [ONE]
 
 
 def test_in_span_agrees_with_solve():
     rng = random.Random(23)
     for _ in range(30):
         nr = rng.randint(2, 5)
-        cols = [
-            [Scalar.of(rng.randint(-2, 2)) for _ in range(nr)]
-            for _ in range(rng.randint(1, 3))]
+        cols = [[(rng.randint(-2, 2), 0) for _ in range(nr)]
+                for _ in range(rng.randint(1, 3))]
         vec = [Scalar.of(rng.randint(-2, 2)) for _ in range(nr)]
-        assert in_span(cols, vec) == (
-            linalg.solve_columns(cols, vec) is not None)
+        # solve on an independent subset with the same span
+        basis = [cols[j] for j in linalg.pivots(list(zip(*cols)))]
+        assert in_span([gint_scalars(c) for c in cols], vec) == (
+            linalg.solve_columns(basis, vec) is not None)
 
 
 def test_span_intersection_of_coordinate_planes():
@@ -293,3 +304,66 @@ def test_row_rank_survives_a_prime_that_drops_rank(monkeypatch):
     assert linalg.row_rank([[(1, 0), (0, 1)], [(0, 1), (-1, 0)]]) == 1
     assert linalg.row_rank([[(2, 0)], [(P_CERT, 0)]]) == 1
     assert len(calls) == len(cases)
+
+
+# -- the cached column solver -----------------------------------------------------
+
+def check_column_solver(cols, coeffs):
+    """ColumnSolver against solve_columns on a target inside the span,
+    at scales 1 and 7, and on targets that are most likely outside."""
+    solver = linalg.ColumnSolver(cols)
+    nr = len(cols[0])
+    inside = [ZERO] * nr
+    for x, col in zip(coeffs, cols):
+        inside = [t + x * c for t, c in zip(inside, gint_scalars(col))]
+    assert solver.solve(inside) == coeffs == linalg.solve_columns(cols,
+                                                                  inside)
+    assert solver.solve(inside, 7) == [x * 7 for x in coeffs]
+    for j in range(nr):
+        unit = [ONE if i == j else ZERO for i in range(nr)]
+        outside = [t + u for t, u in zip(inside, unit)]
+        assert solver.solve(outside) == linalg.solve_columns(cols, outside)
+
+
+def test_column_solver_matches_solve_columns_on_seeded_columns():
+    rng = random.Random(61)
+    strict = 0
+    for _ in range(30):
+        nr = rng.randint(1, 6)
+        k = rng.randint(1, nr)
+        cols = [list(c) for c in zip(*gint_matrix(rng, nr, k, k))]
+        if len(linalg.pivots(cols)) < k:
+            with pytest.raises(ArithmeticError, match="dependent"):
+                linalg.ColumnSolver(cols)
+            continue
+        check_column_solver(cols, [
+            Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
+                      rng.randint(-2, 2)) for _ in range(k)])
+        strict += k < nr
+    assert strict > 10
+
+
+def test_column_solver_falls_back_when_p_divides_the_block(monkeypatch):
+    # the columns coincide mod p (p itself, and i against s), so the pick
+    # mod p keeps one of them and the exact pivots choose the block; both
+    # spans are z = 2x + y, so (0, 0, 1) lies outside
+    cases = [[[(1, 0), (0, 0), (2, 0)], [(1, 0), (P_CERT, 0), (2 + P_CERT, 0)]],
+             [[(1, 0), (0, 1), (2, 1)], [(1, 0), (S_CERT, 0), (2 + S_CERT, 0)]]]
+    calls = []
+    exact = linalg.pivots
+    monkeypatch.setattr(linalg, "pivots",
+                        lambda rows: calls.append(1) or exact(rows))
+    for cols in cases:
+        check_column_solver(cols, [Scalar.of(Fraction(2, 3), 1),
+                                   Scalar.of(-1, Fraction(1, 5))])
+        assert linalg.ColumnSolver(cols).solve([ZERO, ZERO, ONE]) is None
+    assert len(calls) == 2 * len(cases)
+
+
+def test_column_solver_rejects_dependent_columns():
+    # dependent over Q(i) (the second column is i times the first), and
+    # dependent mod p only through an exact dependence
+    for cols in ([[(1, 0), (2, 1)], [(0, 1), (-1, 2)]],
+                 [[(P_CERT, 0), (0, 0)], [(2 * P_CERT, 0), (0, 0)]]):
+        with pytest.raises(ArithmeticError, match="dependent"):
+            linalg.ColumnSolver(cols)
