@@ -6,10 +6,13 @@ columns already in them, such as spans.power_row and the curve power bases,
 and the other entry points clear each row of denominators once.  Span
 membership reads the pivots of the forward pass.  The reduced row echelon
 form also clears the rows above each pivot and divides once, at the end;
-nullspaces, row space bases, span intersections and one-shot solutions
-(solve_columns) are read off it.  ColumnSolver keeps a fraction-free
-inverse for repeated solves against fixed independent columns.  Pivots are
-chosen by position, not magnitude, so results are deterministic.
+nullspaces, row space bases and span intersections are read off it.  The
+column solvers pick an invertible square block of independent columns
+mod p (exactly when p divides its minors), solve on the block and check
+the other rows exactly: solve_columns eliminates the block with each
+target, and ColumnSolver keeps a fraction-free inverse of it for repeated
+targets.  Pivots are chosen by position, not magnitude, so results are
+deterministic.
 
 Ranks (row_rank, and rank on top of it) rest on a certificate mod p: a
 forward elimination over F_p picks r independent rows, and the rows it
@@ -236,27 +239,6 @@ def nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return basis
 
 
-def solve_columns(columns: Sequence[Sequence[GInt]],
-                  target: Sequence[Scalar]) -> Optional[list[Scalar]]:
-    """The unique x with  sum_j x_j * columns[j] = target,  for
-    Gaussian-integer columns, or None when there is none or more than one.
-
-    One forward and backward pass over [columns | T], where target = T / q
-    is cleared once: x is unique exactly when the pivots are the k column
-    indices, and then row r holds divisors[k] * q * x_r at column k.
-    """
-    k = len(columns)
-    t, q = _clear(target)
-    m = [[col[i] for col in columns] + [z] for i, z in enumerate(t)]
-    found, divisors = _eliminate(m, True)
-    if found != tuple(range(k)):
-        return None
-    dr, di = divisors[k]
-    den = (dr * q, di * q)
-    return [ZERO if m[r][k] == (0, 0) else _quotient(m[r][k], den)
-            for r in range(k)]
-
-
 def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Canonical basis of the row space (nonzero rows of the RREF)."""
     reduced, pivots = rref(rows)
@@ -318,34 +300,80 @@ def _combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[GInt]],
             for z in _combine_ints(cleared, rows, width)]
 
 
-class ColumnSolver:
-    """Exact solves of  sum_j x_j * columns[j] = target  for fixed,
-    independent Gaussian-integer columns.
+def _block_rows(columns: Sequence[Sequence[GInt]]) -> Optional[list[int]]:
+    """Rows C whose square block columns[.][C] is invertible, or None when
+    the columns are dependent: the leading columns of a forward elimination
+    of the columns read as rows, mod p as in row_rank (a block invertible
+    mod p is invertible), or exactly when p divides the minors."""
+    picked, rows = _independent_mod_p(columns)
+    if len(picked) != len(columns):
+        rows = list(pivots(columns))
+    return rows if len(rows) == len(columns) else None
 
-    Built once: C, the leading columns of a forward elimination of the
-    columns read as rows (mod p, as in row_rank, or exactly when p divides
-    the minors), and A = D * inverse of the square block columns[.][C],
-    fraction-free, from one Bareiss-Montante pass over [block | I]; D is
-    the final pivot.  A solve clears the target once (target = T / q),
-    forms y = A T[C], and checks sum_j y_j columns[j] = D T exactly at the
-    rows outside C, where it does not hold by construction.  Then
-    x = y / (D q): one division per entry.
+
+def _checked(y: Sequence[GInt], det: GInt, columns: Sequence[Sequence[GInt]],
+             t: Sequence[GInt], q: int, rows: Sequence[int],
+             scale: int = 1) -> Optional[list[Scalar]]:
+    """x = y * scale / (det * q) for the cleared target t / q, or None.
+
+    y solves the block: sum_j y_j * columns[j] = det * t holds at the rows
+    C by construction, and is checked exactly at every other row.
+    """
+    dr, di = det
+    picked = set(rows)
+    others = [j for j in range(len(t)) if j not in picked]
+    rebuilt = _combine_ints(y, [[col[j] for j in others] for col in columns],
+                            len(others))
+    for j, z in zip(others, rebuilt):
+        ar, ai = t[j]
+        if z != (dr * ar - di * ai, dr * ai + di * ar):
+            return None
+    den = (dr * q, di * q)
+    return [ZERO if z == (0, 0) else _quotient((z[0] * scale,
+                                                z[1] * scale), den)
+            for z in y]
+
+
+def solve_columns(columns: Sequence[Sequence[GInt]],
+                  target: Sequence[Scalar]) -> Optional[list[Scalar]]:
+    """The unique x with  sum_j x_j * columns[j] = target,  for
+    Gaussian-integer columns, or None when there is none or more than one.
+
+    One Bareiss-Montante pass over the square block [columns[.][C] | T[C]],
+    where target = T / q is cleared once, leaves det times the block's
+    solution in its last column; the other rows are checked exactly.
+    """
+    k = len(columns)
+    rows = _block_rows(columns)
+    if rows is None:
+        return None
+    t, q = _clear(target)
+    block = [[col[c] for col in columns] + [t[c]] for c in rows]
+    _, divisors = _eliminate(block, True)
+    return _checked([row[k] for row in block],
+                    divisors[k] if k else (1, 0), columns, t, q, rows)
+
+
+class ColumnSolver:
+    """solve_columns for repeated targets against fixed, independent
+    Gaussian-integer columns.
+
+    Built once: the block rows C and A = D * inverse of the block
+    columns[.][C], fraction-free, from one Bareiss-Montante pass over
+    [block | I]; D is the final pivot.  A solve is then one product
+    y = A T[C] and the exact check of the other rows.
     """
 
     def __init__(self, columns: Sequence[Sequence[GInt]]) -> None:
         k = len(columns)
         self.columns = columns
-        # the leading columns mod p bound a block invertible mod p, hence
-        # invertible; when p divides the minors, the exact pivots decide
-        picked, rows = _independent_mod_p(columns)
-        if len(picked) != k:
-            rows = list(pivots(columns))
-            if len(rows) != k:
-                raise ArithmeticError("solver columns are dependent")
+        rows = _block_rows(columns)
+        if rows is None:
+            raise ArithmeticError("solver columns are dependent")
         self.rows = rows
         block = [[col[c] for col in columns]
                  + [(1, 0) if j == i else (0, 0) for j in range(k)]
-                 for i, c in enumerate(self.rows)]
+                 for i, c in enumerate(rows)]
         _, divisors = _eliminate(block, True)
         self.det = divisors[k] if k else (1, 0)
         # A by columns: y = A T[C] sums T[c_i] times column i
@@ -358,13 +386,4 @@ class ColumnSolver:
         t, q = _clear(target)
         y = _combine_ints([t[c] for c in self.rows], self.inverse_columns,
                           len(self.rows))
-        dr, di = self.det
-        picked = set(self.rows)
-        rebuilt = _combine_ints(y, self.columns, len(t))
-        for j, ((ar, ai), z) in enumerate(zip(t, rebuilt)):
-            if j not in picked and z != (dr * ar - di * ai, dr * ai + di * ar):
-                return None
-        den = (dr * q, di * q)
-        return [ZERO if z == (0, 0) else _quotient((z[0] * scale,
-                                                    z[1] * scale), den)
-                for z in y]
+        return _checked(y, self.det, self.columns, t, q, self.rows, scale)

@@ -345,8 +345,9 @@ def test_column_solver_matches_solve_columns_on_seeded_columns():
 
 def test_column_solver_falls_back_when_p_divides_the_block(monkeypatch):
     # the columns coincide mod p (p itself, and i against s), so the pick
-    # mod p keeps one of them and the exact pivots choose the block; both
-    # spans are z = 2x + y, so (0, 0, 1) lies outside
+    # mod p keeps one of them and the exact pivots choose the block, for
+    # ColumnSolver and solve_columns alike; both spans are z = 2x + y, so
+    # (0, 0, 1) lies outside
     cases = [[[(1, 0), (0, 0), (2, 0)], [(1, 0), (P_CERT, 0), (2 + P_CERT, 0)]],
              [[(1, 0), (0, 1), (2, 1)], [(1, 0), (S_CERT, 0), (2 + S_CERT, 0)]]]
     calls = []
@@ -357,7 +358,9 @@ def test_column_solver_falls_back_when_p_divides_the_block(monkeypatch):
         check_column_solver(cols, [Scalar.of(Fraction(2, 3), 1),
                                    Scalar.of(-1, Fraction(1, 5))])
         assert linalg.ColumnSolver(cols).solve([ZERO, ZERO, ONE]) is None
-    assert len(calls) == 2 * len(cases)
+    # per case: two solvers built, and solve_columns on one target inside
+    # and three outside
+    assert len(calls) == 6 * len(cases)
 
 
 def test_column_solver_rejects_dependent_columns():
