@@ -1,17 +1,15 @@
 """Exact linear algebra over the Gaussian rationals, on one kernel.
 
 Fraction-free (Bareiss) elimination runs on Gaussian integers (pairs of
-ints): pivots, row_rank, span_intersection and the two column solvers take
-columns already in them, such as spans.power_row and the curve power bases,
-and the other entry points clear each row of denominators once.  Span
-membership reads the pivots of the forward pass.  The reduced row echelon
-form also clears the rows above each pivot and divides once, at the end;
-nullspaces, row space bases and span intersections are read off it.  The
-column solvers pick an invertible square block of independent columns
-mod p (exactly when p divides its minors), solve on the block and check
-the other rows exactly: solve_columns eliminates the block with each
-target, and ColumnSolver keeps a fraction-free inverse of it for repeated
-targets.  Pivots are chosen by position, not magnitude, so results are
+ints): pivots, row_rank, span_intersection and solve_columns take columns
+already in them, such as spans.power_row and the curve power bases, and
+the other entry points clear each row of denominators once.  The reduced
+row echelon form also clears the rows above each pivot and divides once,
+at the end; nullspaces, row space bases and span intersections are read
+off it.  The one column solver, solve_columns, picks an invertible square
+block of independent columns mod p (exactly when p divides its minors),
+eliminates the block with the target and checks the other rows exactly.
+Pivots are chosen by position, not magnitude, so results are
 deterministic.
 
 Ranks (row_rank, and rank on top of it) rest on a certificate mod p: a
@@ -300,28 +298,34 @@ def _combine(coeffs: Sequence[Scalar], rows: Sequence[Sequence[GInt]],
             for z in _combine_ints(cleared, rows, width)]
 
 
-def _block_rows(columns: Sequence[Sequence[GInt]]) -> Optional[list[int]]:
-    """Rows C whose square block columns[.][C] is invertible, or None when
-    the columns are dependent: the leading columns of a forward elimination
-    of the columns read as rows, mod p as in row_rank (a block invertible
-    mod p is invertible), or exactly when p divides the minors."""
-    picked, rows = _independent_mod_p(columns)
-    if len(picked) != len(columns):
-        rows = list(pivots(columns))
-    return rows if len(rows) == len(columns) else None
+def solve_columns(columns: Sequence[Sequence[GInt]],
+                  target: Sequence[Scalar],
+                  scale: int = 1) -> Optional[list[Scalar]]:
+    """The unique x with  sum_j x_j * columns[j] / scale = target,  for
+    Gaussian-integer columns, or None when there is none or more than one.
 
-
-def _checked(y: Sequence[GInt], det: GInt, columns: Sequence[Sequence[GInt]],
-             t: Sequence[GInt], q: int, rows: Sequence[int],
-             scale: int = 1) -> Optional[list[Scalar]]:
-    """x = y * scale / (det * q) for the cleared target t / q, or None.
-
-    y solves the block: sum_j y_j * columns[j] = det * t holds at the rows
-    C by construction, and is checked exactly at every other row.
+    The block rows C are the leading columns of a forward elimination of
+    the columns read as rows, mod p as in row_rank (a block invertible mod
+    p is invertible), or exactly when p divides the minors; fewer than k of
+    them means the columns are dependent.  One Bareiss-Montante pass over
+    the square block [columns[.][C] | T[C]], where target = T / q is
+    cleared once, leaves y = det times the block's solution in its last
+    column: sum_j y_j * columns[j] = det * T holds at the rows C, and is
+    checked exactly at every other row.
     """
-    dr, di = det
-    picked = set(rows)
-    others = [j for j in range(len(t)) if j not in picked]
+    k = len(columns)
+    picked, rows = _independent_mod_p(columns)
+    if len(picked) != k:
+        rows = list(pivots(columns))
+        if len(rows) != k:
+            return None
+    t, q = _clear(target)
+    block = [[col[c] for col in columns] + [t[c]] for c in rows]
+    _, divisors = _eliminate(block, True)
+    dr, di = divisors[k] if k else (1, 0)
+    y = [row[k] for row in block]
+    kept = set(rows)
+    others = [j for j in range(len(t)) if j not in kept]
     rebuilt = _combine_ints(y, [[col[j] for j in others] for col in columns],
                             len(others))
     for j, z in zip(others, rebuilt):
@@ -332,58 +336,3 @@ def _checked(y: Sequence[GInt], det: GInt, columns: Sequence[Sequence[GInt]],
     return [ZERO if z == (0, 0) else _quotient((z[0] * scale,
                                                 z[1] * scale), den)
             for z in y]
-
-
-def solve_columns(columns: Sequence[Sequence[GInt]],
-                  target: Sequence[Scalar]) -> Optional[list[Scalar]]:
-    """The unique x with  sum_j x_j * columns[j] = target,  for
-    Gaussian-integer columns, or None when there is none or more than one.
-
-    One Bareiss-Montante pass over the square block [columns[.][C] | T[C]],
-    where target = T / q is cleared once, leaves det times the block's
-    solution in its last column; the other rows are checked exactly.
-    """
-    k = len(columns)
-    rows = _block_rows(columns)
-    if rows is None:
-        return None
-    t, q = _clear(target)
-    block = [[col[c] for col in columns] + [t[c]] for c in rows]
-    _, divisors = _eliminate(block, True)
-    return _checked([row[k] for row in block],
-                    divisors[k] if k else (1, 0), columns, t, q, rows)
-
-
-class ColumnSolver:
-    """solve_columns for repeated targets against fixed, independent
-    Gaussian-integer columns.
-
-    Built once: the block rows C and A = D * inverse of the block
-    columns[.][C], fraction-free, from one Bareiss-Montante pass over
-    [block | I]; D is the final pivot.  A solve is then one product
-    y = A T[C] and the exact check of the other rows.
-    """
-
-    def __init__(self, columns: Sequence[Sequence[GInt]]) -> None:
-        k = len(columns)
-        self.columns = columns
-        rows = _block_rows(columns)
-        if rows is None:
-            raise ArithmeticError("solver columns are dependent")
-        self.rows = rows
-        block = [[col[c] for col in columns]
-                 + [(1, 0) if j == i else (0, 0) for j in range(k)]
-                 for i, c in enumerate(rows)]
-        _, divisors = _eliminate(block, True)
-        self.det = divisors[k] if k else (1, 0)
-        # A by columns: y = A T[C] sums T[c_i] times column i
-        self.inverse_columns = list(zip(*(row[k:] for row in block)))
-
-    def solve(self, target: Sequence[Scalar],
-              scale: int = 1) -> Optional[list[Scalar]]:
-        """x with sum_j x_j * columns[j] / scale = target, or None when the
-        target lies outside the columns' span."""
-        t, q = _clear(target)
-        y = _combine_ints([t[c] for c in self.rows], self.inverse_columns,
-                          len(self.rows))
-        return _checked(y, self.det, self.columns, t, q, self.rows, scale)

@@ -6,8 +6,9 @@ span of the Veronese image of S exactly when its coefficient vector is a
 linear combination of those vectors.  Scaling a vector leaves its span
 alone, so every span question reads the cached power_row(p, d), the
 power's coefficient vector times a positive integer, in Gaussian integers
-and as it is: h1 ranks (linalg.row_rank), membership eliminates
-(linalg.pivots), and meets intersect (linalg.span_intersection).  The
+and as it is: h1 ranks (linalg.row_rank), membership compares the rank
+with and without the form's cleared vector (linalg.row_rank again), and
+meets intersect (linalg.span_intersection).  The
 failure of a finite set to impose independent conditions in degree d is
 the single number
 
@@ -24,10 +25,9 @@ whose decompositions embed back through the same map (point).
 
 A power basis is one table and a scale: its pieces are Gaussian-integer
 vectors, the scale L^d of forms.substitution_rows times the true pieces.
-Spans, meets and splits read the pieces as they are.  A restriction
-solves on the pieces through the basis's cached restriction map (pivot
-columns and a fraction-free inverse, linalg.ColumnSolver) and multiplies
-the scale back in, once per coefficient.  The catalecticant bound
+Spans, meets and splits read the pieces as they are.  A restriction is
+one linalg.solve_columns on the pieces, which multiplies the scale back
+in, once per coefficient.  The catalecticant bound
 eliminates integer entries too: L d! times c_e / multinomial(d, e).
 """
 
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import linalg
@@ -105,10 +105,10 @@ def membership(form: HomogeneousForm, s: PointSet, d: int,
             raise ValueError("real membership needs real points")
     elif field_tag != "C":
         raise ValueError("field must be R or C")
-    # scaled columns span the same lines, so the pivot columns are unchanged
+    # a cleared vector spans the same line as the form's own
+    rows = [power_row(p, d) for p in s]
     target = linalg._clear_row(form.coeff_vector())
-    rows = list(zip(*[power_row(p, d) for p in s], target))
-    return len(s) not in linalg.pivots(rows)
+    return linalg.row_rank(rows + [target]) == linalg.row_rank(rows)
 
 
 @dataclass(frozen=True)
@@ -292,12 +292,6 @@ class PowerBasis:
         self.pieces = pieces
         self.scale = scale
 
-    @cached_property
-    def solver(self) -> linalg.ColumnSolver:
-        """The restriction map, built on the first restriction and kept
-        with the cached basis."""
-        return linalg.ColumnSolver(self.pieces)
-
 
 @lru_cache(maxsize=512)
 def power_basis(param: CurveParametrization, d: int) -> PowerBasis:
@@ -343,7 +337,8 @@ def restrict_to_curve(form: HomogeneousForm,
     verbatim.
     """
     basis = power_basis(param, form.degree)
-    sol = basis.solver.solve(form.coeff_vector(), basis.scale)
+    sol = linalg.solve_columns(basis.pieces, form.coeff_vector(),
+                               basis.scale)
     if sol is None:
         noun = "line" if param.curve.kind == LINE else "conic"
         raise ValueError(f"form does not lie on the {noun}'s power span")

@@ -306,48 +306,55 @@ def test_row_rank_survives_a_prime_that_drops_rank(monkeypatch):
     assert len(calls) == len(cases)
 
 
-# -- the cached column solver -----------------------------------------------------
+# -- the column solver on its block ----------------------------------------------
 
-def check_column_solver(cols, coeffs):
-    """ColumnSolver against solve_columns on a target inside the span,
-    at scales 1 and 7, and on targets that are most likely outside."""
-    solver = linalg.ColumnSolver(cols)
+def check_solve_columns(cols, coeffs):
+    """solve_columns on a target inside the span, at scales 1 and 7, and
+    on its unit offsets, against in_span."""
     nr = len(cols[0])
     inside = [ZERO] * nr
     for x, col in zip(coeffs, cols):
         inside = [t + x * c for t, c in zip(inside, gint_scalars(col))]
-    assert solver.solve(inside) == coeffs == linalg.solve_columns(cols,
-                                                                  inside)
-    assert solver.solve(inside, 7) == [x * 7 for x in coeffs]
+    assert linalg.solve_columns(cols, inside) == coeffs
+    assert linalg.solve_columns(cols, inside, 7) == [x * 7 for x in coeffs]
+    strays = 0
     for j in range(nr):
         unit = [ONE if i == j else ZERO for i in range(nr)]
         outside = [t + u for t, u in zip(inside, unit)]
-        assert solver.solve(outside) == linalg.solve_columns(cols, outside)
+        x = linalg.solve_columns(cols, outside)
+        assert (x is not None) == in_span([gint_scalars(c) for c in cols],
+                                          outside)
+        if x is not None:
+            rebuilt = [ZERO] * nr
+            for xj, col in zip(x, cols):
+                rebuilt = [t + xj * c for t, c in zip(rebuilt,
+                                                      gint_scalars(col))]
+            assert rebuilt == outside
+        strays += x is None
+    return strays
 
 
-def test_column_solver_matches_solve_columns_on_seeded_columns():
+def test_solve_columns_on_seeded_columns():
     rng = random.Random(61)
-    strict = 0
+    strict = strays = 0
     for _ in range(30):
         nr = rng.randint(1, 6)
         k = rng.randint(1, nr)
         cols = [list(c) for c in zip(*gint_matrix(rng, nr, k, k))]
         if len(linalg.pivots(cols)) < k:
-            with pytest.raises(ArithmeticError, match="dependent"):
-                linalg.ColumnSolver(cols)
+            assert linalg.solve_columns(cols, [ZERO] * nr) is None
             continue
-        check_column_solver(cols, [
+        strays += check_solve_columns(cols, [
             Scalar.of(Fraction(rng.randint(-4, 4), rng.randint(1, 4)),
                       rng.randint(-2, 2)) for _ in range(k)])
         strict += k < nr
-    assert strict > 10
+    assert strict > 10 and strays > 10
 
 
-def test_column_solver_falls_back_when_p_divides_the_block(monkeypatch):
+def test_solve_columns_falls_back_when_p_divides_the_block(monkeypatch):
     # the columns coincide mod p (p itself, and i against s), so the pick
-    # mod p keeps one of them and the exact pivots choose the block, for
-    # ColumnSolver and solve_columns alike; both spans are z = 2x + y, so
-    # (0, 0, 1) lies outside
+    # mod p keeps one of them and the exact pivots choose the block; both
+    # spans are z = 2x + y, so (0, 0, 1) and every unit offset lie outside
     cases = [[[(1, 0), (0, 0), (2, 0)], [(1, 0), (P_CERT, 0), (2 + P_CERT, 0)]],
              [[(1, 0), (0, 1), (2, 1)], [(1, 0), (S_CERT, 0), (2 + S_CERT, 0)]]]
     calls = []
@@ -355,18 +362,19 @@ def test_column_solver_falls_back_when_p_divides_the_block(monkeypatch):
     monkeypatch.setattr(linalg, "pivots",
                         lambda rows: calls.append(1) or exact(rows))
     for cols in cases:
-        check_column_solver(cols, [Scalar.of(Fraction(2, 3), 1),
-                                   Scalar.of(-1, Fraction(1, 5))])
-        assert linalg.ColumnSolver(cols).solve([ZERO, ZERO, ONE]) is None
-    # per case: two solvers built, and solve_columns on one target inside
-    # and three outside
-    assert len(calls) == 6 * len(cases)
+        assert check_solve_columns(cols, [Scalar.of(Fraction(2, 3), 1),
+                                          Scalar.of(-1, Fraction(1, 5))]) == 3
+        assert linalg.solve_columns(cols, [ZERO, ZERO, ONE]) is None
+    # per case: one exact pivots pass in each of six solves (the inside
+    # target at two scales, the three unit offsets and (0, 0, 1)), and one
+    # in each of the three in_span references
+    assert len(calls) == 9 * len(cases)
 
 
-def test_column_solver_rejects_dependent_columns():
+def test_solve_columns_rejects_dependent_columns():
     # dependent over Q(i) (the second column is i times the first), and
     # dependent mod p only through an exact dependence
     for cols in ([[(1, 0), (2, 1)], [(0, 1), (-1, 2)]],
                  [[(P_CERT, 0), (0, 0)], [(2 * P_CERT, 0), (0, 0)]]):
-        with pytest.raises(ArithmeticError, match="dependent"):
-            linalg.ColumnSolver(cols)
+        assert linalg.solve_columns(cols, [ZERO, ZERO]) is None
+        assert linalg.solve_columns(cols, gint_scalars(cols[0])) is None

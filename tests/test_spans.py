@@ -23,7 +23,7 @@ from waringlab.binary import complex_rank, power_point
 from waringlab.factory import _genericity_certs, _standard_conic
 from waringlab.forms import HomogeneousForm, monomial_exponents, multinomial
 from waringlab.points import CurveSpec, PointSet, ProjectivePoint
-from waringlab.scalars import ONE, ZERO, Scalar
+from waringlab.scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 from waringlab.univariate import poly_mul
 from waringlab.spans import (Conclusion, CurveParametrization,
                              HypothesisFails, NotUnique,
@@ -33,6 +33,9 @@ from waringlab.spans import (Conclusion, CurveParametrization,
                              parametrize_conic, parametrize_line, power_basis,
                              power_row, restrict_to_curve,
                              unique_intersection_point)
+
+
+P_CERT = _CERT_PRIMES[0][0]
 
 
 def P(*vals) -> ProjectivePoint:
@@ -274,7 +277,7 @@ def test_h1_rejects_empty_set():
         h1_ideal(PointSet.of([]), 3)
 
 
-def test_membership_of_power_sums():
+def test_membership_of_power_sums(monkeypatch):
     p1, p2, q = P(1, 0, 0), P(1, 1, 0), P(0, 0, 1)
     f = pow_sum([p1, p2], [1, 2], 3)
     s = PointSet.of([p1, p2])
@@ -282,6 +285,22 @@ def test_membership_of_power_sums():
     assert membership(f, s, 3, "R")
     assert not membership(f, PointSet.of([p1]), 3, "C")
     assert not membership(pow_form(q, 3), s, 3, "C")
+    # the linear forms of (1:0:0) and (1:p:0) coincide mod p: their rank,
+    # and their rank with z, take the exact fallback, while y, which spans
+    # their difference, leaves the certificate standing
+    near = PointSet.of([p1, P(1, P_CERT, 0)])
+    vectors = [power_vector(p, 1) for p in near]
+    y, z = pow_form(p2, 1), pow_form(q, 1)
+    assert in_span(vectors, y.coeff_vector())
+    assert not in_span(vectors, z.coeff_vector())
+    calls = []
+    exact = linalg.pivots
+    monkeypatch.setattr(linalg, "pivots",
+                        lambda rows: calls.append(1) or exact(rows))
+    assert membership(y, near, 1, "R")
+    assert len(calls) == 1
+    assert not membership(z, near, 1, "R")
+    assert len(calls) == 3
     with pytest.raises(ValueError):
         membership(f, s, 4, "C")
     with pytest.raises(ValueError):
