@@ -310,11 +310,17 @@ def test_row_rank_survives_a_prime_that_drops_rank(monkeypatch):
 
 def check_solve_columns(cols, coeffs):
     """solve_columns on a target inside the span, at scales 1 and 7, and
-    on its unit offsets, against in_span."""
+    on its unit offsets, against in_span; returns how many offsets lie
+    outside."""
     nr = len(cols[0])
-    inside = [ZERO] * nr
-    for x, col in zip(coeffs, cols):
-        inside = [t + x * c for t, c in zip(inside, gint_scalars(col))]
+
+    def combine(xs):
+        out = [ZERO] * nr
+        for x, col in zip(xs, cols):
+            out = [t + x * c for t, c in zip(out, gint_scalars(col))]
+        return out
+
+    inside = combine(coeffs)
     assert linalg.solve_columns(cols, inside) == coeffs
     assert linalg.solve_columns(cols, inside, 7) == [x * 7 for x in coeffs]
     strays = 0
@@ -325,11 +331,7 @@ def check_solve_columns(cols, coeffs):
         assert (x is not None) == in_span([gint_scalars(c) for c in cols],
                                           outside)
         if x is not None:
-            rebuilt = [ZERO] * nr
-            for xj, col in zip(x, cols):
-                rebuilt = [t + xj * c for t, c in zip(rebuilt,
-                                                      gint_scalars(col))]
-            assert rebuilt == outside
+            assert combine(x) == outside
         strays += x is None
     return strays
 
