@@ -41,6 +41,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from . import linalg
+from .forms import gaussian_powers
 from .scalars import ONE, ZERO, Scalar, parse_int
 from .univariate import (BoxScalar, RootBox, all_roots_real, as_real_poly,
                          certified_root_boxes, interval_solve,
@@ -279,12 +280,20 @@ def _implicit_columns(boxes: Sequence[RootBox], infinity_root: bool,
 
 def _solve_exact_coeffs(f: BinaryForm,
                         points: Sequence[Point1]) -> list[Scalar]:
-    # a column cleared by lcm takes lcm times its coefficient
-    cleared = [linalg._clear(moment_vector(p, f.degree)) for p in points]
-    sol = linalg.solve_columns([col for col, _ in cleared], f.coeffs)
+    # each point cleared once, (u, v) = L (a, b): its column u^(d-k) v^k is
+    # L^d times moment_vector's, so its coefficient takes L^d
+    d = f.degree
+    cols, scales = [], []
+    for point in points:
+        (u, v), lcm = linalg._clear(point)
+        us, vs = gaussian_powers(u, d), gaussian_powers(v, d)
+        cols.append([(x * z - y * w, x * w + y * z)
+                     for (x, y), (z, w) in zip(reversed(us), vs)])
+        scales.append(lcm ** d)
+    sol = linalg.solve_columns(cols, f.coeffs)
     if sol is None:
         raise ArithmeticError("apolar support failed to span the form")
-    return [x * lcm for x, (_, lcm) in zip(sol, cleared)]
+    return [x * scale for x, scale in zip(sol, scales)]
 
 
 def _implicit_decomposition(f: BinaryForm, h: Sequence[Scalar],

@@ -183,6 +183,16 @@ class HomogeneousForm:
         return HomogeneousForm.from_coeff_map(num_vars, degree, coeffs)
 
 
+def gaussian_powers(z: GInt, degree: int) -> list[GInt]:
+    """z^0, z^1, ..., z^degree for a Gaussian integer z = (re, im)."""
+    a, b = z
+    table = [(1, 0)]
+    for _ in range(degree):
+        x, y = table[-1]
+        table.append((x * a - y * b, x * b + y * a))
+    return table
+
+
 def gaussian_power(z: Sequence[tuple[int, int]],
                    degree: int) -> tuple[tuple[int, int], ...]:
     """Coefficients of (sum z_i x_i)^degree, all pairs (re, im) of ints.
@@ -191,13 +201,7 @@ def gaussian_power(z: Sequence[tuple[int, int]],
     and per monomial one product of table entries and its multinomial
     coefficient, skipping imaginary parts where both factors are real.
     """
-    tables = []
-    for a, b in z:
-        table = [(1, 0)]
-        for _ in range(degree):
-            x, y = table[-1]
-            table.append((x * a - y * b, x * b + y * a))
-        tables.append(table)
+    tables = [gaussian_powers(c, degree) for c in z]
     out = []
     for exp in monomial_exponents(len(z), degree):
         re, im = multinomial(degree, exp), 0

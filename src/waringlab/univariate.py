@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, TypeVar
 
 from .scalars import _CERT_PRIMES, ONE, ZERO, Scalar
@@ -461,25 +461,44 @@ def refine_real_root(p: RealPoly, lo: Fraction, hi: Fraction,
     otherwise ValueError.  A simple root is a sign change, so once
     p(hi) != 0 the root lies in (mid, hi] exactly when p(mid) and p(hi)
     differ in sign, and bisection keeps that half, else (lo, mid].
+
+    The bisection runs on integers: p is cleared to q (a positive multiple,
+    so every sign is kept), lo and hi are a/den and b/den, and the sign of
+    p(n/m), m > 0, is that of the homogenized sum_i q_i n^i m^(deg - i).
     """
     seq = sturm_sequence(p)
     if not seq or len(seq[-1]) != 1:
         raise ValueError("refinement needs a squarefree, nonconstant p")
     if _sturm_count(seq, lo, hi) != 1:
         raise ValueError("refinement needs exactly one root in (lo, hi]")
-    s_hi = _sign(poly_eval(p, hi))
+    clear = lcm(*(c.denominator for c in p))
+    q = [c.numerator * (clear // c.denominator) for c in p]
+    (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    den = lcm(da, db)
+    a, b = a * (den // da), b * (den // db)
+    s_hi = _homogenized_sign(q, b, den)
     if s_hi == 0:
         return (hi, hi)
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        s_mid = _sign(poly_eval(p, mid))
+    wn, wd = width.as_integer_ratio()
+    while (b - a) * wd > wn * den:
+        mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
+        s_mid = _homogenized_sign(q, mid, den)
         if s_mid == 0:
-            return (mid, mid)
+            return (Fraction(mid, den),) * 2
         if s_mid != s_hi:
-            lo = mid
+            a = mid
         else:
-            hi = mid
-    return (lo, hi)
+            b = mid
+    return (Fraction(a, den), Fraction(b, den))
+
+
+def _homogenized_sign(q: Sequence[int], n: int, m: int) -> int:
+    """Sign of q(n/m) for integer q and m > 0, by a homogenized Horner sum."""
+    acc, mpow = q[-1], 1
+    for c in q[-2::-1]:
+        mpow *= m
+        acc = acc * n + c * mpow
+    return (acc > 0) - (acc < 0)
 
 
 # -- certified complex root boxes ----------------------------------------------
@@ -562,68 +581,138 @@ def certified_root_boxes(p: Sequence[Scalar],
 _ROUND_GUARD_BITS = 64
 
 
-def _round_out(lo: Fraction, hi: Fraction) -> "Interval":
-    """Widen to a dyadic grid fine enough to keep relative growth tiny.
+def _round_out(a: int, b: int, d: int) -> "Interval":
+    """[a/d, b/d] for a <= b and d > 0, widened to a dyadic grid fine
+    enough to keep relative growth tiny.
 
-    Exact endpoints pass through untouched, so zero-width data stays
-    exact.  Everything else is snapped outward to denominator 2^k with
-    2^-k at least sixty-four bits below the current width; without this
-    the denominators double at every elimination step.
+    With the width (b - a)/d in lowest terms w/v, the grid is 2^-k for
+    k = 64 + max(0, bitlen(v) - bitlen(w) + 1): sixty-four bits below the
+    width.  Ends whose own lowest-terms denominators are at most 2^k pass
+    through, so zero-width data stays exact; the others are snapped
+    outward to floor(a 2^k / d) and ceil(b 2^k / d) over 2^k.  Without
+    this the denominators double at every elimination step.  When d = 2^e
+    the rule reads k = 64 + max(0, e + 2 - bitlen(b - a)), and an end
+    passes exactly when 2^(e - k) divides it.  Every result is reduced by
+    the gcd of its ends and denominator.
     """
-    if lo == hi:
-        return Interval(lo, hi)
-    w = hi - lo
-    k = _ROUND_GUARD_BITS + max(
-        0, w.denominator.bit_length() - w.numerator.bit_length() + 1)
-    scale = 1 << k
-    if lo.denominator <= scale and hi.denominator <= scale:
-        return Interval(lo, hi)
-    lo2 = Fraction(lo.numerator * scale // lo.denominator, scale)
-    hi2 = Fraction(-((-hi.numerator * scale) // hi.denominator), scale)
-    return Interval(lo2, hi2)
+    if d & (d - 1):
+        w = b - a
+        if w:
+            g = gcd(w, d)
+            top = 1 << (_ROUND_GUARD_BITS + max(
+                0, (d // g).bit_length() - (w // g).bit_length() + 1))
+        if not w or (d // gcd(a, d) <= top and d // gcd(b, d) <= top):
+            g = gcd(a, b, d)
+            return _interval(a // g, b // g, d // g)
+        a, b, d = a * top // d, -(-b * top // d), top
+    else:
+        k = _ROUND_GUARD_BITS + max(
+            0, d.bit_length() + 1 - (b - a).bit_length())
+        shift = d.bit_length() - 1 - k
+        if shift > 0 and (a | b) & ((1 << shift) - 1):
+            a, b, d = a >> shift, -(-b >> shift), 1 << k
+    x = a | b | d
+    z = (x & -x).bit_length() - 1
+    return _interval(a >> z, b >> z, d >> z)
 
 
-@dataclass(frozen=True)
+def _interval(a: int, b: int, d: int) -> "Interval":
+    """The Interval [a/d, b/d] from ends already known to be in order."""
+    box = object.__new__(Interval)
+    box.a, box.b, box.d = a, b, d
+    return box
+
+
+def _aligned(x: "Interval", y: "Interval") -> tuple[int, int, int, int, int]:
+    """The ends of x and y over one denominator: the larger of two powers
+    of two, else the lcm."""
+    dx, dy = x.d, y.d
+    if dx == dy:
+        return x.a, x.b, y.a, y.b, dx
+    if not (dx & (dx - 1) or dy & (dy - 1)):
+        if dx < dy:
+            s = dy.bit_length() - dx.bit_length()
+            return x.a << s, x.b << s, y.a, y.b, dy
+        s = dx.bit_length() - dy.bit_length()
+        return x.a, x.b, y.a << s, y.b << s, dx
+    g = gcd(dx, dy)
+    fx, fy = dy // g, dx // g
+    return x.a * fx, x.b * fx, y.a * fy, y.b * fy, dx * fx
+
+
 class Interval:
-    lo: Fraction
-    hi: Fraction
+    """The closed interval [a/d, b/d]: integer ends a <= b over one
+    denominator d > 0, so the arithmetic never builds a Fraction.
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    lo and hi read the ends as Fractions, and equality is by value.
+    Sums, differences, products and reciprocals are rounded outward by
+    _round_out; negation is exact.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, lo: Fraction, hi: Fraction) -> None:
+        if lo > hi:
             raise ValueError("empty interval")
+        (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
+        d = lcm(da, db)
+        self.a, self.b, self.d = a * (d // da), b * (d // db), d
 
     @staticmethod
     def exact(x: Fraction) -> "Interval":
-        return Interval(x, x)
+        n, d = x.as_integer_ratio()
+        return _interval(n, n, d)
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.b, self.d)
+
+    def __eq__(self, o: object) -> bool:
+        if not isinstance(o, Interval):
+            return NotImplemented
+        return self.a * o.d == o.a * self.d and self.b * o.d == o.b * self.d
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
+
+    def __repr__(self) -> str:
+        return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __add__(self, o: "Interval") -> "Interval":
-        return _round_out(self.lo + o.lo, self.hi + o.hi)
+        a, b, c, e, d = _aligned(self, o)
+        return _round_out(a + c, b + e, d)
 
     def __sub__(self, o: "Interval") -> "Interval":
-        return _round_out(self.lo - o.hi, self.hi - o.lo)
+        a, b, c, e, d = _aligned(self, o)
+        return _round_out(a - e, b - c, d)
 
     def __mul__(self, o: "Interval") -> "Interval":
-        vals = (self.lo * o.lo, self.lo * o.hi,
-                self.hi * o.lo, self.hi * o.hi)
-        return _round_out(min(vals), max(vals))
+        vals = (self.a * o.a, self.a * o.b, self.b * o.a, self.b * o.b)
+        return _round_out(min(vals), max(vals), self.d * o.d)
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _interval(-self.b, -self.a, self.d)
 
     def recip(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
+        # [d/b, d/a] over the positive denominator a*b
+        if self.a <= 0 <= self.b:
             raise ZeroDivisionError("interval straddles zero")
-        return _round_out(1 / self.hi, 1 / self.lo)
+        return _round_out(self.a * self.d, self.b * self.d, self.a * self.b)
 
     def __truediv__(self, o: "Interval") -> "Interval":
         return self * o.recip()
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.b - self.a, self.d)
 
     def contains(self, x: Fraction) -> bool:
-        return self.lo <= x <= self.hi
+        n, m = x.as_integer_ratio()
+        return self.a * m <= n * self.d <= self.b * m
 
 
 @dataclass(frozen=True)
@@ -656,7 +745,7 @@ class BoxScalar:
 
     def recip(self) -> "BoxScalar":
         n = self.re * self.re + self.im * self.im
-        if n.lo <= 0:
+        if n.a <= 0:
             raise ZeroDivisionError("box may contain zero")
         return BoxScalar(self.re / n, (-self.im) / n)
 
@@ -665,7 +754,8 @@ class BoxScalar:
         return max(self.re.width, self.im.width)
 
     def contains_zero(self) -> bool:
-        return self.re.contains(Fraction(0)) and self.im.contains(Fraction(0))
+        re, im = self.re, self.im
+        return re.a <= 0 <= re.b and im.a <= 0 <= im.b
 
     def to_json(self) -> dict:
         from .scalars import format_rational

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from waringlab import binary
+from waringlab import binary, linalg
 from waringlab.binary import (BinaryForm, _binary_squarefree, _steps,
                               binary_gcd, binary_roots_exact, complex_rank,
                               hankel_kernel, hankel_matrix, moment_vector,
@@ -22,7 +22,7 @@ from waringlab.binary import (BinaryForm, _binary_squarefree, _steps,
                               reconstruction_check)
 from waringlab.factory import conjugate_pair_form
 from waringlab.scalars import ONE, ZERO, Scalar
-from waringlab.univariate import poly_monic
+from waringlab.univariate import poly_monic, poly_mul
 
 X, Y = sympy.symbols("x y")
 
@@ -132,6 +132,35 @@ def test_moment_vector_and_power_point():
     # (x - y)^3 in plain coefficients
     assert f.plain_coeffs() == (ONE, Scalar.of(-3), Scalar.of(3),
                                 Scalar.of(-1))
+
+
+def moment_vector_coeffs(f, points):
+    """The coefficients as solved on moment_vector columns, each cleared by
+    its own lcm, for reference."""
+    cleared = [linalg._clear(moment_vector(p, f.degree)) for p in points]
+    sol = linalg.solve_columns([col for col, _ in cleared], f.coeffs)
+    return [x * lcm for x, (_, lcm) in zip(sol, cleared)]
+
+
+def test_moment_columns_with_non_trivial_denominators():
+    # (1+i)/2 has L = 2 but its powers clear by less than 2^d, and -3/4
+    # has L = 4; the coefficients must not see how a column was cleared
+    pts = [(ONE, Scalar.of(Fraction(1, 2), Fraction(1, 2))),
+           (ONE, Scalar.of(Fraction(-3, 4))), (ZERO, ONE)]
+    coeffs = [Scalar.of(2, -1), Scalar.of(Fraction(-5, 3)), Scalar.of(7)]
+    for d in (3, 4, 6):
+        f = BinaryForm.zero(d)
+        for c, p in zip(coeffs, pts):
+            f = f + power_point(p, d).scale(c)
+        assert linalg._clear(moment_vector(pts[0], d))[1] < 2 ** d
+        # the apolar form whose roots are pts: prod (b x - a y)
+        h = [ONE]
+        for a, b in pts:
+            h = poly_mul(h, [b, -a])
+        dec = binary._exact_decomposition(f, h, pts, "C", True, ())
+        assert list(dec.coeffs) == coeffs
+        assert list(dec.coeffs) == moment_vector_coeffs(f, pts)
+        assert reconstruction_check(f, dec)
 
 
 def test_gap_form_frozen_values():

@@ -286,6 +286,42 @@ def test_refine_real_root_matches_sturm_bisection():
     assert boxes > 40
 
 
+def fraction_bisection(p, lo, hi, width):
+    """The refinement's bisection as it ran on Fractions, for reference."""
+    s_hi = poly_eval(p, hi)
+    if s_hi == 0:
+        return (hi, hi)
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s_mid = poly_eval(p, mid)
+        if s_mid == 0:
+            return (mid, mid)
+        if (s_mid > 0) != (s_hi > 0):
+            lo = mid
+        else:
+            hi = mid
+    return (lo, hi)
+
+
+real_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=60)
+
+
+@given(st.lists(real_coeffs, min_size=2, max_size=7),
+       st.sampled_from([Fraction(1, 10 ** 40), Fraction(3, 10 ** 12),
+                        Fraction(1, 2 ** 70), Fraction(1, 7)]))
+@settings(max_examples=60, deadline=None)
+def test_integer_bisection_matches_fraction_bisection(coeffs, width):
+    """On random squarefree real polynomials with rational coefficients,
+    the integer bisection returns the Fraction bisection's ends."""
+    p = poly_trim([Scalar.of(c) for c in coeffs])
+    if len(p) < 2:
+        return
+    rp = as_real_poly(squarefree_part(p))
+    for lo, hi in isolate_real_roots(rp):
+        assert (refine_real_root(rp, lo, hi, width)
+                == fraction_bisection(rp, lo, hi, width))
+
+
 def test_refine_real_root_at_the_right_end_and_midpoints():
     rp = as_real_poly(from_real_roots(-1, 1))
     width = Fraction(1, 10 ** 9)
@@ -398,13 +434,136 @@ radii = st.fractions(min_value=0, max_value=2, max_denominator=10 ** 6)
 @settings(max_examples=80, deadline=None)
 def test_round_out_is_outward_and_tight(a, b):
     lo, hi = (a, b) if a <= b else (b, a)
-    box = _round_out(lo, hi)
+    d = lo.denominator * hi.denominator
+    box = _round_out(lo.numerator * hi.denominator,
+                     hi.numerator * lo.denominator, d)
     assert box.lo <= lo <= hi <= box.hi
     if lo == hi:
         assert (box.lo, box.hi) == (lo, hi)
     else:
         # growth stays far below the sixty-four guard bits
         assert box.hi - box.lo <= (hi - lo) * (1 + Fraction(1, 2 ** 62))
+
+
+# -- the Fraction interval kernel the integer one replaced, as a reference ----
+
+def ref_round_out(lo, hi):
+    if lo == hi:
+        return (lo, hi)
+    w = hi - lo
+    k = 64 + max(0, w.denominator.bit_length() - w.numerator.bit_length() + 1)
+    scale = 1 << k
+    if lo.denominator <= scale and hi.denominator <= scale:
+        return (lo, hi)
+    return (Fraction(lo.numerator * scale // lo.denominator, scale),
+            Fraction(-((-hi.numerator * scale) // hi.denominator), scale))
+
+
+def ref_mul(x, y):
+    vals = (x[0] * y[0], x[0] * y[1], x[1] * y[0], x[1] * y[1])
+    return ref_round_out(min(vals), max(vals))
+
+
+def ref_recip(x):
+    return ref_round_out(1 / x[1], 1 / x[0])
+
+
+REF_OPS = {"add": lambda x, y: ref_round_out(x[0] + y[0], x[1] + y[1]),
+           "sub": lambda x, y: ref_round_out(x[0] - y[1], x[1] - y[0]),
+           "mul": ref_mul, "neg": lambda x, y: (-x[1], -x[0]),
+           "recip": lambda x, y: ref_recip(x),
+           "truediv": lambda x, y: ref_mul(x, ref_recip(y))}
+OPS = {"add": lambda x, y: x + y, "sub": lambda x, y: x - y,
+       "mul": lambda x, y: x * y, "neg": lambda x, y: -x,
+       "recip": lambda x, y: x.recip(), "truediv": lambda x, y: x / y}
+
+
+def off_zero(x):
+    """x itself, or x shifted onto the negatives if it holds zero."""
+    if x[0] <= 0 <= x[1]:
+        return (x[0] - x[1] - 1, Fraction(-1))
+    return x
+
+
+def dyadic_ends(draw):
+    k = draw(st.integers(0, 300))
+    a, b = sorted(draw(st.integers(-2 ** 310, 2 ** 310)) for _ in range(2))
+    return Fraction(a, 1 << k), Fraction(b, 1 << k)
+
+
+def centred_ends(draw):
+    # a rational centre +- r 10^-40, as the implicit-mode root boxes are
+    c = draw(st.fractions(min_value=-9, max_value=9,
+                          max_denominator=2 ** 80))
+    r = Fraction(draw(st.integers(0, 9)), 10 ** 40)
+    return c - r, c + r
+
+
+def exact_ends(draw):
+    x = draw(st.fractions(max_denominator=10 ** 9))
+    return x, x
+
+
+@st.composite
+def interval_ends(draw):
+    return draw(st.sampled_from((dyadic_ends, centred_ends,
+                                 exact_ends)))(draw)
+
+
+@given(interval_ends(), interval_ends(), st.sampled_from(sorted(OPS)))
+@settings(max_examples=400, deadline=None)
+def test_integer_intervals_match_the_fraction_kernel(x, y, op):
+    """lo and hi of every operation equal the Fraction kernel's, on dyadic,
+    non-dyadic, mixed and zero-width ends; reciprocals see positive and
+    negative intervals."""
+    if op == "recip":
+        x = off_zero(x)
+    if op == "truediv":
+        y = off_zero(y)
+    got = OPS[op](Interval(*x), Interval(*y))
+    want = REF_OPS[op](x, y)
+    assert (got.lo, got.hi) == want
+    assert got == Interval(*want)
+
+
+@given(st.lists(interval_ends(), min_size=2, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_integer_interval_chains_match_the_fraction_kernel(ends):
+    """Results fed back in, so rounded ends meet exact and non-dyadic ones."""
+    acc, ref = Interval(*ends[0]), ends[0]
+    for i, x in enumerate(ends[1:]):
+        op = ("mul", "add", "sub")[i % 3]
+        acc, ref = OPS[op](acc, Interval(*x)), REF_OPS[op](ref, x)
+        assert (acc.lo, acc.hi) == ref
+    got = Interval(*off_zero(ref)).recip()
+    assert (got.lo, got.hi) == ref_recip(off_zero(ref))
+
+
+def test_interval_solve_builds_no_fraction(monkeypatch):
+    """The rectangle kernel stays on integers: a 5x5 solve on dyadic boxes
+    constructs no Fraction at all."""
+    rng = random.Random(18)
+
+    def box(v):
+        c = Fraction(rng.randint(-2 ** 80, 2 ** 80), 2 ** 70)
+        r = Fraction(1, 2 ** 100)
+        return Interval(c + v - r, c + v + r)
+
+    matrix = [[BoxScalar(box(8 if i == j else 0), box(0)) for j in range(5)]
+              for i in range(5)]
+    rhs = [BoxScalar(box(1), box(0)) for _ in range(5)]
+    made = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    sol = interval_solve(matrix, rhs)
+    monkeypatch.undo()
+    assert made == []
+    assert len(sol) == 5 and all(not z.contains_zero() for z in sol)
 
 
 @given(fracs, fracs, radii, radii)
