@@ -21,6 +21,15 @@ The same reductions give is_squarefree a fast path that only ever answers
 True; everything else takes the exact gcd.  Implicit mode returns certified
 disks: exact dyadic Newton polishing plus the bound that some root lies
 within n*|p(z)/p'(z)| of z, all comparisons done in rational arithmetic.
+
+The certified arithmetic downstream of those disks runs on plain integers.
+Real roots are refined by bisection on p cleared to integer coefficients,
+with both ends over one denominator, so each midpoint's sign is that of a
+homogenized Horner sum.  An Interval holds integer ends over one positive
+denominator: products multiply the denominators, sums align them (powers
+of two by a shift, others through their lcm), and the outward rounding to
+a dyadic grid is decided on those integers, so rectangle elimination
+(interval_solve) builds no Fraction.
 """
 
 from __future__ import annotations
