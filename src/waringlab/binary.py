@@ -43,10 +43,10 @@ from typing import Optional, Sequence
 from . import linalg
 from .forms import gaussian_powers
 from .scalars import ONE, ZERO, Scalar, parse_int
-from .univariate import (BoxScalar, RootBox, all_roots_real, as_real_poly,
+from .univariate import (BoxScalar, RootBox, _real_multiple, all_roots_real,
                          certified_root_boxes, interval_solve,
                          isolate_real_roots, is_squarefree, poly_gcd,
-                         poly_monic, poly_mul, poly_trim, refine_real_root,
+                         poly_mul, poly_trim, refine_real_root,
                          roots_over_gaussians)
 
 Point1 = tuple[Scalar, Scalar]
@@ -174,12 +174,6 @@ def binary_gcd(forms: Sequence[Sequence[Scalar]]) -> tuple[int, list[Scalar]]:
 
 def _binary_squarefree(x_mult: int, g: Sequence[Scalar]) -> bool:
     return x_mult <= 1 and is_squarefree(g)
-
-
-def _binary_all_real(g: Sequence[Scalar]) -> bool:
-    # the x factor vanishes at the real point [0:1]; only G matters
-    monic = poly_monic(g)
-    return all(c.is_real for c in monic) and all_roots_real(monic)
 
 
 def binary_roots_exact(h: Sequence[Scalar]) -> Optional[list[Point1]]:
@@ -328,7 +322,9 @@ def _implicit_decomposition(f: BinaryForm, h: Sequence[Scalar],
 
 
 def _real_boxes(g: Sequence[Scalar], radius: Fraction) -> list[RootBox]:
-    rg = as_real_poly(g)
+    rg = _real_multiple(g)
+    if rg is None:
+        raise ValueError("polynomial is not real")
     out = []
     for lo, hi in isolate_real_roots(rg):
         lo2, hi2 = refine_real_root(rg, lo, hi, radius)
@@ -478,7 +474,8 @@ def _real_rooted_search(f: BinaryForm, kernel: list[list[Scalar]],
             x_mult, g = _split_plain(h_plain)
             if not _binary_squarefree(x_mult, g):
                 continue
-            if not _binary_all_real(g):
+            # the x factor vanishes at the real point [0:1]; only G matters
+            if not all_roots_real(g):
                 continue
             return h_plain
     return None
@@ -545,7 +542,7 @@ def real_rank(f: BinaryForm) -> tuple[int, BinaryDecomposition]:
     certified = True
     notes: tuple[str, ...] = ()
     for r, kernel, g in _steps(f):
-        if not _binary_all_real(g):
+        if not all_roots_real(g):
             continue
         # a one-dimensional kernel is its own gcd: squarefree, real-rooted
         h = kernel[0] if len(kernel) == 1 else _real_rooted_search(

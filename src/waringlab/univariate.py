@@ -1,35 +1,34 @@
 """Univariate polynomial utilities behind the binary-form rank engine.
 
-Polynomials are coefficient lists in ascending degree.  One set of
-operations (trim, division, derivative, evaluation) serves both coefficient
-fields and keeps the type it is given: Scalar lists for everything algebraic
-(gcd, Gaussian-rational roots) and bare Fraction lists for the real-root
-machinery (Sturm sequences, isolation, sign counts), which never needs
-imaginary parts and runs faster without the Scalar wrapper.  One modular
-image, re + im*i sent to re + im*s in F_p with s a square root of -1 mod a
-fixed prime p = 1 mod 4, serves every modular step.
+Polynomials are coefficient lists in ascending degree: Scalar lists for
+the algebra over Q(i), int lists for the Sturm chains.  The three tests
+that decide each rank step (is it squarefree, does it split over Q(i), are
+all its roots real) take Scalar or Fraction lists, clear them once, and
+then run on integers or on Gaussian integers as (re, im) int pairs.  One
+modular image, re + im*i sent to re + im*s in F_p with s a square root of
+-1 mod a fixed prime p = 1 mod 4, serves every modular step.
 
-Roots are produced in two modes.  Exact mode first reduces the polynomial
-under that image; when a good reduction does not split into linear factors,
-the polynomial cannot split over Q(i) and the answer is None with no float
-work.  Otherwise it proposes candidates from a floating-point Durand-Kerner
-sweep, snaps them to small rationals, skips those whose image is no root
-mod p, and keeps only candidates that verify by exact evaluation; it
-reports failure (None) rather than returning an unverified root, so a None
-rests either on the mod-p certificate or on the snapper.
-The same reductions give is_squarefree a fast path that only ever answers
-True; everything else takes the exact gcd.  Implicit mode returns certified
-disks: exact dyadic Newton polishing plus the bound that some root lies
-within n*|p(z)/p'(z)| of z, all comparisons done in rational arithmetic.
+Real roots are counted on one Sturm chain of int lists: each remainder is
+a pseudo-remainder with a positive multiplier, negated and divided by its
+content, so every member is a positive multiple of the chain over Q.
+all_roots_real reads its leading signs; isolation and refinement count
+signs at points n/m by homogenized Horner sums, and the bisection keeps
+both ends over one denominator.
 
-The certified arithmetic downstream of those disks runs on plain integers.
-Real roots are refined by bisection on p cleared to integer coefficients,
-with both ends over one denominator, so each midpoint's sign is that of a
-homogenized Horner sum.  An Interval holds integer ends over one positive
-denominator: products multiply the denominators, sums align them (powers
-of two by a shift, others through their lcm), and the outward rounding to
-a dyadic grid is decided on those integers, so rectangle elimination
-(interval_solve) builds no Fraction.
+Roots are produced in two modes.  Exact mode returns None when a good
+reduction does not split into linear factors, with no float work.
+Otherwise it snaps a float Durand-Kerner sweep to small rationals, skips
+candidates whose image is no root mod p, and admits one only by an exact
+Gaussian-integer Horner sum, whose partial sums deflate the cleared list;
+a None rests on the certificate or on the snapper.  The same reductions
+give is_squarefree a fast path that only ever answers True; gcds run a
+fraction-free remainder sequence over Z[i].  Implicit mode returns
+certified disks: exact dyadic Newton polishing plus the bound that some
+root lies within n*|p(z)/p'(z)| of z, all comparisons done in rational
+arithmetic.  An Interval holds integer ends over one positive denominator:
+products multiply the denominators, sums align them (powers of two by a
+shift, others through their lcm), and the outward rounding to a dyadic
+grid is decided on those integers, so interval_solve builds no Fraction.
 """
 
 from __future__ import annotations
@@ -40,12 +39,13 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Optional, Sequence, TypeVar
 
-from .scalars import _CERT_PRIMES, ONE, ZERO, Scalar
+from . import linalg
+from .linalg import GInt
+from .scalars import _CERT_PRIMES, ZERO, Scalar
 
-# Fraction in, Fraction out; Scalar in, Scalar out.  A zero test is `not c`.
-C = TypeVar("C", Fraction, Scalar)
+# int in, int out; Fraction in, Fraction out; Scalar in, Scalar out.
+C = TypeVar("C", int, Fraction, Scalar)
 Poly = list[Scalar]
-RealPoly = list[Fraction]
 
 
 # -- generic coefficient-list arithmetic -------------------------------------
@@ -55,11 +55,6 @@ def poly_trim(p: Sequence[C]) -> list[C]:
     while out and not out[-1]:
         out.pop()
     return out
-
-
-def poly_degree(p: Sequence[C]) -> int:
-    q = poly_trim(p)
-    return len(q) - 1
 
 
 def poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
@@ -74,24 +69,6 @@ def poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
     return poly_trim(out)
 
 
-def poly_divmod(a: Sequence[C], b: Sequence[C]) -> tuple[list[C], list[C]]:
-    a = poly_trim(a)
-    b = poly_trim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    lead = b[-1]
-    q = [lead * 0] * max(0, len(a) - len(b) + 1)
-    r = a
-    while len(r) >= len(b):
-        f = r[-1] / lead
-        k = len(r) - len(b)
-        q[k] = f
-        for i, c in enumerate(b):
-            r[i + k] = r[i + k] - f * c
-        r = poly_trim(r)
-    return poly_trim(q), r
-
-
 def poly_monic(a: Sequence[Scalar]) -> Poly:
     a = poly_trim(a)
     if not a:
@@ -101,12 +78,9 @@ def poly_monic(a: Sequence[Scalar]) -> Poly:
 
 
 def poly_gcd(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
-    a = poly_trim(a)
-    b = poly_trim(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, r
-    return poly_monic(a)
+    """The monic gcd over Q(i), from the cleared lists (_zgcd)."""
+    g = _zgcd(linalg._clear(poly_trim(a))[0], linalg._clear(poly_trim(b))[0])
+    return [linalg._quotient(c, g[-1]) for c in g] if g else []
 
 
 def poly_derivative(a: Sequence[C]) -> list[C]:
@@ -123,17 +97,43 @@ def poly_eval(a: Sequence[C], x: C) -> C:
 
 
 def is_squarefree(a: Sequence[Scalar]) -> bool:
-    """True when a has no repeated root; a good reduction mod p settles it.
+    """True when a has no repeated root.
 
-    The modular path only ever answers True; every other case takes the
-    exact gcd over Q(i).
+    a is cleared to Gaussian integers once.  A good reduction mod p only
+    ever answers True; otherwise a is squarefree when gcd(a, a') is a
+    constant.
     """
-    a = poly_trim(a)
-    if len(a) <= 1:
-        return bool(a)
-    if any(_good_reduction(a, p, s) is not None for p, s in _CERT_PRIMES):
+    w = linalg._clear(poly_trim(a))[0]
+    if len(w) <= 1:
+        return bool(w)
+    if any(_good_reduction(w, p, s) is not None for p, s in _CERT_PRIMES):
         return True
-    return poly_degree(poly_gcd(a, poly_derivative(a))) == 0
+    dw = [(i * x, i * y) for i, (x, y) in enumerate(w)][1:]
+    return len(_zgcd(w, dw)) == 1
+
+
+def _zgcd(x: list[GInt], y: list[GInt]) -> list[GInt]:
+    """A gcd of two Gaussian-integer lists by pseudo-remainders (_gprem)."""
+    while y:
+        x, y = y, _gprem(x, y)
+    return x
+
+
+def _gprem(a: list[GInt], b: list[GInt]) -> list[GInt]:
+    """lc(b)^k * a mod b over Z[i], k the steps taken, over its rational-
+    integer content: a multiple of the remainder of a by b over Q(i)."""
+    r, (lr, li), db = list(a), b[-1], len(b) - 1
+    while len(r) > db:
+        fr, fi = r.pop()
+        k = len(r) - db
+        r = [(x * lr - y * li, x * li + y * lr) for x, y in r]
+        for i, (br, bi) in enumerate(b[:-1]):
+            x, y = r[k + i]
+            r[k + i] = (x - fr * br + fi * bi, y - fr * bi - fi * br)
+        while r and r[-1] == (0, 0):
+            r.pop()
+    g = gcd(*(v for c in r for v in c))
+    return [(x // g, y // g) for x, y in r]
 
 
 # -- square roots in Q and Q(i) ----------------------------------------------
@@ -209,22 +209,12 @@ def _snap(x: float) -> list[Fraction]:
 # The primes p and the images s of i are the table scalars._CERT_PRIMES.
 
 
-def _fp(z: Scalar, p: int, s: int) -> Optional[int]:
-    """The image re + im*s of z in F_p, or None when a denominator hits p."""
-    try:
-        return (z.re.numerator * pow(z.re.denominator, -1, p)
-                + s * z.im.numerator * pow(z.im.denominator, -1, p)) % p
-    except ValueError:
-        return None
-
-
 def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """Remainder of a by b over F_p; both trimmed, b nonzero."""
+    """Remainder of a by monic b over F_p; b trimmed."""
     a = list(a)
     db = len(b) - 1
-    inv = pow(b[-1], -1, p)
     while len(a) > db:
-        f = a.pop() * inv % p
+        f = a.pop()
         if f:
             k = len(a) - db
             for i in range(db):
@@ -234,36 +224,44 @@ def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _good_reduction(a: Sequence[Scalar], p: int,
-                    s: int) -> Optional[list[int]]:
-    """a mod p, or None unless the image keeps the degree and is squarefree.
+def _fp_monic(a: list[int], p: int) -> list[int]:
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
 
-    A good image certifies a is squarefree: its discriminant maps to the
+
+def _good_reduction(w: Sequence[GInt], p: int,
+                    s: int) -> Optional[list[int]]:
+    """The image of the Gaussian-integer list w made monic mod p, or None
+    unless the image keeps the degree and is squarefree.
+
+    A good image certifies w is squarefree: its discriminant maps to the
     nonzero discriminant of the image.
     """
-    out = [_fp(c, p, s) for c in a]
-    if None in out or not out[-1]:
+    out = [(re + s * im) % p for re, im in w]
+    if not out[-1]:
         return None
-    x, y = out, [c * i % p for i, c in enumerate(out)][1:]
+    x = out = _fp_monic(out, p)
+    y = [c * i % p for i, c in enumerate(out)][1:]
     while y and y[-1] == 0:
         y.pop()
     while y:
+        y = _fp_monic(y, p)
         x, y = y, _fp_rem(x, y, p)
     return out if len(x) == 1 else None
 
 
-def _cannot_split(g: Sequence[Scalar]) -> bool:
-    """True when a good reduction proves monic g does not split in Q(i).
+def _cannot_split(w: Sequence[GInt]) -> bool:
+    """True when a good reduction proves w does not split in Q(i).
 
-    Z_(p)[i] is integrally closed, so if g has p-integral coefficients its
-    roots in Q(i) are p-integral too, and a split g reduces to a product of
-    linear factors.  A squarefree image does so exactly when it divides
-    t^p - t, i.e. when t^p = t mod the image.  The first good reduction
-    decides; a later prime is tried only after bad ones.  False proves
-    nothing.
+    A good image is that of g = w / lead, which is integral at the prime
+    (p, i - s) of Z[i]; that localization is integrally closed, so a split
+    g reduces to a product of linear factors.  A squarefree image does so
+    exactly when it divides t^p - t, i.e. when t^p = t mod the image.  The
+    first good reduction decides; a later prime is tried only after bad
+    ones.  False proves nothing.
     """
     for p, s in _CERT_PRIMES:
-        gm = _good_reduction(g, p, s)
+        gm = _good_reduction(w, p, s)
         if gm is None:
             continue
         acc = [1]
@@ -279,9 +277,22 @@ def _cannot_split(g: Sequence[Scalar]) -> bool:
     return False
 
 
-def _float_roots(p: Sequence[Scalar]) -> list[complex]:
-    """Durand-Kerner sweep; purely heuristic, every output gets verified."""
-    coeffs = [complex(float(c.re), float(c.im)) for c in poly_trim(p)]
+def _fp_at(image: list[int], z: int, q: int, p: int) -> int:
+    """q^n * image(z / q) mod p, by a homogenized Horner sum."""
+    acc, qpow = image[-1], 1
+    for c in image[-2::-1]:
+        qpow = qpow * q % p
+        acc = (acc * z + c * qpow) % p
+    return acc
+
+
+def _float_roots(w: Sequence[GInt]) -> list[complex]:
+    """Durand-Kerner sweep; purely heuristic, every output gets verified.
+    Each monic coefficient w_k / w_n is rounded once from its exact value."""
+    lr, li = w[-1]
+    norm = lr * lr + li * li
+    coeffs = [complex((x * lr + y * li) / norm, (y * lr - x * li) / norm)
+              for x, y in w]
     n = len(coeffs) - 1
     if n <= 0:
         return []
@@ -310,87 +321,131 @@ def _float_roots(p: Sequence[Scalar]) -> list[complex]:
     return zs
 
 
+def _candidates(w: Sequence[GInt]):
+    """Snapped float roots (a + b i)/q of w as (a, b, q), real part outer."""
+    for z0 in _float_roots(w):
+        ims = [x.as_integer_ratio() for x in _snap(z0.imag)]
+        for a, da in (x.as_integer_ratio() for x in _snap(z0.real)):
+            for b, db in ims:
+                q = lcm(da, db)
+                yield a * (q // da), b * (q // db), q
+
+
+def _deflate(w: Sequence[GInt], a: int, b: int,
+             q: int) -> Optional[list[GInt]]:
+    """w / (t - z/q), z = a + b i, over Z[i] and over its rational-integer
+    content; None when z/q is no root.  The Horner sums u_(n-1) = w_n,
+    u_(k-1) = q^(n-k) w_k + z u_k end in q^n w(z/q), and u_k q^k is q^(n-1)
+    times the quotient's t^k coefficient."""
+    ur, ui = w[-1]
+    us, qpow = [], 1
+    for cr, ci in w[-2::-1]:
+        us.append((ur, ui))
+        qpow *= q
+        ur, ui = ur * a - ui * b + cr * qpow, ur * b + ui * a + ci * qpow
+    if ur or ui:
+        return None
+    out = [(x * q ** k, y * q ** k) for k, (x, y) in enumerate(reversed(us))]
+    g = gcd(*(v for c in out for v in c))
+    return [(x // g, y // g) for x, y in out]
+
+
 def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
     """All roots of p, each verified exactly in Q(i); None if p fails to split.
 
-    From degree 3 up, an exact mod-p certificate runs first: when a good
-    reduction of p does not split into linear factors, p cannot split over
-    Q(i) and the answer is None without any float work.  Otherwise
-    candidates come from float approximations snapped to small-denominator
-    rationals; only exact verification p(z) == 0 admits a root, and admitted
-    roots are divided out so multiplicities are honest.  None therefore
-    rests either on that certificate or on the snapper finding no root.
-    A candidate whose image under i -> s does not vanish mod a certificate
-    prime is no root, so it is skipped before the exact evaluation.
+    p is cleared to Gaussian integers once.  From degree 3 up, a good
+    reduction that does not split (_cannot_split) gives None without float
+    work.  Otherwise snapped float roots are candidates: one whose image
+    under i -> s is no root mod p is skipped, and only an exact Horner sum
+    admits one and divides it out (_deflate), so multiplicities are honest.
     """
-    work = poly_monic(p)
-    deg = len(work) - 1
-    if deg < 0:
+    w = linalg._clear(poly_trim(p))[0]
+    if not w:
         raise ValueError("zero polynomial has no root list")
-    if deg >= 3 and _cannot_split(work):
+    if len(w) > 3 and _cannot_split(w):
         return None
     roots: list[Scalar] = []
-    while len(work) - 1 > 0:
-        if len(work) - 1 == 1:
-            roots.append(-work[0] / work[1])
-            break
-        if len(work) - 1 == 2:
-            pair = solve_quadratic(work[2], work[1], work[0])
-            if pair is None:
-                return None
-            roots.extend(pair)
-            break
-        found = None
-        p, s = _CERT_PRIMES[-1]
-        image = [_fp(c, p, s) for c in work]
-        filtering = None not in image
-        for z0 in _float_roots(work):
-            for re_c in _snap(z0.real):
-                for im_c in _snap(z0.imag):
-                    cand = Scalar(re_c, im_c)
-                    x = _fp(cand, p, s) if filtering else None
-                    if x is not None and _fp_rem(image, [-x % p, 1], p):
-                        continue
-                    if not poly_eval(work, cand):
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
+    mod, s = _CERT_PRIMES[-1]
+    while len(w) > 3:
+        image = [(re + s * im) % mod for re, im in w]
+        for a, b, q in _candidates(w):
+            if _fp_at(image, (a + s * b) % mod, q, mod):
+                continue
+            rest = _deflate(w, a, b, q)
+            if rest is not None:
                 break
-        if found is None:
+        else:
             return None
-        roots.append(found)
-        work, rem = poly_divmod(work, [-found, ONE])
-        if rem:
-            raise ArithmeticError("confirmed root does not divide")
+        roots.append(Scalar(Fraction(a, q), Fraction(b, q)))
+        w = rest
+    if len(w) == 3:
+        pair = solve_quadratic(*(Scalar.of(x, y) for x, y in reversed(w)))
+        if pair is None:
+            return None
+        roots.extend(pair)
+    elif len(w) == 2:
+        roots.append(linalg._quotient((-w[0][0], -w[0][1]), w[1]))
     roots.sort(key=lambda z: z.sort_key())
     return roots
 
 
-# -- Sturm machinery over the reals -------------------------------------------
+# -- Sturm chains on integers ------------------------------------------------
 
-def as_real_poly(p: Sequence[Scalar]) -> RealPoly:
-    if any(c.im for c in p):
-        raise ValueError("polynomial is not real")
-    return poly_trim([c.re for c in p])
+def _cleared(p: Sequence[Fraction | int]) -> list[int]:
+    """The rational list p times the lcm of its denominators, trimmed."""
+    parts = [c.as_integer_ratio() for c in p]
+    den = lcm(*(d for _, d in parts))
+    return poly_trim([n * (den // d) for n, d in parts])
 
 
-def sturm_sequence(p: RealPoly) -> list[RealPoly]:
-    p = poly_trim(p)
-    if not p:
+def _real_multiple(p: Sequence[Scalar]) -> Optional[list[int]]:
+    """Integers q with p = c * q for a complex c, or None: with w the
+    cleared p, there is one exactly when every Im(w_k conj(w_n)) is 0, and
+    q_k = Re(w_k conj(w_n))."""
+    w = linalg._clear(poly_trim(p))[0]
+    if not w:
         return []
-    seq = [p, poly_derivative(p)]
+    lr, li = w[-1]
+    if any(y * lr != x * li for x, y in w):
+        return None
+    return [x * lr + y * li for x, y in w]
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of |lc b|^k * a by b, k the steps taken: a positive
+    multiple of the remainder of a by b."""
+    r, m, db = list(a), abs(b[-1]), len(b) - 1
+    sign = 1 if b[-1] > 0 else -1
+    while len(r) > db:
+        f = r.pop() * sign
+        k = len(r) - db
+        if m != 1:
+            r = [c * m for c in r]
+        for i, c in enumerate(b[:-1]):
+            r[k + i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def sturm_sequence(p: Sequence[Fraction | int]) -> list[list[int]]:
+    """The Sturm chain of a real polynomial on int lists: p cleared and
+    divided by its content, p', then each negated _prem of the two before
+    over its content.  Each member is a positive multiple of the chain
+    p, p', -rem, ... over Q, so every sign count is the same."""
+    q = _cleared(p)
+    if not q:
+        return []
+    g = gcd(*q)
+    seq = [[c // g for c in q]]
+    seq.append(poly_derivative(seq[0]))
     while seq[-1]:
-        _, rem = poly_divmod(seq[-2], seq[-1])
+        rem = _prem(seq[-2], seq[-1])
         if not rem:
             break
-        seq.append([-c for c in rem])
+        g = gcd(*rem)
+        seq.append([-c // g for c in rem])
     return seq
-
-
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
 
 
 def _variations(signs: list[int]) -> int:
@@ -398,70 +453,56 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sturm_at(seq: list[RealPoly], x: Optional[Fraction], top: bool) -> int:
-    signs = []
-    for q in seq:
-        if not q:
-            signs.append(0)
-        elif x is None:
-            s = _sign(q[-1])
-            if not top and (len(q) - 1) % 2 == 1:
-                s = -s
-            signs.append(s)
-        else:
-            signs.append(_sign(poly_eval(q, x)))
-    return _variations(signs)
-
-
-def _sturm_count(seq: list[RealPoly], lo: Optional[Fraction],
-                 hi: Optional[Fraction]) -> int:
-    return _sturm_at(seq, lo, top=False) - _sturm_at(seq, hi, top=True)
-
-
-def cauchy_bound(p: RealPoly) -> Fraction:
-    q = poly_trim(p)
-    if len(q) <= 1:
-        return Fraction(1)
-    lead = abs(q[-1])
-    m = max(abs(c) for c in q[:-1])
-    return Fraction(1) + m / lead
+def _count(seq: list[list[int]], a: int, b: int, den: int) -> int:
+    """Distinct roots of the chain's polynomial in (a/den, b/den], den > 0."""
+    return (_variations([_homogenized_sign(q, a, den) for q in seq])
+            - _variations([_homogenized_sign(q, b, den) for q in seq]))
 
 
 def all_roots_real(p: Sequence[Scalar]) -> bool:
     """True when every complex root of p is real (multiplicity ignored):
-    the Sturm chain ends in gcd(p, p'), so p has deg p - deg gcd roots."""
-    rp = as_real_poly(p)
-    if len(rp) <= 1:
+    then p is a multiple of a real q (_real_multiple), whose chain ends in
+    gcd(q, q'), and the sign variations of the leading coefficients at
+    -infinity and +infinity differ by deg q - deg gcd."""
+    q = _real_multiple(p)
+    if q is None:
+        return False
+    if len(q) <= 1:
         return True
-    seq = sturm_sequence(rp)
-    return _sturm_count(seq, None, None) == len(rp) - len(seq[-1])
+    seq = sturm_sequence(q)
+    top = [1 if c[-1] > 0 else -1 for c in seq]
+    bottom = [t if len(c) % 2 else -t for t, c in zip(top, seq)]
+    return _variations(bottom) - _variations(top) == len(q) - len(seq[-1])
 
 
-def isolate_real_roots(p: RealPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals (a, b], one distinct real root in each, sorted."""
-    p = poly_trim(p)
-    if len(p) <= 1:
-        return []
+def isolate_real_roots(p: Sequence[Fraction | int]
+                       ) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint intervals (a, b], one distinct real root in each, sorted,
+    bisected from the Cauchy bound 1 + max|p_i| / |p_n|."""
     seq = sturm_sequence(p)
-    b = cauchy_bound(p)
+    if not seq or len(seq[0]) <= 1:
+        return []
+    q = seq[0]
+    den = abs(q[-1])
+    top = den + max(abs(c) for c in q[:-1])
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-b, b, _sturm_count(seq, -b, b))]
+    stack = [(-top, top, den, _count(seq, -top, top, den))]
     while stack:
-        lo, hi, cnt = stack.pop()
+        lo, hi, den, cnt = stack.pop()
         if cnt == 0:
             continue
         if cnt == 1:
-            out.append((lo, hi))
+            out.append((Fraction(lo, den), Fraction(hi, den)))
             continue
-        mid = (lo + hi) / 2
-        left = _sturm_count(seq, lo, mid)
-        stack.append((mid, hi, cnt - left))
-        stack.append((lo, mid, left))
+        lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+        left = _count(seq, lo, mid, den)
+        stack.append((mid, hi, den, cnt - left))
+        stack.append((lo, mid, den, left))
     out.sort()
     return out
 
 
-def refine_real_root(p: RealPoly, lo: Fraction, hi: Fraction,
+def refine_real_root(p: Sequence[Fraction | int], lo: Fraction, hi: Fraction,
                      width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval (lo, hi] of p below the width.
 
@@ -471,20 +512,17 @@ def refine_real_root(p: RealPoly, lo: Fraction, hi: Fraction,
     p(hi) != 0 the root lies in (mid, hi] exactly when p(mid) and p(hi)
     differ in sign, and bisection keeps that half, else (lo, mid].
 
-    The bisection runs on integers: p is cleared to q (a positive multiple,
-    so every sign is kept), lo and hi are a/den and b/den, and the sign of
-    p(n/m), m > 0, is that of the homogenized sum_i q_i n^i m^(deg - i).
+    The bisection reads the signs of the chain's first member at a/den.
     """
     seq = sturm_sequence(p)
     if not seq or len(seq[-1]) != 1:
         raise ValueError("refinement needs a squarefree, nonconstant p")
-    if _sturm_count(seq, lo, hi) != 1:
-        raise ValueError("refinement needs exactly one root in (lo, hi]")
-    clear = lcm(*(c.denominator for c in p))
-    q = [c.numerator * (clear // c.denominator) for c in p]
     (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
     den = lcm(da, db)
     a, b = a * (den // da), b * (den // db)
+    if _count(seq, a, b, den) != 1:
+        raise ValueError("refinement needs exactly one root in (lo, hi]")
+    q = seq[0]
     s_hi = _homogenized_sign(q, b, den)
     if s_hi == 0:
         return (hi, hi)
@@ -554,7 +592,7 @@ def certified_root_boxes(p: Sequence[Scalar],
     for attempt in range(4):
         centers = []
         ok = True
-        for z in _float_roots(work):
+        for z in _float_roots(linalg._clear(work)[0]):
             c = Scalar(Fraction(z.real), Fraction(z.imag))
             c = _dyadic_scalar(c, 64)
             for _ in range(3 + attempt):

@@ -15,16 +15,17 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from waringlab.linalg import _clear
 from waringlab.scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 import waringlab.univariate as univariate
-from waringlab.univariate import (BoxScalar, Interval, _cannot_split,
-                                  _fp, _fp_rem, _round_out,
-                                  _sturm_count, all_roots_real, as_real_poly,
-                                  cauchy_bound, certified_root_boxes,
+from waringlab.univariate import (BoxScalar, Interval, _cannot_split, _snap,
+                                  _fp_at, _homogenized_sign,
+                                  _round_out, _variations, all_roots_real,
+                                  certified_root_boxes,
                                   fraction_sqrt, gaussian_sqrt,
                                   interval_solve, is_squarefree,
-                                  isolate_real_roots, poly_degree,
-                                  poly_derivative, poly_divmod, poly_eval,
+                                  isolate_real_roots,
+                                  poly_derivative, poly_eval,
                                   poly_gcd, poly_mul, poly_monic, poly_trim,
                                   refine_real_root, roots_over_gaussians,
                                   solve_quadratic, sturm_sequence)
@@ -55,11 +56,21 @@ def squarefree_part(a):
 
 
 def count_real_roots(p, lo=None, hi=None):
-    """Distinct real roots of p in (lo, hi]; None endpoints mean infinity."""
+    """Distinct real roots of p in (lo, hi] on the integer chain; None ends
+    mean -infinity and +infinity."""
     seq = sturm_sequence(p)
     if not seq or len(seq[0]) <= 1:
         return 0
-    return _sturm_count(seq, lo, hi)
+
+    def variations(x, end):
+        if x is None:
+            return _variations([(1 if q[-1] > 0 else -1)
+                                * (end if len(q) % 2 == 0 else 1)
+                                for q in seq])
+        n, m = x.as_integer_ratio()
+        return _variations([_homogenized_sign(q, n, m) for q in seq])
+
+    return variations(lo, -1) - variations(hi, 1)
 
 
 def from_real_roots(*roots):
@@ -73,6 +84,262 @@ def from_sympy(poly):
     if poly.is_zero:
         return []
     return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
+
+
+# -- references: the Fraction Sturm chain and the Scalar root path that the
+#    integer ones replaced ----------------------------------------------------
+
+def poly_divmod(a, b):
+    a = poly_trim(a)
+    b = poly_trim(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    lead = b[-1]
+    q = [lead * 0] * max(0, len(a) - len(b) + 1)
+    r = a
+    while len(r) >= len(b):
+        f = r[-1] / lead
+        k = len(r) - len(b)
+        q[k] = f
+        for i, c in enumerate(b):
+            r[i + k] = r[i + k] - f * c
+        r = poly_trim(r)
+    return poly_trim(q), r
+
+
+def ref_poly_gcd(a, b):
+    """The Euclidean gcd over Q(i) on Scalar lists, made monic."""
+    a = poly_trim(a)
+    b = poly_trim(b)
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, r
+    return poly_monic(a)
+
+
+def as_real_poly(p):
+    if any(c.im for c in p):
+        raise ValueError("polynomial is not real")
+    return poly_trim([c.re for c in p])
+
+
+def ref_sturm_sequence(p):
+    p = poly_trim(p)
+    if not p:
+        return []
+    seq = [p, poly_derivative(p)]
+    while seq[-1]:
+        _, rem = poly_divmod(seq[-2], seq[-1])
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+    return seq
+
+
+def ref_sign(x):
+    return (x > 0) - (x < 0)
+
+
+def ref_sturm_at(seq, x, top):
+    signs = []
+    for q in seq:
+        if not q:
+            signs.append(0)
+        elif x is None:
+            s = ref_sign(q[-1])
+            if not top and (len(q) - 1) % 2 == 1:
+                s = -s
+            signs.append(s)
+        else:
+            signs.append(ref_sign(poly_eval(q, x)))
+    return _variations(signs)
+
+
+def ref_sturm_count(seq, lo, hi):
+    return ref_sturm_at(seq, lo, top=False) - ref_sturm_at(seq, hi, top=True)
+
+
+def cauchy_bound(p):
+    q = poly_trim(p)
+    if len(q) <= 1:
+        return Fraction(1)
+    return Fraction(1) + max(abs(c) for c in q[:-1]) / abs(q[-1])
+
+
+def ref_all_roots_real(p):
+    """The binary engine's test as it was: monic over Q(i), real, then the
+    Fraction chain's count at -infinity and +infinity."""
+    monic = poly_monic(p)
+    if not all(c.is_real for c in monic):
+        return False
+    rp = as_real_poly(monic)
+    if len(rp) <= 1:
+        return True
+    seq = ref_sturm_sequence(rp)
+    return ref_sturm_count(seq, None, None) == len(rp) - len(seq[-1])
+
+
+def ref_isolate_real_roots(p):
+    p = poly_trim(p)
+    if len(p) <= 1:
+        return []
+    seq = ref_sturm_sequence(p)
+    b = cauchy_bound(p)
+    out = []
+    stack = [(-b, b, ref_sturm_count(seq, -b, b))]
+    while stack:
+        lo, hi, cnt = stack.pop()
+        if cnt == 0:
+            continue
+        if cnt == 1:
+            out.append((lo, hi))
+            continue
+        mid = (lo + hi) / 2
+        left = ref_sturm_count(seq, lo, mid)
+        stack.append((mid, hi, cnt - left))
+        stack.append((lo, mid, left))
+    out.sort()
+    return out
+
+
+def ref_refine_real_root(p, lo, hi, width):
+    """The Fraction chain's precondition, then the Fraction bisection."""
+    seq = ref_sturm_sequence(p)
+    if not seq or len(seq[-1]) != 1:
+        raise ValueError("refinement needs a squarefree, nonconstant p")
+    if ref_sturm_count(seq, lo, hi) != 1:
+        raise ValueError("refinement needs exactly one root in (lo, hi]")
+    return fraction_bisection(p, lo, hi, width)
+
+
+def _fp(z, p, s):
+    """The image re + im*s of z in F_p, or None when a denominator hits p."""
+    try:
+        return (z.re.numerator * pow(z.re.denominator, -1, p)
+                + s * z.im.numerator * pow(z.im.denominator, -1, p)) % p
+    except ValueError:
+        return None
+
+
+def ref_fp_rem(a, b, p):
+    a = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    while len(a) > db:
+        f = a.pop() * inv % p
+        if f:
+            k = len(a) - db
+            for i in range(db):
+                a[k + i] = (a[k + i] - f * b[i]) % p
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def ref_good_reduction(a, p, s):
+    out = [_fp(c, p, s) for c in a]
+    if None in out or not out[-1]:
+        return None
+    x, y = out, [c * i % p for i, c in enumerate(out)][1:]
+    while y and y[-1] == 0:
+        y.pop()
+    while y:
+        x, y = y, ref_fp_rem(x, y, p)
+    return out if len(x) == 1 else None
+
+
+def ref_cannot_split(g):
+    for p, s in _CERT_PRIMES:
+        gm = ref_good_reduction(g, p, s)
+        if gm is None:
+            continue
+        acc = [1]
+        for bit in bin(p)[2:]:
+            sq = [0] * (2 * len(acc) - 1)
+            for i, x in enumerate(acc):
+                for j, y in enumerate(acc):
+                    sq[i + j] += x * y
+            if bit == "1":
+                sq.insert(0, 0)
+            acc = ref_fp_rem([c % p for c in sq], gm, p)
+        return acc != [0, 1]
+    return False
+
+
+def ref_float_roots(p):
+    coeffs = [complex(float(c.re), float(c.im)) for c in poly_trim(p)]
+    n = len(coeffs) - 1
+    if n <= 0:
+        return []
+    lead = coeffs[-1]
+    coeffs = [c / lead for c in coeffs]
+    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) if n else 1.0
+    zs = [bound * (0.41 + 0.87j) ** (k + 1) for k in range(n)]
+    for _ in range(400):
+        moved = 0.0
+        for i in range(n):
+            num = 0j
+            for c in reversed(coeffs):
+                num = num * zs[i] + c
+            den = 1.0 + 0j
+            for j in range(n):
+                if j != i:
+                    den *= zs[i] - zs[j]
+            if den == 0:
+                zs[i] += 1e-6 + 1e-6j
+                continue
+            step = num / den
+            zs[i] -= step
+            moved = max(moved, abs(step))
+        if moved < 1e-14:
+            break
+    return zs
+
+
+def ref_roots_over_gaussians(p):
+    """The Scalar root path: monic, certificate, snap, evaluate, divide."""
+    work = poly_monic(p)
+    deg = len(work) - 1
+    if deg < 0:
+        raise ValueError("zero polynomial has no root list")
+    if deg >= 3 and ref_cannot_split(work):
+        return None
+    roots = []
+    while len(work) - 1 > 0:
+        if len(work) - 1 == 1:
+            roots.append(-work[0] / work[1])
+            break
+        if len(work) - 1 == 2:
+            pair = solve_quadratic(work[2], work[1], work[0])
+            if pair is None:
+                return None
+            roots.extend(pair)
+            break
+        found = None
+        p, s = _CERT_PRIMES[-1]
+        image = [_fp(c, p, s) for c in work]
+        filtering = None not in image
+        for z0 in ref_float_roots(work):
+            for re_c in _snap(z0.real):
+                for im_c in _snap(z0.imag):
+                    cand = Scalar(re_c, im_c)
+                    x = _fp(cand, p, s) if filtering else None
+                    if x is not None and ref_fp_rem(image, [-x % p, 1], p):
+                        continue
+                    if not poly_eval(work, cand):
+                        found = cand
+                        break
+                if found is not None:
+                    break
+            if found is not None:
+                break
+        if found is None:
+            return None
+        roots.append(found)
+        work, rem = poly_divmod(work, [-found, ONE])
+        assert not rem
+    roots.sort(key=lambda z: z.sort_key())
+    return roots
 
 
 def test_fraction_operations_match_sympy_and_stay_fractions():
@@ -596,13 +863,25 @@ def test_interval_chain_keeps_denominators_bounded():
     assert z.hi.denominator.bit_length() < 4000
 
 
+def gaussian_image(z, p, s):
+    return (z[0] + s * z[1]) % p
+
+
+def candidate(z):
+    """z = (a + b i)/q as (a, b, q) over one denominator."""
+    (a, da), (b, db) = z.re.as_integer_ratio(), z.im.as_integer_ratio()
+    q = da * db
+    return a * db, b * da, q
+
+
 def test_modular_filter_never_discards_true_roots():
-    # roots_over_gaussians skips a candidate x when the image of the monic
-    # polynomial leaves a remainder mod t - x; the image is a ring map, so
-    # the remainder is the image of the value and a true root survives
+    # roots_over_gaussians skips a candidate z/q when the image of
+    # q^n w(z/q) is nonzero mod p, w the cleared polynomial; the image is a
+    # ring map, so it is the image of the exact value and a true root
+    # survives
     rng = random.Random(5)
     p, s = _CERT_PRIMES[-1]
-    agree = 0
+    checked = 0
     for _ in range(200):
         deg = rng.randint(1, 6)
         coeffs = [Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
@@ -610,25 +889,25 @@ def test_modular_filter_never_discards_true_roots():
                   for _ in range(deg + 1)]
         cand = Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
                          Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        image = [_fp(z, p, s) for z in coeffs]
-        x = _fp(cand, p, s)
-        if x is None or None in image:
-            continue
-        rem = _fp_rem(image, [-x % p, 1], p)
-        value = _fp(poly_eval(coeffs, cand), p, s)
-        assert rem == ([value] if value else [])
-        if not poly_eval(coeffs, cand):
-            assert not rem
-        agree += 1
-    assert agree > 150
+        w, den = _clear(poly_trim(coeffs))
+        a, b, q = candidate(cand)
+        got = _fp_at([gaussian_image(z, p, s) for z in w],
+                     gaussian_image((a, b), p, s), q, p)
+        value = poly_eval(coeffs, cand) * Scalar.of(den * q ** (len(w) - 1))
+        assert value.re.denominator == value.im.denominator == 1
+        assert got == gaussian_image((value.re.numerator,
+                                      value.im.numerator), p, s)
+        checked += 1
+    assert checked == 200
 
     # (t - w)(t - 1): both roots survive the filter
     w = Scalar.of(Fraction(3, 7), Fraction(-2, 5))
-    quad = [w, -(ONE + w), ONE]
-    image = [_fp(z, p, s) for z in quad]
+    cleared = _clear([w, -(ONE + w), ONE])[0]
+    image = [gaussian_image(z, p, s) for z in cleared]
 
     def kept(z):
-        return not _fp_rem(image, [-_fp(z, p, s) % p, 1], p)
+        a, b, q = candidate(z)
+        return not _fp_at(image, gaussian_image((a, b), p, s), q, p)
 
     assert kept(w)
     assert kept(ONE)
@@ -663,7 +942,7 @@ def test_split_polynomials_pass_the_certificate():
                  for _ in range(rng.randint(3, 6))}
         if len(roots) < 3:
             continue
-        assert not _cannot_split(poly_monic(from_roots(roots)))
+        assert not _cannot_split(_clear(from_roots(roots))[0])
         checked += 1
     assert checked >= 50
 
@@ -685,20 +964,20 @@ def test_split_polynomials_keep_their_roots():
 def test_non_split_binomials_are_certified():
     for p in ([Scalar.of(-2), ZERO, ZERO, ZERO, ZERO, ONE],
               [Scalar.of(3)] + [ZERO] * 7 + [ONE]):
-        assert _cannot_split(p)
+        assert _cannot_split(_clear(p)[0])
         assert roots_over_gaussians(p) is None
 
 
 def test_bad_reductions_fall_through_to_the_snapper():
     # every certificate prime divides the constant's denominator
     p = [Scalar.of(Fraction(-1, P1 * P2)), ZERO, ZERO, ZERO, ZERO, ONE]
-    assert not _cannot_split(p)
+    assert not _cannot_split(_clear(p)[0])
     assert roots_over_gaussians(p) is None
 
 
 def test_is_squarefree_agrees_with_exact_gcd():
     def exact(a):
-        return poly_degree(poly_gcd(a, poly_derivative(a))) == 0
+        return len(ref_poly_gcd(a, poly_derivative(a))) == 1
 
     rng = random.Random(37)
     for trial in range(80):
@@ -720,3 +999,137 @@ def test_is_squarefree_agrees_with_exact_gcd():
     lin = [Scalar.of(-1), Scalar.of(P1)]
     p = poly_mul(poly_mul(lin, lin), [Scalar.of(-2), ONE])
     assert not is_squarefree(p) and not exact(p)
+
+
+# -- the integer chain and the cleared root path against the references ------
+
+@st.composite
+def realness_inputs(draw):
+    """c * q: q a product of real linear factors, some repeated, times an
+    optional random integer factor, and c a Gaussian integer; sometimes one
+    coefficient is then moved off the real line."""
+    roots = draw(st.lists(st.fractions(-5, 5, max_denominator=4), max_size=4))
+    roots += roots[:draw(st.integers(0, len(roots)))]
+    q = [ONE]
+    for x in roots:
+        q = poly_mul(q, [Scalar.of(-x), ONE])
+    extra = draw(st.lists(st.integers(-5, 5), max_size=4))
+    if any(extra):
+        q = poly_mul(q, [Scalar.of(c) for c in extra])
+    c = Scalar.of(draw(st.integers(-3, 3)) or 1, draw(st.integers(-3, 3)))
+    p = [c * x for x in q]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(p) - 1))
+        p[k] = p[k] + Scalar.of(0, draw(st.integers(1, 3)))
+    return p
+
+
+@given(realness_inputs())
+@settings(max_examples=300, deadline=None)
+def test_all_roots_real_matches_the_fraction_chain(p):
+    """Repeated roots, complex multiples of real polynomials and non-real
+    inputs get the answer of the monic Fraction test."""
+    assert all_roots_real(p) == ref_all_roots_real(p)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=7),
+       st.integers(1, 12), st.integers(0, 2),
+       st.sampled_from([Fraction(1, 10 ** 40), Fraction(3, 10 ** 12),
+                        Fraction(1, 7)]))
+@settings(max_examples=150, deadline=None)
+def test_integer_chain_matches_the_fraction_chain(coeffs, den, square,
+                                                  width):
+    """Each member is a positive multiple of the Fraction chain's; the
+    isolating intervals of the squarefree part and the refined ends are
+    the same, and so are the refusals of inputs with a repeated root."""
+    p = [Fraction(c, den) for c in coeffs]
+    for _ in range(square):
+        p = [c.re for c in poly_mul([Scalar.of(c) for c in p],
+                                    [Scalar.of(c) for c in coeffs[:3]])]
+    p = poly_trim(p)
+    if len(p) < 2:
+        return
+    chain, ref = sturm_sequence(p), ref_sturm_sequence(p)
+    assert len(chain) == len(ref)
+    for member, want in zip(chain, ref):
+        assert len(member) == len(want)
+        ratios = {Fraction(a) / b for a, b in zip(member, want) if b}
+        assert len(ratios) == 1 and ratios.pop() > 0
+    sf = [c.re for c in squarefree_part([Scalar.of(c) for c in p])]
+    boxes = isolate_real_roots(sf)
+    assert boxes == ref_isolate_real_roots(sf)
+    for lo, hi in boxes:
+        assert (outcome(refine_real_root, p, lo, hi, width)
+                == outcome(ref_refine_real_root, p, lo, hi, width))
+
+
+gaussian_rationals = st.builds(
+    lambda a, b, da, db: Scalar.of(Fraction(a, da), Fraction(b, db)),
+    st.integers(-6, 6), st.integers(-4, 4), st.integers(1, 5),
+    st.integers(1, 4))
+
+
+@given(st.lists(gaussian_rationals, max_size=3),
+       st.lists(gaussian_rationals, max_size=3),
+       st.lists(gaussian_rationals, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_gaussian_gcd_matches_the_euclidean_one(a, b, common):
+    """The remainder sequence over Z[i] gives the monic Euclidean gcd."""
+    c = poly_trim(common) or [ONE]
+    a, b = poly_mul(poly_trim(a) or [ONE], c), poly_mul(b, c)
+    assert poly_gcd(a, b) == ref_poly_gcd(a, b)
+    assert is_squarefree(a) == (len(ref_poly_gcd(a, poly_derivative(a)))
+                                == 1)
+
+
+@given(st.lists(gaussian_rationals, min_size=1, max_size=5),
+       st.sampled_from([None, (-2, 0, 1), (2, 0, 1), (1, 1, 1), (3, 0, 2)]),
+       gaussian_rationals.filter(bool))
+@settings(max_examples=120, deadline=None)
+def test_cleared_root_path_matches_the_scalar_one(roots, quad, c):
+    """Products of Gaussian-rational linear factors, with and without an
+    irreducible quadratic, times a constant: the same roots, or None."""
+    p = from_roots(roots)
+    if quad is not None:
+        p = poly_mul(p, [Scalar.of(x) for x in quad])
+    p = [c * x for x in p]
+    got = roots_over_gaussians(p)
+    assert got == ref_roots_over_gaussians(p)
+    if quad is None:
+        assert got == sorted(roots, key=lambda z: z.sort_key())
+
+
+def test_realness_and_the_certified_none_build_no_fraction(monkeypatch):
+    """On cleared input, all_roots_real and the certificate's None from
+    roots_over_gaussians construct no Fraction and no Scalar."""
+    inputs = [from_real_roots(-2, 1, 1, 3), from_roots([ONE, Scalar.of(0, 2)]),
+              [Scalar.of(c) for c in (1, -3, 0, 4, 1)],
+              [Scalar.of(3, 1), Scalar.of(-1, 2), Scalar.of(0, 1)]]
+    binomial = [Scalar.of(-2), ZERO, ZERO, ZERO, ZERO, ONE]
+    want = [ref_all_roots_real(p) for p in inputs]
+    made = []
+    new_fraction, init_scalar = Fraction.__new__, Scalar.__init__
+
+    def counting_fraction(cls, *args, **kwargs):
+        made.append(args)
+        return new_fraction(cls, *args, **kwargs)
+
+    def counting_scalar(self, *args, **kwargs):
+        made.append(args)
+        init_scalar(self, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_fraction)
+    monkeypatch.setattr(Scalar, "__init__", counting_scalar)
+    got = [all_roots_real(p) for p in inputs]
+    none = roots_over_gaussians(binomial)
+    monkeypatch.undo()
+    assert made == []
+    assert got == want == [True, False, False, False]
+    assert none is None
