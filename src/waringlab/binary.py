@@ -46,8 +46,7 @@ from .scalars import ONE, ZERO, Scalar, parse_int
 from .univariate import (BoxScalar, RootBox, _real_multiple, all_roots_real,
                          certified_root_boxes, interval_solve,
                          isolate_real_roots, is_squarefree, poly_gcd,
-                         poly_mul, poly_trim, refine_real_root,
-                         roots_over_gaussians)
+                         poly_mul, poly_trim, roots_over_gaussians)
 
 Point1 = tuple[Scalar, Scalar]
 
@@ -325,13 +324,8 @@ def _real_boxes(g: Sequence[Scalar], radius: Fraction) -> list[RootBox]:
     rg = _real_multiple(g)
     if rg is None:
         raise ValueError("polynomial is not real")
-    out = []
-    for lo, hi in isolate_real_roots(rg):
-        lo2, hi2 = refine_real_root(rg, lo, hi, radius)
-        mid = (lo2 + hi2) / 2
-        out.append(RootBox(Scalar.of(mid), radius))
-    out.sort(key=lambda b: b.center.sort_key())
-    return out
+    return [RootBox(Scalar.of((lo + hi) / 2), radius)
+            for lo, hi in isolate_real_roots(rg, radius)]
 
 
 def _exact_decomposition(f: BinaryForm, h: Sequence[Scalar],

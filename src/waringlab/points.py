@@ -327,7 +327,7 @@ class CurveSpec:
                 z = -gamma / beta
                 dirs.append([z * a + b for a, b in zip(e1, e2)])
         else:
-            roots = solve_quadratic(alpha, beta, gamma)
+            roots = solve_quadratic(*linalg._clear([alpha, beta, gamma])[0])
             if roots is None:
                 return None
             for z in roots:

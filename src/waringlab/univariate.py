@@ -11,9 +11,12 @@ modular image, re + im*i sent to re + im*s in F_p with s a square root of
 Real roots are counted on one Sturm chain of int lists: each remainder is
 a pseudo-remainder with a positive multiplier, negated and divided by its
 content, so every member is a positive multiple of the chain over Q.
-all_roots_real reads its leading signs; isolation and refinement count
-signs at points n/m by homogenized Horner sums, and the bisection keeps
-both ends over one denominator.
+all_roots_real reads its leading signs.  isolate_real_roots counts signs
+at points n/m by homogenized Horner sums on one chain (a second one for
+the squarefree part of an input with a repeated root), then narrows each
+interval by the signs of the chain's first member; the bisection keeps
+both ends over one denominator.  Quadratics over Q(i) are solved on
+cleared Gaussian-integer coefficients by a square root in Z[i].
 
 Roots are produced in two modes.  Exact mode returns None when a good
 reduction does not split into linear factors, with no float work.
@@ -67,14 +70,6 @@ def poly_mul(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
     return poly_trim(out)
-
-
-def poly_monic(a: Sequence[Scalar]) -> Poly:
-    a = poly_trim(a)
-    if not a:
-        return []
-    lead = a[-1]
-    return [c / lead for c in a]
 
 
 def poly_gcd(a: Sequence[Scalar], b: Sequence[Scalar]) -> Poly:
@@ -136,57 +131,35 @@ def _gprem(a: list[GInt], b: list[GInt]) -> list[GInt]:
     return [(x // g, y // g) for x, y in r]
 
 
-# -- square roots in Q and Q(i) ----------------------------------------------
+# -- square roots and quadratics over Z[i] -----------------------------------
 
-def fraction_sqrt(q: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    if q == 0:
-        return Fraction(0)
-    rn = isqrt(q.numerator)
-    rd = isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+def _gsqrt(z: GInt) -> Optional[GInt]:
+    """A square root a + b i of the Gaussian integer z in Z[i], or None.
 
-
-def gaussian_sqrt(z: Scalar) -> Optional[Scalar]:
-    """A square root of z inside Q(i), or None when no such root exists."""
-    if z.is_zero:
-        return ZERO
-    if z.im == 0:
-        if z.re > 0:
-            r = fraction_sqrt(z.re)
-            return None if r is None else Scalar.of(r)
-        r = fraction_sqrt(-z.re)
-        return None if r is None else Scalar(Fraction(0), r)
-    w = fraction_sqrt(z.norm())
-    if w is None:
-        return None
-    half = Fraction(1, 2)
-    a2 = (z.re + w) * half
-    a = fraction_sqrt(a2)
-    if a is None or a == 0:
-        return None
-    b = z.im / (2 * a)
-    root = Scalar(a, b)
-    if root * root != z:
-        raise ArithmeticError("square root does not square back")
-    return root
+    With n^2 = N(z), a root has a^2 = (n + Re z)/2, b^2 = (n - Re z)/2 and
+    2ab = Im z; the one with a >= 0 is returned when it squares back to z.
+    """
+    x, y = z
+    n = isqrt(x * x + y * y)
+    a, b = isqrt((n + x) // 2), isqrt((n - x) // 2)
+    if y < 0:
+        b = -b
+    return (a, b) if (a * a - b * b, 2 * a * b) == (x, y) else None
 
 
-def solve_quadratic(a: Scalar, b: Scalar,
-                    c: Scalar) -> Optional[tuple[Scalar, Scalar]]:
-    """Roots of a t^2 + b t + c over Q(i); None when they fall outside."""
-    if a.is_zero:
-        raise ValueError("not a quadratic")
-    disc = b * b - Scalar.of(4) * a * c
-    s = gaussian_sqrt(disc)
+def solve_quadratic(a: GInt, b: GInt,
+                    c: GInt) -> Optional[tuple[Scalar, Scalar]]:
+    """Roots of a t^2 + b t + c, a != 0, over Q(i); None when they fall
+    outside.  A square root in Q(i) of the Gaussian-integer discriminant
+    lies in Z[i], which is integrally closed, so _gsqrt decides."""
+    (ar, ai), (br, bi), (cr, ci) = a, b, c
+    s = _gsqrt((br * br - bi * bi - 4 * (ar * cr - ai * ci),
+                2 * br * bi - 4 * (ar * ci + ai * cr)))
     if s is None:
         return None
-    two_a = Scalar.of(2) * a
-    return ((-b + s) / two_a, (-b - s) / two_a)
+    two_a = (2 * ar, 2 * ai)
+    return (linalg._quotient((s[0] - br, s[1] - bi), two_a),
+            linalg._quotient((-s[0] - br, -s[1] - bi), two_a))
 
 
 # -- exact Gaussian-rational root extraction ----------------------------------
@@ -379,7 +352,7 @@ def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
         roots.append(Scalar(Fraction(a, q), Fraction(b, q)))
         w = rest
     if len(w) == 3:
-        pair = solve_quadratic(*(Scalar.of(x, y) for x, y in reversed(w)))
+        pair = solve_quadratic(*reversed(w))
         if pair is None:
             return None
         roots.extend(pair)
@@ -475,13 +448,22 @@ def all_roots_real(p: Sequence[Scalar]) -> bool:
     return _variations(bottom) - _variations(top) == len(q) - len(seq[-1])
 
 
-def isolate_real_roots(p: Sequence[Fraction | int]
+def isolate_real_roots(p: Sequence[Fraction | int], width: Fraction
                        ) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint intervals (a, b], one distinct real root in each, sorted,
-    bisected from the Cauchy bound 1 + max|p_i| / |p_n|."""
+    """Disjoint intervals (a, b] no wider than width, one distinct real
+    root of p in each, sorted; (r, r) when the bisection hits a root r.
+
+    The roots are those of the chain's first member q: p over its content,
+    or, when the chain does not end in a constant (p has a repeated root),
+    the squarefree part p / gcd(p, p') on a second chain.  Sturm counts
+    bisect from the Cauchy bound 1 + max|q_i| / |q_n| until each interval
+    holds one root, left halves first, and _bisect narrows each one.
+    """
     seq = sturm_sequence(p)
     if not seq or len(seq[0]) <= 1:
         return []
+    if len(seq[-1]) > 1:
+        seq = sturm_sequence(_exact_quotient(seq[0], seq[-1]))
     q = seq[0]
     den = abs(q[-1])
     top = den + max(abs(c) for c in q[:-1])
@@ -489,43 +471,36 @@ def isolate_real_roots(p: Sequence[Fraction | int]
     stack = [(-top, top, den, _count(seq, -top, top, den))]
     while stack:
         lo, hi, den, cnt = stack.pop()
-        if cnt == 0:
-            continue
         if cnt == 1:
-            out.append((Fraction(lo, den), Fraction(hi, den)))
-            continue
-        lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
-        left = _count(seq, lo, mid, den)
-        stack.append((mid, hi, den, cnt - left))
-        stack.append((lo, mid, den, left))
-    out.sort()
+            out.append(_bisect(q, lo, hi, den, width))
+        elif cnt > 1:
+            lo, mid, hi, den = 2 * lo, lo + hi, 2 * hi, 2 * den
+            left = _count(seq, lo, mid, den)
+            stack.append((mid, hi, den, cnt - left))
+            stack.append((lo, mid, den, left))
     return out
 
 
-def refine_real_root(p: Sequence[Fraction | int], lo: Fraction, hi: Fraction,
-                     width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (lo, hi] of p below the width.
+def _exact_quotient(a: list[int], b: list[int]) -> list[Fraction]:
+    """a / b over Q, for b dividing a."""
+    r, quo = [Fraction(c) for c in a], []
+    while len(r) >= len(b):
+        f = r.pop() / b[-1]
+        quo.append(f)
+        for i, c in enumerate(b[:-1]):
+            r[len(r) - len(b) + 1 + i] -= f * c
+    return quo[::-1]
 
-    Precondition, checked on one Sturm chain: p is squarefree (the chain
-    ends in a nonzero constant) and has exactly one root in (lo, hi];
-    otherwise ValueError.  A simple root is a sign change, so once
-    p(hi) != 0 the root lies in (mid, hi] exactly when p(mid) and p(hi)
-    differ in sign, and bisection keeps that half, else (lo, mid].
 
-    The bisection reads the signs of the chain's first member at a/den.
-    """
-    seq = sturm_sequence(p)
-    if not seq or len(seq[-1]) != 1:
-        raise ValueError("refinement needs a squarefree, nonconstant p")
-    (a, da), (b, db) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    den = lcm(da, db)
-    a, b = a * (den // da), b * (den // db)
-    if _count(seq, a, b, den) != 1:
-        raise ValueError("refinement needs exactly one root in (lo, hi]")
-    q = seq[0]
+def _bisect(q: list[int], a: int, b: int, den: int,
+            width: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink (a/den, b/den], which holds one simple root of q, to at most
+    the width.  A simple root is a sign change, so once q(b/den) != 0 the root
+    lies in (mid, b/den] exactly when q(mid) and q(b/den) differ in sign,
+    and bisection keeps that half, else (a/den, mid]."""
     s_hi = _homogenized_sign(q, b, den)
     if s_hi == 0:
-        return (hi, hi)
+        return (Fraction(b, den),) * 2
     wn, wd = width.as_integer_ratio()
     while (b - a) * wd > wn * den:
         mid, a, b, den = a + b, 2 * a, 2 * b, 2 * den
@@ -581,7 +556,7 @@ def certified_root_boxes(p: Sequence[Scalar],
     arithmetic; n pairwise-disjoint such disks for a degree-n polynomial then
     hold exactly one root each.
     """
-    work = poly_monic(p)
+    work = poly_trim(p)
     n = len(work) - 1
     if n <= 0:
         return []

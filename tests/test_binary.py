@@ -22,9 +22,14 @@ from waringlab.binary import (BinaryForm, _binary_squarefree, _steps,
                               reconstruction_check)
 from waringlab.factory import conjugate_pair_form
 from waringlab.scalars import ONE, ZERO, Scalar
-from waringlab.univariate import poly_monic, poly_mul
+from waringlab.univariate import poly_mul, poly_trim
 
 X, Y = sympy.symbols("x y")
+
+
+def poly_monic(a):
+    a = poly_trim(a)
+    return [c / a[-1] for c in a] if a else []
 
 
 def plain(*ints) -> BinaryForm:

@@ -171,6 +171,31 @@ def test_branch_recovery_without_stored_branches():
     assert recovered is not None and set(recovered) == {l1, l2}
 
 
+def plane_conic(*coeffs) -> CurveSpec:
+    """The conic a u0^2 + b u0 u1 + c u0 u2 + d u1^2 + e u1 u2 + f u2^2 in
+    the plane P^2."""
+    return CurveSpec.conic([P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)],
+                           [Scalar.of(c) for c in coeffs])
+
+
+def test_branch_lines_solve_the_quadratic_over_gaussian_integers():
+    node = P(0, 0, 1)
+    # u0^2 + u1^2 = (u0 + i u1)(u0 - i u1): conjugate Gaussian lines
+    conic = plane_conic(1, 0, 0, 1, 0, 0)
+    assert conic.kind == REDUCIBLE_CONIC
+    a, b = conic.branch_lines()
+    assert {a, b} == {CurveSpec.line(node, P(Scalar.of(0, 1), 1, 0)),
+                      CurveSpec.line(node, P(Scalar.of(0, -1), 1, 0))}
+    assert not a.is_real and _conj_line(a) == b
+    # u0^2 - u1^2 / 4, cleared to 4 z^2 - 1 before the solve
+    halves = plane_conic(1, 0, 0, Fraction(-1, 4), 0, 0).branch_lines()
+    assert set(halves) == {CurveSpec.line(node, P(1, 2, 0)),
+                           CurveSpec.line(node, P(-1, 2, 0))}
+    # u0^2 - 2 u1^2 splits over R only
+    conic = plane_conic(1, 0, 0, -2, 0, 0)
+    assert conic.kind == REDUCIBLE_CONIC and conic.branch_lines() is None
+
+
 def test_two_disjoint_lines_requires_rank_four():
     l1 = CurveSpec.line(P(1, 0, 0, 0), P(0, 1, 0, 0))
     l2 = CurveSpec.line(P(0, 0, 1, 0), P(0, 0, 0, 1))

@@ -6,8 +6,10 @@ the package code never imports it.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -18,16 +20,16 @@ from hypothesis import strategies as st
 from waringlab.linalg import _clear
 from waringlab.scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 import waringlab.univariate as univariate
-from waringlab.univariate import (BoxScalar, Interval, _cannot_split, _snap,
-                                  _fp_at, _homogenized_sign,
-                                  _round_out, _variations, all_roots_real,
+from waringlab.univariate import (BoxScalar, Interval, _bisect,
+                                  _cannot_split, _fp_at, _gsqrt,
+                                  _homogenized_sign, _round_out, _snap,
+                                  _variations, all_roots_real,
                                   certified_root_boxes,
-                                  fraction_sqrt, gaussian_sqrt,
                                   interval_solve, is_squarefree,
                                   isolate_real_roots,
                                   poly_derivative, poly_eval,
-                                  poly_gcd, poly_mul, poly_monic, poly_trim,
-                                  refine_real_root, roots_over_gaussians,
+                                  poly_gcd, poly_mul, poly_trim,
+                                  roots_over_gaussians,
                                   solve_quadratic, sturm_sequence)
 
 T = sympy.symbols("t")
@@ -86,8 +88,13 @@ def from_sympy(poly):
     return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
 
 
-# -- references: the Fraction Sturm chain and the Scalar root path that the
-#    integer ones replaced ----------------------------------------------------
+# -- references: the Fraction Sturm chain, the Scalar root path and the
+#    Scalar square roots that the integer ones replaced ------------------------
+
+def poly_monic(a):
+    a = poly_trim(a)
+    return [c / a[-1] for c in a] if a else []
+
 
 def poly_divmod(a, b):
     a = poly_trim(a)
@@ -212,6 +219,64 @@ def ref_refine_real_root(p, lo, hi, width):
     return fraction_bisection(p, lo, hi, width)
 
 
+def ref_refined_roots(p, width):
+    """The Fraction refinement of each Fraction isolating interval of the
+    squarefree part of the real list p."""
+    sf = [c.re for c in squarefree_part([Scalar.of(c) for c in p])]
+    return [ref_refine_real_root(sf, lo, hi, width)
+            for lo, hi in ref_isolate_real_roots(sf)]
+
+
+def ref_fraction_sqrt(q):
+    """Exact square root of a nonnegative rational, or None."""
+    if q < 0:
+        return None
+    if q == 0:
+        return Fraction(0)
+    rn = isqrt(q.numerator)
+    rd = isqrt(q.denominator)
+    if rn * rn == q.numerator and rd * rd == q.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def ref_gaussian_sqrt(z):
+    """A square root of z inside Q(i), or None when no such root exists."""
+    if z.is_zero:
+        return ZERO
+    if z.im == 0:
+        if z.re > 0:
+            r = ref_fraction_sqrt(z.re)
+            return None if r is None else Scalar.of(r)
+        r = ref_fraction_sqrt(-z.re)
+        return None if r is None else Scalar(Fraction(0), r)
+    w = ref_fraction_sqrt(z.norm())
+    if w is None:
+        return None
+    half = Fraction(1, 2)
+    a2 = (z.re + w) * half
+    a = ref_fraction_sqrt(a2)
+    if a is None or a == 0:
+        return None
+    b = z.im / (2 * a)
+    root = Scalar(a, b)
+    if root * root != z:
+        raise ArithmeticError("square root does not square back")
+    return root
+
+
+def ref_solve_quadratic(a, b, c):
+    """Roots of a t^2 + b t + c over Q(i) on Scalars; None outside."""
+    if a.is_zero:
+        raise ValueError("not a quadratic")
+    disc = b * b - Scalar.of(4) * a * c
+    s = ref_gaussian_sqrt(disc)
+    if s is None:
+        return None
+    two_a = Scalar.of(2) * a
+    return ((-b + s) / two_a, (-b - s) / two_a)
+
+
 def _fp(z, p, s):
     """The image re + im*s of z in F_p, or None when a denominator hits p."""
     try:
@@ -310,7 +375,7 @@ def ref_roots_over_gaussians(p):
             roots.append(-work[0] / work[1])
             break
         if len(work) - 1 == 2:
-            pair = solve_quadratic(work[2], work[1], work[0])
+            pair = ref_solve_quadratic(work[2], work[1], work[0])
             if pair is None:
                 return None
             roots.extend(pair)
@@ -421,33 +486,39 @@ def test_squarefree_part_strips_multiplicity():
         poly_monic(poly_mul([ONE, ONE], [Scalar.of(-2), ONE])))
 
 
+def gsquare(z):
+    return (z[0] * z[0] - z[1] * z[1], 2 * z[0] * z[1])
+
+
 def test_fraction_sqrt():
-    assert fraction_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert fraction_sqrt(Fraction(2)) is None
-    assert fraction_sqrt(Fraction(0)) == 0
+    # square roots of rationals q, as the roots of t^2 - q cleared
+    three_halves = Scalar.of(Fraction(3, 2))
+    assert solve_quadratic((4, 0), (0, 0), (-9, 0)) == (three_halves,
+                                                        -three_halves)
+    assert solve_quadratic((9, 0), (0, 0), (-2, 0)) is None
+    assert solve_quadratic((1, 0), (0, 0), (0, 0)) == (ZERO, ZERO)
 
 
 def test_gaussian_sqrt_roundtrip():
     rng = random.Random(17)
     for _ in range(40):
-        z = Scalar.of(Fraction(rng.randint(-5, 5), rng.choice((1, 2))),
-                      Fraction(rng.randint(-5, 5), rng.choice((1, 2))))
-        w = gaussian_sqrt(z * z)
-        assert w is not None and w * w == z * z
-    assert gaussian_sqrt(Scalar.of(2)) is None
-    assert gaussian_sqrt(Scalar.of(0, 1)) is None
+        z = (rng.randint(-5, 5), rng.randint(-5, 5))
+        w = _gsqrt(gsquare(z))
+        assert w is not None and gsquare(w) == gsquare(z)
+    assert _gsqrt((2, 0)) is None
+    assert _gsqrt((0, 1)) is None
 
 
 def test_solve_quadratic_exact_cases():
     # t^2 - 5t + 6 = (t-2)(t-3)
-    roots = solve_quadratic(ONE, Scalar.of(-5), Scalar.of(6))
+    roots = solve_quadratic((1, 0), (-5, 0), (6, 0))
     assert roots is not None and set(roots) == {Scalar.of(2), Scalar.of(3)}
     # t^2 + 1 over the Gaussian rationals
-    roots = solve_quadratic(ONE, ZERO, ONE)
+    roots = solve_quadratic((1, 0), (0, 0), (1, 0))
     assert roots is not None
     assert set(roots) == {Scalar.of(0, 1), Scalar.of(0, -1)}
     # t^2 - 2 has no rational (or Gaussian rational) roots
-    assert solve_quadratic(ONE, ZERO, Scalar.of(-2)) is None
+    assert solve_quadratic((1, 0), (0, 0), (-2, 0)) is None
 
 
 def test_roots_over_gaussians_matches_sympy():
@@ -509,13 +580,12 @@ def test_isolate_and_refine_real_roots():
     p = poly_mul(poly_mul([ONE, ONE], [Scalar.of(Fraction(-1, 3)), ONE]),
                  [Scalar.of(-2), ONE])
     rp = as_real_poly(p)
-    raw = isolate_real_roots(rp)
-    assert len(raw) == 3
+    boxes = isolate_real_roots(rp, Fraction(1, 10 ** 12))
+    assert len(boxes) == 3
     expected = [Fraction(-1), Fraction(1, 3), Fraction(2)]
-    for (lo, hi), want in zip(sorted(raw), sorted(expected)):
-        lo2, hi2 = refine_real_root(rp, lo, hi, Fraction(1, 10 ** 12))
-        assert lo2 <= want <= hi2
-        assert hi2 - lo2 < Fraction(1, 10 ** 12)
+    for (lo, hi), want in zip(boxes, expected):
+        assert lo <= want <= hi
+        assert hi - lo < Fraction(1, 10 ** 12)
 
 
 def sturm_bisection(p, lo, hi, width):
@@ -533,7 +603,7 @@ def sturm_bisection(p, lo, hi, width):
     return (lo, hi)
 
 
-def test_refine_real_root_matches_sturm_bisection():
+def test_isolate_real_roots_matches_sturm_bisection():
     rng = random.Random(41)
     width = Fraction(1, 10 ** 15)
     boxes = 0
@@ -546,10 +616,10 @@ def test_refine_real_root_matches_sturm_bisection():
         else:
             p = squarefree_part(rand_poly(rng, rng.randint(1, 6)))
         rp = as_real_poly(p)
-        for lo, hi in isolate_real_roots(rp):
-            boxes += 1
-            assert (refine_real_root(rp, lo, hi, width)
-                    == sturm_bisection(rp, lo, hi, width))
+        want = [sturm_bisection(rp, lo, hi, width)
+                for lo, hi in ref_isolate_real_roots(rp)]
+        boxes += len(want)
+        assert isolate_real_roots(rp, width) == want
     assert boxes > 40
 
 
@@ -584,35 +654,25 @@ def test_integer_bisection_matches_fraction_bisection(coeffs, width):
     if len(p) < 2:
         return
     rp = as_real_poly(squarefree_part(p))
-    for lo, hi in isolate_real_roots(rp):
-        assert (refine_real_root(rp, lo, hi, width)
-                == fraction_bisection(rp, lo, hi, width))
+    assert isolate_real_roots(rp, width) == [
+        fraction_bisection(rp, lo, hi, width)
+        for lo, hi in ref_isolate_real_roots(rp)]
 
 
-def test_refine_real_root_at_the_right_end_and_midpoints():
+def test_isolate_real_roots_at_the_right_end_and_midpoints():
     rp = as_real_poly(from_real_roots(-1, 1))
     width = Fraction(1, 10 ** 9)
-    assert refine_real_root(rp, Fraction(0), Fraction(1), width) == (1, 1)
-    assert refine_real_root(rp, Fraction(-2), Fraction(0),
-                            width) == (-1, -1)
-    lo, hi = refine_real_root(rp, Fraction(-2), Fraction(-1, 3), width)
+    # (-2, 2] splits at 0, and each half's first midpoint is a root
+    assert isolate_real_roots(rp, width) == [(-1, -1), (1, 1)]
+    q = sturm_sequence(rp)[0]
+    assert _bisect(q, 0, 1, 1, width) == (1, 1)
+    assert _bisect(q, -2, 0, 1, width) == (-1, -1)
+    lo, hi = _bisect(q, -6, -1, 3, width)
     assert lo < -1 < hi or lo == hi == -1
 
 
-def test_refine_real_root_checks_its_precondition():
-    width = Fraction(1, 10 ** 6)
-    double = as_real_poly(from_real_roots(1, 1, -2))
-    with pytest.raises(ValueError):
-        refine_real_root(double, Fraction(0), Fraction(2), width)
-    rp = as_real_poly(from_real_roots(-2, 1))
-    for lo, hi in ((2, 5), (-3, 2), (-5, -3)):
-        with pytest.raises(ValueError):
-            refine_real_root(rp, Fraction(lo), Fraction(hi), width)
-    with pytest.raises(ValueError):
-        refine_real_root([Fraction(3)], Fraction(0), Fraction(1), width)
-
-
-def test_refine_real_root_builds_one_sturm_chain(monkeypatch):
+def test_isolate_real_roots_builds_a_second_chain_only_on_a_repeated_root(
+        monkeypatch):
     calls = []
 
     def counting(p):
@@ -620,14 +680,81 @@ def test_refine_real_root_builds_one_sturm_chain(monkeypatch):
         return sturm_sequence(p)
 
     monkeypatch.setattr(univariate, "sturm_sequence", counting)
+    width = Fraction(1, 10 ** 40)
     rp = as_real_poly(from_real_roots(Fraction(-1, 3), Fraction(2, 7), 5))
-    lo, hi = refine_real_root(rp, Fraction(0), Fraction(1),
-                              Fraction(1, 10 ** 40))
-    assert lo < Fraction(2, 7) < hi
+    boxes = isolate_real_roots(rp, width)
+    assert len(boxes) == 3 and boxes[1][0] < Fraction(2, 7) < boxes[1][1]
     assert len(calls) == 1
     calls.clear()
-    assert len(isolate_real_roots(rp)) == 3
-    assert len(calls) == 1
+    double = as_real_poly(from_real_roots(Fraction(-1, 3), Fraction(2, 7),
+                                          Fraction(2, 7), 5))
+    assert isolate_real_roots(double, width) == boxes
+    assert len(calls) == 2
+
+
+@contextlib.contextmanager
+def count_budget(calls=1000):
+    """univariate._count raising after the given number of calls, so an
+    isolation that bisects forever fails instead of hanging."""
+    left = [calls]
+    count = univariate._count
+
+    def budgeted(*args):
+        left[0] -= 1
+        if left[0] < 0:
+            raise RuntimeError("isolation ran out of Sturm counts")
+        return count(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(univariate, "_count", budgeted)
+        yield
+
+
+def test_isolation_returns_on_a_repeated_root_at_a_bisection_point():
+    # t^2 (4t - 5/2)^2: the first midpoint 0 is a root of p and of p'
+    p = [Fraction(0), Fraction(0), Fraction(25, 4), Fraction(-20),
+         Fraction(16)]
+    width = Fraction(1, 10 ** 12)
+    with count_budget():
+        boxes = isolate_real_roots(p, width)
+    assert len(boxes) == 2 and boxes[0] == (0, 0)
+    lo, hi = boxes[1]
+    assert lo <= Fraction(5, 8) <= hi and hi - lo < width
+    assert boxes == ref_refined_roots(p, width)
+
+
+@st.composite
+def products_with_squares(draw):
+    """r^2 s: r a product of rational linear factors, at 0 or a dyadic
+    point some of the time, where the bisection lands, or a random
+    rational polynomial; s an optional random integer factor."""
+    if draw(st.booleans()):
+        roots = draw(st.lists(st.sampled_from(
+            (0, 1, -1, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3))),
+            min_size=1, max_size=3))
+        r = [c.re for c in from_real_roots(*roots)]
+    else:
+        r = draw(st.lists(real_coeffs, min_size=2, max_size=3))
+        r[-1] = r[-1] or Fraction(1)
+    s = draw(st.lists(st.integers(-4, 4), max_size=3))
+    r = [Scalar.of(c) for c in r]
+    p = [x.re for x in poly_mul(r, r)]
+    if any(s):
+        p = [x.re for x in poly_mul([Scalar.of(c) for c in p],
+                                    [Scalar.of(c) for c in s])]
+    return p
+
+
+@given(products_with_squares(),
+       st.sampled_from([Fraction(1, 10 ** 30), Fraction(1, 7)]))
+@settings(max_examples=150, deadline=None)
+def test_isolation_of_a_product_with_squares_refines_its_squarefree_part(
+        p, width):
+    """The reference refinement of the reference isolation of p / gcd(p, p'),
+    within a budget of Sturm counts."""
+    with count_budget():
+        got = isolate_real_roots(p, width)
+    assert got == ref_refined_roots(p, width)
 
 
 def test_all_roots_real_on_non_squarefree_inputs():
@@ -1032,13 +1159,6 @@ def test_all_roots_real_matches_the_fraction_chain(p):
     assert all_roots_real(p) == ref_all_roots_real(p)
 
 
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except ValueError as exc:
-        return str(exc)
-
-
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7),
        st.integers(1, 12), st.integers(0, 2),
        st.sampled_from([Fraction(1, 10 ** 40), Fraction(3, 10 ** 12),
@@ -1046,9 +1166,9 @@ def outcome(f, *args):
 @settings(max_examples=150, deadline=None)
 def test_integer_chain_matches_the_fraction_chain(coeffs, den, square,
                                                   width):
-    """Each member is a positive multiple of the Fraction chain's; the
-    isolating intervals of the squarefree part and the refined ends are
-    the same, and so are the refusals of inputs with a repeated root."""
+    """Each member is a positive multiple of the Fraction chain's, and the
+    isolation of p is the Fraction refinement of the Fraction isolation of
+    its squarefree part."""
     p = [Fraction(c, den) for c in coeffs]
     for _ in range(square):
         p = [c.re for c in poly_mul([Scalar.of(c) for c in p],
@@ -1062,12 +1182,9 @@ def test_integer_chain_matches_the_fraction_chain(coeffs, den, square,
         assert len(member) == len(want)
         ratios = {Fraction(a) / b for a, b in zip(member, want) if b}
         assert len(ratios) == 1 and ratios.pop() > 0
-    sf = [c.re for c in squarefree_part([Scalar.of(c) for c in p])]
-    boxes = isolate_real_roots(sf)
-    assert boxes == ref_isolate_real_roots(sf)
-    for lo, hi in boxes:
-        assert (outcome(refine_real_root, p, lo, hi, width)
-                == outcome(ref_refine_real_root, p, lo, hi, width))
+    with count_budget():
+        got = isolate_real_roots(p, width)
+    assert got == ref_refined_roots(p, width)
 
 
 gaussian_rationals = st.builds(
@@ -1104,6 +1221,44 @@ def test_cleared_root_path_matches_the_scalar_one(roots, quad, c):
     assert got == ref_roots_over_gaussians(p)
     if quad is None:
         assert got == sorted(roots, key=lambda z: z.sort_key())
+
+
+gaussian_integers = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+
+
+@given(gaussian_integers, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_gsqrt_matches_the_scalar_root(z, square):
+    """On squares, with either sign of the imaginary part, and on random
+    Gaussian integers: the root of the Q(i) reference, with Re >= 0."""
+    if square:
+        z = gsquare(z)
+    got = _gsqrt(z)
+    assert (None if got is None else Scalar.of(*got)) == ref_gaussian_sqrt(
+        Scalar.of(*z))
+
+
+@st.composite
+def gaussian_quadratics(draw):
+    """c (t - r1)(t - r2) that split, with r2 = r1 for a zero discriminant,
+    or a t^2 + b t + c at random, nearly always irreducible over Q(i)."""
+    kind = draw(st.sampled_from(("split", "double", "random")))
+    if kind == "random":
+        return [draw(gaussian_rationals) for _ in range(2)] + [
+            draw(gaussian_rationals.filter(bool))]
+    r1 = draw(gaussian_rationals)
+    r2 = r1 if kind == "double" else draw(gaussian_rationals)
+    c = draw(gaussian_rationals.filter(bool))
+    return [c * x for x in from_roots([r1, r2])]
+
+
+@given(gaussian_quadratics())
+@settings(max_examples=300, deadline=None)
+def test_solve_quadratic_matches_the_scalar_one(p):
+    """The cleared Gaussian-integer solver gives the Scalar solver's pair,
+    in order, or its None."""
+    got = solve_quadratic(*reversed(_clear(p)[0]))
+    assert got == ref_solve_quadratic(p[2], p[1], p[0])
 
 
 def test_realness_and_the_certified_none_build_no_fraction(monkeypatch):
