@@ -299,49 +299,54 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return 0 if not failures else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name: (help, handler, (argument, add_argument keywords) pairs)
+_COMMANDS = {
+    "generate": ("write one instance file", cmd_generate, (
+        ("--case", {"required": True, "choices": (CASE_A, CASE_B, CASE_C)}),
+        ("--d", {"required": True, "type": int}),
+        ("--m", {"required": True, "type": int}),
+        ("--seed", {"required": True, "type": int}),
+        ("--out", {}))),
+    "verify": ("classify an instance or triple", cmd_verify, (
+        ("input", {}),
+        ("--out", {}),
+        ("--threshold-overrides",
+         {"help": 'expert: JSON like {"line": 5, "conic": 8}'}))),
+    "rank": ("binary form ranks over C and R", cmd_rank, (
+        ("input", {}), ("--out", {}))),
+    "h1": ("span report for a point set", cmd_h1, (
+        ("input", {}),
+        ("--d", {"required": True, "type": int}),
+        ("--out", {}))),
+    "suite": ("generate and verify the grid", cmd_suite, (
+        ("--seed", {"type": int, "default": 0}), ("--out", {}))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the named command only, whose
+    usage line still lists every command."""
     parser = argparse.ArgumentParser(
         prog="waringlab",
         description="Exact real versus complex Waring rank laboratory.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    gen = subs.add_parser("generate", help="write one instance file")
-    gen.add_argument("--case", required=True, choices=(CASE_A, CASE_B,
-                                                       CASE_C))
-    gen.add_argument("--d", required=True, type=int)
-    gen.add_argument("--m", required=True, type=int)
-    gen.add_argument("--seed", required=True, type=int)
-    gen.add_argument("--out", default=None)
-    gen.set_defaults(func=cmd_generate)
-
-    ver = subs.add_parser("verify", help="classify an instance or triple")
-    ver.add_argument("input")
-    ver.add_argument("--out", default=None)
-    ver.add_argument("--threshold-overrides", default=None,
-                     help='expert: JSON like {"line": 5, "conic": 8}')
-    ver.set_defaults(func=cmd_verify)
-
-    rnk = subs.add_parser("rank", help="binary form ranks over C and R")
-    rnk.add_argument("input")
-    rnk.add_argument("--out", default=None)
-    rnk.set_defaults(func=cmd_rank)
-
-    h1p = subs.add_parser("h1", help="span report for a point set")
-    h1p.add_argument("input")
-    h1p.add_argument("--d", required=True, type=int)
-    h1p.add_argument("--out", default=None)
-    h1p.set_defaults(func=cmd_h1)
-
-    ste = subs.add_parser("suite", help="generate and verify the grid")
-    ste.add_argument("--seed", type=int, default=0)
-    ste.add_argument("--out", default=None)
-    ste.set_defaults(func=cmd_suite)
+    subs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}")
+    for name in [command] if command else _COMMANDS:
+        help_text, func, arguments = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # one command runs, so only its parser is built
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS
+                        else None).parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError,

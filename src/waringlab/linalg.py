@@ -164,7 +164,23 @@ def row_rank(rows: Sequence[Sequence[GInt]]) -> int:
     the R rows, so the rank is exactly r.  A failed check means p divided
     a minor that the exact rank needs, and the exact kernel decides.
     """
+    return _certified_rank(rows, *_independent_mod_p(rows))
+
+
+def row_rank_pair(rows: Sequence[Sequence[GInt]]) -> tuple[int, int]:
+    """(row_rank(rows[:-1]), row_rank(rows)) from one pass mod p, which
+    takes the rows in order: among the first n - 1 it picks what it picks
+    for them alone.  Each rank keeps its own certificate and fallback."""
     picked, cols = _independent_mod_p(rows)
+    k = len(picked) - (bool(picked) and picked[-1] == len(rows) - 1)
+    return (_certified_rank(rows[:-1], picked[:k], cols[:k]),
+            _certified_rank(rows, picked, cols))
+
+
+def _certified_rank(rows: Sequence[Sequence[GInt]], picked: list[int],
+                    cols: list[int]) -> int:
+    """The rank of rows, from the rows and columns a pass mod p picked
+    (see row_rank)."""
     r = len(picked)
     if r == len(rows):
         return r
@@ -221,19 +237,11 @@ def _rref(m: list[list[GInt]]) -> tuple[Matrix, tuple[int, ...]]:
 
 def nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     """Canonical kernel basis of a nonempty matrix: one vector per free
-    column, unit there."""
-    nc = len(rows[0])
-    reduced, pivots = rref(rows)
-    pivot_set = set(pivots)
-    basis: list[list[Scalar]] = []
-    for free in range(nc):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * nc
-        vec[free] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][free]
-        basis.append(vec)
+    column, unit there.  That is the last nonzero entry of the vector."""
+    basis = []
+    for x in _int_kernel([_clear_row(row) for row in rows]):
+        unit = next(z for z in reversed(x) if z != (0, 0))
+        basis.append([ZERO if z == (0, 0) else _quotient(z, unit) for z in x])
     return basis
 
 
@@ -243,32 +251,33 @@ def row_space_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     return reduced[:len(pivots)]
 
 
+def _int_kernel(m: list[list[GInt]]) -> list[list[GInt]]:
+    """Kernel basis of the Gaussian-integer rows m, which are eliminated in
+    place: the canonical one of nullspace, each vector times divisors[f]
+    at its free column f.  So x_f = divisors[f], and x at pivot column r
+    is -m[r][f]."""
+    pivots, divisors = _eliminate(m, True)
+    basis = []
+    for free in range(len(divisors)):
+        if free not in pivots:
+            x = [(0, 0)] * len(divisors)
+            x[free] = divisors[free]
+            for r, pc in enumerate(pivots):
+                x[pc] = (-m[r][free][0], -m[r][free][1])
+            basis.append(x)
+    return basis
+
+
 def span_intersection(u_columns: Sequence[Sequence[GInt]],
                       v_columns: Sequence[Sequence[GInt]]
                       ) -> list[list[Scalar]]:
-    """Canonical basis of span(U) meet span(V), for Gaussian-integer columns.
-
-    Each free column f of [U | V] gives the kernel vector x with x_f =
-    divisors[f] and x at pivot column r equal to -m[r][f], the RREF kernel
-    vector times divisors[f]; its U part gives the common vector U x.
-    """
+    """Canonical basis of span(U) meet span(V), for Gaussian-integer columns:
+    each kernel vector x of [U | V] gives the common vector U x."""
     if not u_columns or not v_columns:
         return []
     k = len(u_columns)
     m = [list(row) for row in zip(*u_columns, *v_columns)]
-    pivots, divisors = _eliminate(m, True)
-    pivot_set = set(pivots)
-    meets = []
-    for free in range(len(divisors)):
-        if free in pivot_set:
-            continue
-        x = [(0, 0)] * k
-        if free < k:
-            x[free] = divisors[free]
-        for r, pc in enumerate(pivots):
-            if pc < k:
-                x[pc] = (-m[r][free][0], -m[r][free][1])
-        meets.append(_combine_ints(x, u_columns, len(m)))
+    meets = [_combine_ints(x[:k], u_columns, len(m)) for x in _int_kernel(m)]
     reduced, found = _rref(meets)
     return reduced[:len(found)]
 

@@ -2,18 +2,28 @@
 
 Coordinates are canonical: the first nonzero coordinate is scaled to 1, so
 equality of points is tuple equality.  Incidence tests run on cached
-primitive Gaussian-integer coordinate vectors, which keeps the hot loops on
-plain int arithmetic.
+primitive Gaussian-integer coordinate vectors (zcoords), which keeps the
+hot loops on plain int arithmetic.
 
 Curves are CurveSpec values of four kinds.  A Line stores the reduced
 echelon basis of its span.  A conic (smooth or reducible) stores a plane
 (echelon basis rows plus pivot columns) and the six coefficients of a
 quadratic form in plane coordinates, scaled so the first nonzero coefficient
-is 1.  TwoDisjointLines stores the pair.  Rich-curve search is exhaustive
-and exact, and it rests on one bound: a curve through t of n sorted points
-has its first k points among the first n - t + k.  So a rich line takes
-its two points, a rich plane its first two and a smooth conic its five from
-that head of the sorted points; see find_rich_lines / find_rich_conics.
+is 1.  TwoDisjointLines stores the pair.  The echelon rows are the identity
+at the pivots, so a point of the plane has its coordinates there as plane
+coordinates, and its zcoords there are those times a positive rational,
+which a homogeneous conic does not see: conic incidence runs on ints.
+
+Rich-curve search is exhaustive and exact, and it rests on one bound: a
+curve through t of n sorted points has its first k points among the first
+n - t + k.  So a rich line takes its first point, a rich plane its first
+two and a smooth conic its five from that head of the sorted points; see
+find_rich_lines / find_rich_conics.  Lines are grouped by a key, in one
+dict pass: the Pluecker vector v of two points' zcoords (the 2x2 minors)
+times the conjugate of its first nonzero entry, made primitive.  Another
+pair on the line gives lambda * v, lambda in Q(i), and the product turns
+lambda into |lambda|^2 > 0, which the content drops.  A CurveSpec is built
+only for a curve that the search returns.
 """
 
 from __future__ import annotations
@@ -190,10 +200,10 @@ class CurveSpec:
         if lead is None:
             raise ValueError("conic form must be nonzero")
         vec = [c / lead for c in vec]
-        r = _conic_matrix_rank(vec)
-        if r == 3:
+        rank = linalg.rank([list(r) for r in _conic_matrix(vec)])
+        if rank == 3:
             kind = SMOOTH_CONIC
-        elif r == 2:
+        elif rank == 2:
             kind = REDUCIBLE_CONIC
         else:
             raise ValueError("double lines are out of scope")
@@ -208,10 +218,11 @@ class CurveSpec:
         if len(pivots) != 3:
             raise ValueError("lines are not coplanar or are equal")
         rows = tuple(tuple(r) for r in reduced[:3])
-        eq1 = _line_equation_in_plane(l1, rows, tuple(pivots))
-        eq2 = _line_equation_in_plane(l2, rows, tuple(pivots))
-        coeffs = _symmetric_product(eq1, eq2)
-        return CurveSpec.conic([ProjectivePoint(r) for r in rows], coeffs,
+        eq1, eq2 = (_plane_line(_line_key(*([p.zcoords[j] for j in pivots]
+                                            for p in line.line_basis)))
+                    for line in (l1, l2))
+        return CurveSpec.conic([ProjectivePoint(r) for r in rows],
+                               _scalars(_symmetric_product(eq1, eq2)),
                                branches=(l1, l2))
 
     @staticmethod
@@ -255,23 +266,28 @@ class CurveSpec:
         return len(self.plane_rows[0]) - 1
 
     @cached_property
-    def _line_equations(self) -> tuple[tuple[GInt, ...], ...]:
-        rows = [list(p.coords) for p in self.line_basis]
-        return tuple(tuple(linalg._clear_row(vec))
-                     for vec in linalg.nullspace(rows))
+    def _equations(self) -> tuple[tuple[GInt, ...], ...]:
+        """Gaussian-integer equations of a line's or a conic's span."""
+        rows = ([p.coords for p in self.line_basis] if self.kind == LINE
+                else self.plane_rows)
+        return tuple(map(tuple, linalg._int_kernel(
+            [linalg._clear_row(r) for r in rows])))
+
+    @cached_property
+    def _conic_ints(self) -> tuple[GInt, ...]:
+        return tuple(linalg._clear_row(self.conic_coeffs))
 
     def contains(self, p: ProjectivePoint) -> bool:
-        if self.kind == LINE:
-            return _incident(self._line_equations, p.zcoords)
         if self.kind == TWO_DISJOINT_LINES:
             return self.branches[0].contains(p) or self.branches[1].contains(p)
-        u = self.plane_coordinates(p)
-        if u is None:
+        z = p.zcoords
+        if not _incident(self._equations, z):
             return False
-        return _eval_conic(self.conic_coeffs, u).is_zero
-
-    def plane_coordinates(self, p: ProjectivePoint) -> Optional[tuple[Scalar, ...]]:
-        return _plane_coordinates(self.plane_rows, self.plane_pivots, p)
+        if self.kind == LINE:
+            return True
+        # plane coordinates up to a factor (see the module docstring)
+        return _incident((self._conic_ints,),
+                         _conic_monomials([z[j] for j in self.plane_pivots]))
 
     def point_from_plane(self, u: Sequence[Scalar]) -> ProjectivePoint:
         return ProjectivePoint(_from_plane(self.plane_rows, u))
@@ -391,6 +407,25 @@ def _primitive(vec: Sequence[GInt]) -> tuple[GInt, ...]:
     return tuple(vec)
 
 
+def _canonical(vec: Sequence[GInt]) -> tuple[GInt, ...]:
+    """One key for the Gaussian-integer vectors proportional to vec != 0:
+    vec times the conjugate of its first nonzero entry, made primitive."""
+    lr, li = next(z for z in vec if z != (0, 0))
+    return _primitive([(a * lr + b * li, b * lr - a * li) for a, b in vec])
+
+
+def _line_key(p: Sequence[GInt], q: Sequence[GInt]) -> tuple[GInt, ...]:
+    """The canonical key of the line through distinct points p and q: its
+    Pluecker vector, the 2x2 minors p_a q_b - p_b q_a for a < b."""
+    out = []
+    for a, b in itertools.combinations(range(len(p)), 2):
+        (pr, pi), (qr, qi) = p[a], q[b]
+        (sr, si), (tr, ti) = p[b], q[a]
+        out.append((pr * qr - pi * qi - sr * tr + si * ti,
+                    pr * qi + pi * qr - sr * ti - si * tr))
+    return _canonical(out)
+
+
 def _incident(eqs: Sequence[Sequence[GInt]], z: Sequence[GInt]) -> bool:
     """Whether the Gaussian-integer point z satisfies every equation."""
     for eq in eqs:
@@ -402,26 +437,13 @@ def _incident(eqs: Sequence[Sequence[GInt]], z: Sequence[GInt]) -> bool:
 
 
 _CONIC_EXPS = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+# the index pairs of the monomials of _CONIC_EXPS, in the same order
+_CONIC_PAIRS = tuple(itertools.combinations_with_replacement(range(3), 2))
 
 
-def _monomial_eval(u: Sequence[Scalar], exp) -> Scalar:
-    term = ONE
-    for v, e in zip(u, exp):
-        for _ in range(e):
-            term = term * v
-    return term
-
-
-def _conic_row(u: Sequence[Scalar]) -> list[Scalar]:
-    """The six conic monomials at plane coordinates u, in _CONIC_EXPS order."""
-    return [_monomial_eval(u, e) for e in _CONIC_EXPS]
-
-
-def _eval_conic(coeffs: Sequence[Scalar], u: Sequence[Scalar]) -> Scalar:
-    acc = ZERO
-    for c, v in zip(coeffs, _conic_row(u)):
-        acc = acc + c * v
-    return acc
+def _conic_monomials(u: Sequence[GInt]) -> list[GInt]:
+    """The six conic monomials at Gaussian-integer plane coordinates u."""
+    return [_gmul(u[a], u[b]) for a, b in _CONIC_PAIRS]
 
 
 def _conic_matrix(coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], ...]:
@@ -430,10 +452,6 @@ def _conic_matrix(coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], ...]:
     return ((a, b * half, c * half),
             (b * half, d, e * half),
             (c * half, e * half, f))
-
-
-def _conic_matrix_rank(coeffs: Sequence[Scalar]) -> int:
-    return linalg.rank([list(r) for r in _conic_matrix(coeffs)])
 
 
 def _quad_apply(mat, u, v) -> Scalar:
@@ -445,17 +463,29 @@ def _quad_apply(mat, u, v) -> Scalar:
     return acc
 
 
-def _symmetric_product(eq1: Sequence[Scalar],
-                       eq2: Sequence[Scalar]) -> list[Scalar]:
+def _gmul(x: GInt, y: GInt) -> GInt:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _symmetric_product(eq1: Sequence[GInt],
+                       eq2: Sequence[GInt]) -> list[GInt]:
     """Coefficients of (eq1 . u)(eq2 . u) in the fixed conic monomial order."""
-    a0, a1, a2 = eq1
-    b0, b1, b2 = eq2
-    return [a0 * b0,
-            a0 * b1 + a1 * b0,
-            a0 * b2 + a2 * b0,
-            a1 * b1,
-            a1 * b2 + a2 * b1,
-            a2 * b2]
+    out = []
+    for a, b in _CONIC_PAIRS:
+        (xr, xi), (yr, yi) = _gmul(eq1[a], eq2[b]), _gmul(eq1[b], eq2[a])
+        out.append((xr + yr, xi + yi) if a != b else (xr, xi))
+    return out
+
+
+def _plane_line(key: Sequence[GInt]) -> list[GInt]:
+    """The equation of the line with this key in plane coordinates: up to
+    a factor, the cross product of two of its points."""
+    w01, (r, i), w12 = key
+    return [w12, (-r, -i), w01]
+
+
+def _scalars(vec: Sequence[GInt]) -> list[Scalar]:
+    return [Scalar(Fraction(re), Fraction(im)) for re, im in vec]
 
 
 def _from_plane(rows, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -465,24 +495,6 @@ def _from_plane(rows, u: Sequence[Scalar]) -> tuple[Scalar, ...]:
         if not ui.is_zero:
             out = [a + ui * b for a, b in zip(out, row)]
     return tuple(out)
-
-
-def _plane_coordinates(rows, pivots, p: ProjectivePoint
-                       ) -> Optional[tuple[Scalar, ...]]:
-    """Coordinates of p in the plane's echelon basis, or None if off-plane."""
-    u = tuple(p.coords[j] for j in pivots)
-    return u if _from_plane(rows, u) == p.coords else None
-
-
-def _line_equation_in_plane(line: CurveSpec, rows, pivots) -> list[Scalar]:
-    """The linear form on plane coordinates cutting out the given line."""
-    pts = [_plane_coordinates(rows, pivots, p) for p in line.line_basis]
-    if None in pts:
-        raise ValueError("line does not lie in the plane")
-    kernel = linalg.nullspace(pts)
-    if len(kernel) != 1:
-        raise ArithmeticError("line basis does not span a line")
-    return kernel[0]
 
 
 # -- set vs curve -------------------------------------------------------------
@@ -497,35 +509,37 @@ def split_on_curve(s: PointSet, curve: CurveSpec) -> tuple[PointSet, PointSet]:
     return PointSet(tuple(on)), PointSet(tuple(off))
 
 
+def _line_groups(zs: Sequence[Sequence[GInt]],
+                 stop: int) -> dict[tuple, list[int]]:
+    """The points on each line through two of zs whose first point has an
+    index below stop, as indices by line key, from one dict pass.
+
+    Head point i is keyed against every later point.  A key that an earlier
+    head point holds names a line through it, whose group is whole already.
+    """
+    groups: dict = {}
+    for i in range(stop):
+        local: dict = {}
+        for j in range(i + 1, len(zs)):
+            key = _line_key(zs[i], zs[j])
+            if key not in groups:
+                local.setdefault(key, [i]).append(j)
+        groups.update(local)
+    return groups
+
+
 def find_rich_lines(s: PointSet,
                     threshold: int) -> list[tuple[CurveSpec, int]]:
     """Every line through >= threshold points of s, sorted by count then key."""
     if threshold < 2:
         raise ValueError("threshold must be at least 2")
-    seen: dict = {}
     pts = list(s)
-    # a negative slice end would keep all but the last few points
-    head = pts[:max(0, len(pts) - threshold + 2)]
-    for p, q in itertools.combinations(head, 2):
-        line = CurveSpec.line(p, q)
-        key = line.sort_key()
-        if key in seen:
-            continue
-        count = sum(1 for x in pts if line.contains(x))
-        seen[key] = (line, count)
-    out = [(line, c) for line, c in seen.values() if c >= threshold]
+    # a rich line's first point is among the first n - threshold + 1
+    groups = _line_groups([p.zcoords for p in pts], len(pts) - threshold + 1)
+    out = [(CurveSpec.line(pts[g[0]], pts[g[1]]), len(g))
+           for g in groups.values() if len(g) >= threshold]
     out.sort(key=lambda pair: (-pair[1], pair[0].sort_key()))
     return out
-
-
-def _conic_through(points5: Sequence[ProjectivePoint],
-                   pivots) -> Optional[list[Scalar]]:
-    """The unique conic through five coplanar points, or None if undetermined."""
-    kernel = linalg.nullspace(
-        [_conic_row([p.coords[j] for j in pivots]) for p in points5])
-    if len(kernel) != 1:
-        return None
-    return kernel[0]
 
 
 def _planes_of(s: PointSet,
@@ -548,10 +562,10 @@ def _planes_of(s: PointSet,
             triple = (pts[i], pts[j], x)
             # a collinear triple leaves an (m-1)-dimensional kernel; the
             # kernel of a plane is read off the RREF, so it names the plane
-            kernel = linalg.nullspace([p.coords for p in triple])
+            kernel = linalg._int_kernel([list(p.zcoords) for p in triple])
             if len(kernel) != s.m - 2:
                 continue
-            eqs = tuple(tuple(linalg._clear_row(v)) for v in kernel)
+            eqs = tuple(_canonical(v) for v in kernel)
             if eqs in seen:
                 continue
             seen.add(eqs)
@@ -571,52 +585,49 @@ def find_rich_conics(s: PointSet,
     Smooth candidates come from 5-subsets of each rich plane's head.
     Reducible candidates: one branch carries >= threshold/2 points, so pairs
     (rich line, any 2-point line) cover them.  Conics not determined by
-    their incidences (pencil members) are skipped by construction.
+    their incidences (pencil members) are skipped by construction.  All of
+    it runs on the members' zcoords at the plane's pivots.
     """
     if threshold < 5:
         raise ValueError("threshold must be at least 5")
-    found: dict = {}
+    found = []
     half = (threshold + 1) // 2
     for rows, pivots, members in _planes_of(s, threshold):
-        cluster = PointSet(tuple(members))
-        pts = list(cluster)
-        candidates: list[list[Scalar]] = []
-        for five in itertools.combinations(pts[:len(pts) - threshold + 5], 5):
-            vec = _conic_through(five, pivots)
-            if vec is not None:
-                candidates.append(vec)
+        us = [[p.zcoords[j] for j in pivots] for p in members]
+        monomials = [_conic_monomials(u) for u in us]
+        candidates: list[list[GInt]] = []
+        head = monomials[:len(monomials) - threshold + 5]
+        for five in itertools.combinations(head, 5):
+            # the conic through five points, when they fix it
+            kernel = linalg._int_kernel([list(r) for r in five])
+            if len(kernel) == 1:
+                candidates.append(kernel[0])
         # sorted by count, so the rich branches form a prefix
-        lines = find_rich_lines(cluster, 2)
-        for big, nbig in lines:
-            if nbig < half:
+        lines = sorted(_line_groups(us, len(us) - 1).items(),
+                       key=lambda item: len(item[1]), reverse=True)
+        for big_key, big in lines:
+            if len(big) < half:
                 break
-            for other, nother in lines:
+            for other_key, other in lines:
                 # the pair cannot reach threshold incidences otherwise
-                if nbig + nother < threshold:
+                if len(big) + len(other) < threshold:
                     break
-                if other is big:
-                    continue
-                try:
-                    conic = CurveSpec.reducible_from_lines(big, other)
-                except ValueError:
-                    continue
-                candidates.append(list(conic.conic_coeffs))
+                if other is not big:
+                    candidates.append(_symmetric_product(
+                        _plane_line(big_key), _plane_line(other_key)))
+        # a conic spans its plane, so no other plane finds it again
+        tried = set()
         for vec in candidates:
-            try:
+            key = _canonical(vec)
+            if key in tried:
+                continue
+            tried.add(key)
+            on = [row for row in monomials if _incident((vec,), row)]
+            # rank 5 on its points: the points determine the conic, which
+            # is then no double line either
+            if len(on) >= threshold and linalg.row_rank(on) == 5:
                 conic = CurveSpec.conic(
-                    [ProjectivePoint(r) for r in rows], vec)
-            except ValueError:
-                continue
-            key = conic.sort_key()
-            if key in found:
-                continue
-            on = [p for p in pts if conic.contains(p)]
-            if len(on) < threshold:
-                continue
-            rows_on = [_conic_row(conic.plane_coordinates(p)) for p in on]
-            if len(linalg.nullspace(rows_on)) != 1:
-                continue
-            found[key] = (conic, len(on))
-    out = list(found.values())
-    out.sort(key=lambda pair: (-pair[1], pair[0].sort_key()))
-    return out
+                    [ProjectivePoint(r) for r in rows], _scalars(vec))
+                found.append((conic, len(on)))
+    found.sort(key=lambda pair: (-pair[1], pair[0].sort_key()))
+    return found

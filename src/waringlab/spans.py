@@ -45,7 +45,7 @@ from .forms import (HomogeneousForm, gaussian_power, monomial_exponents,
 from .linalg import GInt
 from .points import (LINE, SMOOTH_CONIC, TWO_DISJOINT_LINES, CurveSpec,
                      PointSet, ProjectivePoint, _CONIC_EXPS, _conic_matrix,
-                     _eval_conic, _quad_apply, split_on_curve)
+                     _quad_apply, split_on_curve)
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -108,7 +108,8 @@ def membership(form: HomogeneousForm, s: PointSet, d: int,
     # a cleared vector spans the same line as the form's own
     rows = [power_row(p, d) for p in s]
     target = linalg._clear_row(form.coeff_vector())
-    return linalg.row_rank(rows + [target]) == linalg.row_rank(rows)
+    without, with_target = linalg.row_rank_pair(rows + [target])
+    return with_target == without
 
 
 @dataclass(frozen=True)
@@ -235,9 +236,9 @@ def parametrize_conic(curve: CurveSpec,
     """
     if curve.kind != SMOOTH_CONIC:
         raise ValueError("need a smooth conic")
-    n = curve.plane_coordinates(base)
-    if n is None or not _eval_conic(curve.conic_coeffs, n).is_zero:
+    if not curve.contains(base):
         raise ValueError("base point must lie on the conic")
+    n = tuple(base.coords[j] for j in curve.plane_pivots)
     mat = _conic_matrix(curve.conic_coeffs)
     basis_pair = None
     for i, j in ((0, 1), (0, 2), (1, 2)):

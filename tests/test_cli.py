@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import concurrent.futures.process
 import contextlib
 import io
@@ -486,6 +487,130 @@ def test_unknown_case_choice_exits_with_usage_error(capsys):
         main(["generate", "--case", "q", "--d", "3", "--m", "2",
               "--seed", "0"])
     assert exc.value.code == 2
+    capsys.readouterr()
+
+
+# The texts of the whole parser, as it printed them with COLUMNS=80: the
+# help of every command, and the usage errors of a missing, an unknown
+# and a misused command.
+USAGE_TEXTS = [
+    (("--help",), 0,
+     ('usage: waringlab [-h] {generate,verify,rank,h1,suite} ...\n'
+      '\n'
+      'Exact real versus complex Waring rank laboratory.\n'
+      '\n'
+      'positional arguments:\n'
+      '  {generate,verify,rank,h1,suite}\n'
+      '    generate            write one instance file\n'
+      '    verify              classify an instance or triple\n'
+      '    rank                binary form ranks over C and R\n'
+      '    h1                  span report for a point set\n'
+      '    suite               generate and verify the grid\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'),
+     ""),
+    (('generate', '--help'), 0,
+     ('usage: waringlab generate [-h] --case {a,b,c} --d D --m M --seed SEED\n'
+      '                          [--out OUT]\n'
+      '\n'
+      'options:\n'
+      '  -h, --help      show this help message and exit\n'
+      '  --case {a,b,c}\n'
+      '  --d D\n'
+      '  --m M\n'
+      '  --seed SEED\n'
+      '  --out OUT\n'),
+     ""),
+    (('verify', '--help'), 0,
+     ('usage: waringlab verify [-h] [--out OUT]\n'
+      '                        [--threshold-overrides THRESHOLD_OVERRIDES]\n'
+      '                        input\n'
+      '\n'
+      'positional arguments:\n'
+      '  input\n'
+      '\n'
+      'options:\n'
+      '  -h, --help            show this help message and exit\n'
+      '  --out OUT\n'
+      '  --threshold-overrides THRESHOLD_OVERRIDES\n'
+      '                        expert: JSON like {"line": 5, "conic": 8}\n'),
+     ""),
+    (('rank', '--help'), 0,
+     ('usage: waringlab rank [-h] [--out OUT] input\n'
+      '\n'
+      'positional arguments:\n'
+      '  input\n'
+      '\n'
+      'options:\n'
+      '  -h, --help  show this help message and exit\n'
+      '  --out OUT\n'),
+     ""),
+    (('h1', '--help'), 0,
+     ('usage: waringlab h1 [-h] --d D [--out OUT] input\n'
+      '\n'
+      'positional arguments:\n'
+      '  input\n'
+      '\n'
+      'options:\n'
+      '  -h, --help  show this help message and exit\n'
+      '  --d D\n'
+      '  --out OUT\n'),
+     ""),
+    (('suite', '--help'), 0,
+     ('usage: waringlab suite [-h] [--seed SEED] [--out OUT]\n'
+      '\n'
+      'options:\n'
+      '  -h, --help   show this help message and exit\n'
+      '  --seed SEED\n'
+      '  --out OUT\n'),
+     ""),
+    ((), 2,
+     "",
+     ('usage: waringlab [-h] {generate,verify,rank,h1,suite} ...\n'
+      'waringlab: error: the following arguments are required: command\n')),
+    (('bogus',), 2,
+     "",
+     ('usage: waringlab [-h] {generate,verify,rank,h1,suite} ...\n'
+      "waringlab: error: argument command: invalid choice: 'bogus' "
+      "(choose from 'generate', 'verify', 'rank', 'h1', 'suite')\n")),
+    (('generate', '--case', 'q', '--d', '3', '--m', '2', '--seed', '0'), 2,
+     "",
+     ('usage: waringlab generate [-h] --case {a,b,c} --d D --m M --seed SEED\n'
+      '                          [--out OUT]\n'
+      "waringlab generate: error: argument --case: invalid choice: 'q' "
+      "(choose from 'a', 'b', 'c')\n")),
+    (('rank', 'in.json', '--bogus'), 2,
+     "",
+     ('usage: waringlab [-h] {generate,verify,rank,h1,suite} ...\n'
+      'waringlab: error: unrecognized arguments: --bogus\n')),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", USAGE_TEXTS)
+def test_usage_texts_keep_their_bytes(argv, code, out, err, monkeypatch,
+                                      capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: built.append(name)
+                        or add_parser(self, name, **kw))
+    every = list(cli._COMMANDS)
+    for argv, names in (([], every), (["bogus"], every),
+                        (["rank", "--help"], ["rank"]),
+                        (["suite", "--seed", "x"], ["suite"])):
+        built.clear()
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == names
     capsys.readouterr()
 
 

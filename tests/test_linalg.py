@@ -306,6 +306,32 @@ def test_row_rank_survives_a_prime_that_drops_rank(monkeypatch):
     assert len(calls) == len(cases)
 
 
+def test_row_rank_pair_survives_a_prime_that_drops_rank(monkeypatch):
+    # the rows of test_row_rank_survives_a_prime_that_drops_rank, each with
+    # a last row that p drops or keeps: both ranks are exact either way
+    lasts = [(P_CERT, 0), (1, 0), (S_CERT, 0), (0, 1), (0, 0)]
+    calls = []
+    exact = linalg.pivots
+    monkeypatch.setattr(linalg, "pivots",
+                        lambda rows: calls.append(1) or exact(rows))
+    cases = [[[(P_CERT, 0)]],
+             [[(1, 0), (0, 0)], [(1, 0), (P_CERT, 0)]],
+             [[(1, 0), (0, 1)], [(1, 0), (S_CERT, 0)]],
+             [[(1, 0), (0, 1)], [(0, 1), (-1, 0)]],
+             [[(2, 0)], [(P_CERT, 0)]],
+             []]
+    for rows in cases:
+        width = len(rows[0]) if rows else 2
+        for last in lasts:
+            for target in ([last] * width, [last] + [(1, 0)] * (width - 1)):
+                pair = linalg.row_rank_pair(rows + [target])
+                assert pair == (linalg.row_rank(rows),
+                                linalg.row_rank(rows + [target]))
+                assert pair == (len(exact(rows)) if rows else 0,
+                                len(exact(rows + [target])))
+    assert calls
+
+
 # -- the column solver on its block ----------------------------------------------
 
 def check_solve_columns(cols, coeffs):

@@ -7,12 +7,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waringlab import linalg, points
 from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               TWO_DISJOINT_LINES, CurveSpec, PointSet,
                               ProjectivePoint, _conj_line, _incident,
-                              find_rich_conics, find_rich_lines,
+                              _line_key, find_rich_conics,
+                              find_rich_lines,
                               spanning_rank, split_on_curve)
 from waringlab.scalars import ONE, ZERO, Scalar
 from waringlab.spans import parametrize_line
@@ -361,6 +364,193 @@ def test_rich_plane_head_is_exact(seed, monkeypatch):
     want = [find_rich_conics(s, t) for t in range(5, len(s) + 2)]
     assert [_as_json(x) for x in got] == [_as_json(x) for x in want]
     assert any(conic.kind == REDUCIBLE_CONIC for conic, _ in want[0])
+
+
+# -- the integer keys and incidences against Scalar references --------------------
+
+def gaussian_point(z) -> ProjectivePoint:
+    return ProjectivePoint(tuple(Scalar.of(re, im) for re, im in z))
+
+
+def gaussian_combination(lam, a, mu, b) -> list:
+    (lr, li), (mr, mi) = lam, mu
+    return [(lr * ar - li * ai + mr * br - mi * bi,
+             lr * ai + li * ar + mr * bi + mi * br)
+            for (ar, ai), (br, bi) in zip(a, b)]
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_line_key_names_the_line(seed):
+    rng = random.Random(seed)
+    m = 2 + seed % 3
+
+    def gint(k=3):
+        return (rng.randint(-k, k), rng.randint(-k, k))
+
+    key_of: dict = {}
+    line_of: dict = {}
+    for _ in range(8):
+        a, b = [gint() for _ in range(m + 1)], [gint() for _ in range(m + 1)]
+        if spanning_rank([gaussian_point(a), gaussian_point(b)]) < 2:
+            continue
+        # points of the line a b, and non-unit Gaussian multiples of them,
+        # which are not primitive
+        zs = []
+        for lam, mu in [((1, 0), (0, 0)), ((0, 0), (1, 0))] + [
+                (gint(), gint()) for _ in range(4)]:
+            z = gaussian_combination(lam, a, mu, b)
+            if any(any(c) for c in z):
+                factor = rng.choice(((2, 0), (1, 1), (0, -3), (2, -1)))
+                zs += [z, gaussian_combination(factor, z, (0, 0), z)]
+        pairs = [(p, q) for p, q in itertools.combinations(zs, 2)
+                 if spanning_rank([gaussian_point(p), gaussian_point(q)]) == 2]
+        keys = {_line_key(p, q) for p, q in pairs}
+        assert len(keys) == 1
+        key = keys.pop()
+        line = CurveSpec.line(gaussian_point(a), gaussian_point(b))
+        for p, q in pairs[:3]:
+            assert CurveSpec.line(gaussian_point(p), gaussian_point(q)) == line
+        # one key per line, and one line per key
+        assert key_of.setdefault(line.sort_key(), key) == key
+        assert line_of.setdefault(key, line.sort_key()) == line.sort_key()
+    assert len(key_of) >= 4
+
+
+def scalar_monomials(u) -> list:
+    return [u[a] * u[b]
+            for a, b in itertools.combinations_with_replacement(range(3), 2)]
+
+
+def scalar_on_conic(conic: CurveSpec, p: ProjectivePoint) -> bool:
+    """Incidence in Scalar arithmetic: p back from its coordinates at the
+    pivots through the plane rows, then the conic's value there."""
+    u = [p.coords[j] for j in conic.plane_pivots]
+    if all(c.is_zero for c in u) or conic.point_from_plane(u) != p:
+        return False
+    return scalar_value(conic.conic_coeffs, scalar_monomials(u)).is_zero
+
+
+def scalar_product(eq1, eq2) -> list:
+    return [eq1[a] * eq2[b] + (eq1[b] * eq2[a] if a != b else ZERO)
+            for a, b in itertools.combinations_with_replacement(range(3), 2)]
+
+
+def scalar_value(coeffs, monomials) -> Scalar:
+    value = ZERO
+    for c, x in zip(coeffs, monomials):
+        value = value + c * x
+    return value
+
+
+def all_subsets_rich_conics(s: PointSet):
+    """The reference for find_rich_conics, in Scalar and with no head
+    window: every plane of a triple, every 5-subset of its members and
+    every pair of lines through them that holds 5 of them; each
+    point-determined conic with >= 5 points of s."""
+    found = []
+    for rows, pivots, members in all_triples_planes(s):
+        if len(members) < 5:
+            continue
+        mono = {p: scalar_monomials([p.coords[j] for j in pivots])
+                for p in members}
+        candidates: dict = {}
+
+        def add(vec):
+            lead = next(c for c in vec if not c.is_zero)
+            candidates[tuple(c / lead for c in vec)] = None
+
+        for five in itertools.combinations(members, 5):
+            kernel = linalg.nullspace([mono[p] for p in five])
+            if len(kernel) == 1:
+                add(kernel[0])
+        lines = all_pairs_rich_lines(PointSet.of(members), 2)
+        for (l1, n1), (l2, n2) in itertools.combinations(lines, 2):
+            if n1 + n2 < 5:
+                continue
+            eq1, eq2 = (linalg.nullspace([[p.coords[j] for j in pivots]
+                                          for p in line.line_basis])[0]
+                        for line in (l1, l2))
+            add(scalar_product(eq1, eq2))
+        for vec in candidates:
+            # a conic lies in its plane, so its points in s are members
+            on = [p for p in members if scalar_value(vec, mono[p]).is_zero]
+            if len(on) >= 5 and len(linalg.nullspace(
+                    [mono[p] for p in on])) == 1:
+                plane = [ProjectivePoint(r) for r in rows]
+                found.append((CurveSpec.conic(plane, vec), len(on)))
+    found.sort(key=lambda pair: (-pair[1], pair[0].sort_key()))
+    return found
+
+
+def check_conics_against_reference(s: PointSet) -> list:
+    table = all_subsets_rich_conics(s)
+    for threshold in range(5, len(s) + 2):
+        want = [(c, n) for c, n in table if n >= threshold]
+        assert _as_json(find_rich_conics(s, threshold)) == _as_json(want)
+    # the integer incidence of the curves that hold more than their five
+    for conic, count in table:
+        if count > 5:
+            assert [conic.contains(p) for p in s] == [
+                scalar_on_conic(conic, p) for p in s]
+    return table
+
+
+@pytest.mark.parametrize("seed", range(15))
+def test_rich_conics_match_the_all_subsets_reference(seed):
+    s, _first, _conic = planted_set(seed)
+    table = check_conics_against_reference(s)
+    assert any(conic.kind == REDUCIBLE_CONIC for conic, _ in table)
+
+
+@st.composite
+def structured_sets(draw):
+    """Up to 10 points in P^2 or P^3 with small Gaussian coordinates: some
+    on a conic a + t b + t^2 c, some on a line a + t b, and strays."""
+    m = draw(st.integers(2, 3))
+    gint = st.builds(Scalar.of, st.integers(-2, 2), st.integers(-1, 1))
+    vec = st.lists(gint, min_size=m + 1, max_size=m + 1)
+    a, b, c, d, e = (draw(vec) for _ in range(5))
+    ts = st.lists(st.integers(-3, 3), max_size=6, unique=True)
+    coords = [[x + t * y + t * t * z for x, y, z in zip(a, b, c)]
+              for t in map(Scalar.of, draw(ts))]
+    coords += [[x + t * y for x, y in zip(d, e)]
+               for t in map(Scalar.of, draw(ts))]
+    coords += draw(st.lists(vec, max_size=2))
+    return PointSet.of(ProjectivePoint(tuple(v)) for v in coords[:10]
+                       if any(not x.is_zero for x in v))
+
+
+@settings(max_examples=25, deadline=None)
+@given(structured_sets())
+def test_rich_conics_match_the_reference_on_drawn_sets(s):
+    check_conics_against_reference(s)
+    table = all_pairs_rich_lines(s, 2)
+    for threshold in range(2, len(s) + 2):
+        want = [(l, c) for l, c in table if c >= threshold]
+        assert _as_json(find_rich_lines(s, threshold)) == _as_json(want)
+
+
+def test_rich_curve_search_builds_only_the_lines_it_needs(monkeypatch):
+    built, tried, pairs = [], [], 0
+    line = CurveSpec.line
+    product = points._symmetric_product
+    monkeypatch.setattr(CurveSpec, "line", staticmethod(
+        lambda p, q: built.append(1) or line(p, q)))
+    monkeypatch.setattr(points, "_symmetric_product",
+                        lambda a, b: tried.append(1) or product(a, b))
+    for seed in range(15):
+        s, _first, _conic = planted_set(seed)
+        for threshold in range(2, len(s) + 2):
+            built.clear()
+            assert len(find_rich_lines(s, threshold)) == len(built)
+        # thresholds from 7 keep the 5-subsets few; pairs are still tried
+        for threshold in range(7, len(s) + 2):
+            built.clear()
+            tried.clear()
+            find_rich_conics(s, threshold)
+            assert len(built) <= len(tried)
+            pairs += len(tried)
+    assert pairs
 
 
 def test_curve_json_roundtrip():

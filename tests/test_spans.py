@@ -310,6 +310,41 @@ def test_membership_of_power_sums(monkeypatch):
         membership(pow_form(i_pt, 3), PointSet.of([i_pt]), 3, "R")
 
 
+def test_membership_takes_one_pass_mod_p_that_drops_rank(monkeypatch):
+    # mod 13, where 5^2 = -1, small entries often vanish or coincide, so
+    # both ranks of a question lean on their exact checks and fallbacks
+    monkeypatch.setattr(linalg, "_CERT_PRIMES", ((13, 5),))
+    passes, fallbacks = [], []
+    one_pass, exact = linalg._independent_mod_p, linalg.pivots
+    monkeypatch.setattr(linalg, "_independent_mod_p",
+                        lambda rows: passes.append(1) or one_pass(rows))
+    monkeypatch.setattr(linalg, "pivots",
+                        lambda rows: fallbacks.append(1) or exact(rows))
+    rng = random.Random(87)
+    answers = set()
+    for s in _agreement_sets(rng):
+        pts = list(s)
+        for d in (2, 3):
+            rows = [power_row(p, d) for p in pts]
+            vectors = [power_vector(p, d) for p in pts]
+            coeffs = [Scalar.of(rng.randint(-3, 3), rng.randint(-1, 1))
+                      for _ in pts]
+            inside = HomogeneousForm.combination(s.m + 1, d, coeffs, rows)
+            stray = P(*(rng.randint(-5, 5) for _ in range(s.m)), 7)
+            for form in (inside, inside + pow_form(stray, d)):
+                if form.is_zero:
+                    continue
+                passes.clear()
+                got = membership(form, s, d, "C")
+                assert len(passes) == 1
+                target = linalg._clear_row(form.coeff_vector())
+                assert got == (linalg.row_rank(rows + [target])
+                               == linalg.row_rank(rows))
+                assert got == in_span(vectors, form.coeff_vector())
+                answers.add(got)
+    assert answers == {True, False} and fallbacks
+
+
 def test_unique_intersection_point_finds_the_meet():
     d = 3
     t = PointSet.of([P(1, 0, 0), P(0, 1, 0), P(1, 1, 0)])
