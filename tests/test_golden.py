@@ -1,21 +1,25 @@
 """Golden corpus: the exact bytes the command line writes.
 
 tests/golden/ holds the output of `generate` and `verify` for every cell
-of `suite --seed 0`, of `rank` on six forms and of `h1` on two point
-sets; test_cli.py::test_suite_runs_full_grid compares the suite bytes.
-Criterion 8 only compares a run with itself, so these files are what
-holds a refactor to the same output.  Regenerate them only for a change
-that is meant to alter output, and read the diff:
+of `suite --seed 0`, of `rank` on eight forms and of `h1` on three point
+sets (two of the forms and one set have non-real entries);
+test_cli.py::test_suite_runs_full_grid compares the suite bytes.  Criterion 8 only compares a run with itself, so
+these files are what holds a refactor to the same output.  The module needs
+only the standard library, so any interpreter can compare the corpus:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py --check
+
+Without --check it regenerates the corpus.  Do that only for a change that
+is meant to alter output, and read the diff.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
 from pathlib import Path
-
-import pytest
 
 from waringlab.cli import _suite_grid, main
 
@@ -39,19 +43,39 @@ RANK_INPUTS = {
     # decide nothing
     "octic-pair": {"d": 8, "c": ["2", "0", "-2", "0", "2", "0", "-2", "0",
                                  "2"]},
+    # 2(x - y)^3 + (x + iy)^3: complex rank 2 in exact mode, not real
+    "gaussian-cubic": {"d": 3, "c": [{"re": "3", "im": "0"},
+                                     {"re": "-2", "im": "1"},
+                                     {"re": "1", "im": "0"},
+                                     {"re": "-2", "im": "-1"}]},
+    # a quartic with Gaussian coefficients: complex rank 3 in implicit mode
+    "gaussian-quartic": {"d": 4, "c": [{"re": "1", "im": "1"},
+                                       {"re": "0", "im": "1/4"},
+                                       {"re": "-1/3", "im": "0"},
+                                       {"re": "1/2", "im": "-1/4"},
+                                       {"re": "2", "im": "0"}]},
 }
+# coordinates are ints or (re, im) pairs of ints
 H1_INPUTS = {
     "collinear5": (3, [[0, 1, t] for t in range(5)]),
     "generic6": (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1],
                      [1, 2, 3], [1, -1, 2]]),
+    # [1 : t+i : t] for t = 0..4 on a line, and [0 : 1 : -i]: h1 = 1
+    "gaussian6": (3, [[1, (t, 1), t] for t in range(5)] + [[0, 1, (0, -1)]]),
 }
+
+
+def _coord_json(c):
+    if isinstance(c, tuple):
+        return {"re": str(c[0]), "im": str(c[1])}
+    return str(c)
 
 
 def _input_files() -> dict[str, dict]:
     files = {f"rank-{name}.json": obj for name, obj in RANK_INPUTS.items()}
     for name, (_d, pts) in H1_INPUTS.items():
         files[f"h1-{name}.json"] = {
-            "m": 2, "points": [[str(c) for c in p] for p in pts]}
+            "m": 2, "points": [[_coord_json(c) for c in p] for p in pts]}
     return files
 
 
@@ -78,7 +102,12 @@ def _jobs() -> list[tuple[str, list[str]]]:
 JOBS = _jobs()
 
 
-@pytest.mark.parametrize("golden, argv", JOBS, ids=[j[0] for j in JOBS])
+def pytest_generate_tests(metafunc):
+    # parametrized here, so the module imports without pytest
+    if metafunc.function is test_output_matches_golden_bytes:
+        metafunc.parametrize("golden, argv", JOBS, ids=[j[0] for j in JOBS])
+
+
 def test_output_matches_golden_bytes(golden, argv, tmp_path):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
@@ -104,5 +133,30 @@ def regenerate() -> None:
         raise SystemExit("suite: command did not exit 0")
 
 
+def check() -> int:
+    """Compare every golden command's stdout with its file; write nothing.
+    Returns the number of mismatches."""
+    bad = 0
+    for golden, argv in JOBS + [("suite-seed0.json",
+                                 ["suite", "--seed", "0"])]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        same = out.getvalue().encode("utf-8") == (GOLDEN / golden).read_bytes()
+        if code != 0 or not same:
+            bad += 1
+            print(f"MISMATCH {golden} (exit {code})", file=sys.stderr)
+    for name, obj in _input_files().items():
+        text = (GOLDEN / "inputs" / name).read_text(encoding="utf-8")
+        if json.loads(text) != obj:
+            bad += 1
+            print(f"MISMATCH inputs/{name}", file=sys.stderr)
+    print(f"{len(JOBS) + 1 + len(_input_files()) - bad} of "
+          f"{len(JOBS) + 1 + len(_input_files())} golden files match")
+    return bad
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(1 if check() else 0)
     regenerate()
