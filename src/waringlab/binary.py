@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .forms import gaussian_powers
-from .scalars import ONE, ZERO, Scalar, parse_int
+from .scalars import ONE, ZERO, Scalar, gaussian, parse_int, parse_list
 from .univariate import (BoxScalar, RootBox, _real_multiple, all_roots_real,
                          certified_root_boxes, interval_solve,
                          isolate_real_roots, is_squarefree, poly_gcd,
@@ -122,7 +122,8 @@ class BinaryForm:
         d = parse_int(obj, "d")
         if d < 1:
             raise ValueError(f"a binary form needs 'd' >= 1, got {d}")
-        return BinaryForm(d, tuple(Scalar.from_json(c) for c in obj["c"]))
+        return BinaryForm(d, tuple(Scalar.from_json(c)
+                                   for c in parse_list(obj["c"], "'c'")))
 
 
 def moment_vector(point: Point1, degree: int) -> list[Scalar]:
@@ -357,8 +358,7 @@ def _param_sequence(n: int) -> list[Scalar]:
     out = [ZERO]
     for base in range(1, n // 4 + 2):
         out += [Scalar.of(base), Scalar.of(-base),
-                Scalar.of(Fraction(1, base + 1)),
-                Scalar.of(Fraction(-1, base + 1))]
+                gaussian(1, 0, base + 1), gaussian(-1, 0, base + 1)]
     return out[:n]
 
 

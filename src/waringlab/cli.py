@@ -27,7 +27,7 @@ from .binary import BinaryForm, complex_rank, real_rank
 from .factory import CASE_A, CASE_B, CASE_C, Instance, generate_instance
 from .forms import HomogeneousForm
 from .points import PointSet
-from .scalars import parse_int
+from .scalars import parse_int, parse_list
 from .spans import h1_ideal
 from .verifier import classify, classify_triple
 
@@ -45,10 +45,8 @@ def _cap(what: str, value: int, limit: int) -> None:
 
 
 def _cap_points(obj: dict) -> None:
-    points = obj["points"]
-    if not isinstance(points, list):
-        raise ValueError("'points' must be a JSON list")
-    _cap("the number of points", len(points), MAX_POINTS)
+    _cap("the number of points", len(parse_list(obj["points"], "'points'")),
+         MAX_POINTS)
 
 
 def _cap_instance(obj: dict) -> None:

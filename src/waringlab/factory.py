@@ -28,7 +28,8 @@ from .binary import BinaryDecomposition, BinaryForm, complex_rank, real_rank
 from .forms import HomogeneousForm, substitute
 from .points import (LINE, SMOOTH_CONIC, CurveSpec, PointSet,
                      ProjectivePoint, spanning_rank, split_on_curve)
-from .scalars import ONE, ZERO, Scalar, format_rational, parse_int
+from .scalars import (ONE, ZERO, Scalar, format_rational, gaussian,
+                      parse_int)
 from .spans import (CurveParametrization, catalecticant_rank, h1_ideal,
                     membership, parametrize_line, power_basis, power_row,
                     power_sum, restrict_to_curve)
@@ -234,7 +235,7 @@ def _witness_cert(pts_c, lam_c, pts_r, lam_r, e_points, e_coeffs,
                          "coefficients of the real decomposition", rows_r)]
     if even_d:
         signs = ",".join(
-            "+" if lam.re > 0 else "-"
+            "+" if lam.a > 0 else "-"
             for lam in list(lam_r) + list(e_coeffs))
         certs.append(Certificate(
             "real-coefficient-signs", True,
@@ -518,9 +519,8 @@ _COEFF_PALETTE = (1, 2, -1, -2, Fraction(1, 2), Fraction(-1, 2), 3)
 
 def _random_point(rng: random.Random, m: int) -> ProjectivePoint:
     while True:
-        coords = tuple(Scalar.of(Fraction(rng.choice(_NUMERATORS),
-                                          rng.choice((1, 2))))
-                       for _ in range(m + 1))
+        coords = tuple(gaussian(rng.choice(_NUMERATORS), 0,
+                                rng.choice((1, 2))) for _ in range(m + 1))
         if any(not c.is_zero for c in coords):
             return ProjectivePoint(coords)
 

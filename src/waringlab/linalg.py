@@ -22,10 +22,9 @@ question to the exact kernel, so the answer is always the exact rank.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .scalars import _CERT_PRIMES, ONE, ZERO, Scalar
+from .scalars import _CERT_PRIMES, ONE, ZERO, Scalar, gaussian
 
 Matrix = list[list[Scalar]]
 GInt = tuple[int, int]
@@ -48,10 +47,8 @@ def _gdiv_exact(a: GInt, b: GInt) -> GInt:
 def _clear(row: Sequence[Scalar]) -> tuple[list[GInt], int]:
     """The row times the lcm of its denominators, as Gaussian integers,
     and that lcm."""
-    parts = [x.as_integer_ratio() for c in row for x in (c.re, c.im)]
-    lcm = math.lcm(*(q for _, q in parts))
-    flat = iter([p * (lcm // q) for p, q in parts])
-    return list(zip(flat, flat)), lcm
+    lcm = math.lcm(*(c.d for c in row))
+    return [(c.a * (lcm // c.d), c.b * (lcm // c.d)) for c in row], lcm
 
 
 def _clear_row(row: Sequence[Scalar]) -> list[GInt]:
@@ -107,10 +104,9 @@ def _eliminate(m: list[list[GInt]], reduce: bool
 def _quotient(a: GInt, b: GInt) -> Scalar:
     """a / b as a Gaussian rational."""
     if b[1] == 0:
-        return Scalar(Fraction(a[0], b[0]), Fraction(a[1], b[0]))
-    n = b[0] * b[0] + b[1] * b[1]
-    return Scalar(Fraction(a[0] * b[0] + a[1] * b[1], n),
-                  Fraction(a[1] * b[0] - a[0] * b[1], n))
+        return gaussian(a[0], a[1], b[0])
+    return gaussian(a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1],
+                    b[0] * b[0] + b[1] * b[1])
 
 
 # -- questions answered by the kernel ------------------------------------------

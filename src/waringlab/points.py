@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
-from .scalars import ONE, ZERO, Scalar, parse_int
+from .scalars import ONE, ZERO, Scalar, gaussian, parse_int, parse_list
 from .univariate import solve_quadratic
 
 GInt = tuple[int, int]
@@ -50,18 +49,13 @@ class ProjectivePoint:
         lead = next((c for c in self.coords if not c.is_zero), None)
         if lead is None:
             raise ValueError("projective point needs a nonzero coordinate")
-        if lead.im:
+        if lead != ONE:
             object.__setattr__(
                 self, "coords", tuple(c / lead for c in self.coords))
-        elif lead.re != 1:
-            r = lead.re
-            object.__setattr__(self, "coords", tuple(
-                Scalar(c.re / r, c.im / r) for c in self.coords))
 
     @staticmethod
     def of(*values) -> "ProjectivePoint":
-        return ProjectivePoint(tuple(Scalar.of(v) if not isinstance(v, Scalar)
-                                     else v for v in values))
+        return ProjectivePoint(tuple(map(Scalar.of, values)))
 
     @property
     def m(self) -> int:
@@ -79,15 +73,20 @@ class ProjectivePoint:
         """Primitive Gaussian-integer representative, for int-only incidence."""
         return _primitive(linalg._clear_row(self.coords))
 
-    def sort_key(self):
+    @cached_property
+    def _key(self) -> tuple:
         return tuple(c.sort_key() for c in self.coords)
+
+    def sort_key(self):
+        return self._key
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coords]
 
     @staticmethod
     def from_json(obj: list) -> "ProjectivePoint":
-        return ProjectivePoint(tuple(Scalar.from_json(c) for c in obj))
+        return ProjectivePoint(tuple(Scalar.from_json(c)
+                                     for c in parse_list(obj, "a point")))
 
 
 def spanning_rank(points: Sequence[ProjectivePoint]) -> int:
@@ -99,10 +98,12 @@ class PointSet:
     points: tuple[ProjectivePoint, ...]
 
     def __post_init__(self) -> None:
-        # canonical points are equal exactly when their sort keys are
+        # over one common denominator the int parts order as the sort keys
+        den = lcm(*(c.d for p in self.points for c in p.coords))
         unique: dict = {}
         for p in self.points:
-            unique.setdefault(p.sort_key(), p)
+            unique.setdefault(tuple(v * (den // c.d) for c in p.coords
+                                    for v in (c.a, c.b)), p)
         object.__setattr__(self, "points",
                            tuple(unique[k] for k in sorted(unique)))
         if self.points:
@@ -385,9 +386,10 @@ class CurveSpec:
         if kind == TWO_DISJOINT_LINES:
             l1, l2 = (CurveSpec.from_json(x) for x in obj["lines"])
             return CurveSpec.two_lines(l1, l2)
-        plane = [ProjectivePoint(tuple(Scalar.from_json(c) for c in r))
-                 for r in obj["plane"]]
-        coeffs = [Scalar.from_json(c) for c in obj["conic"]]
+        plane = [ProjectivePoint.from_json(r)
+                 for r in parse_list(obj["plane"], "'plane'")]
+        coeffs = [Scalar.from_json(c)
+                  for c in parse_list(obj["conic"], "'conic'")]
         branches = None
         if "branches" in obj:
             l1, l2 = (CurveSpec.from_json(x) for x in obj["branches"])
@@ -448,7 +450,7 @@ def _conic_monomials(u: Sequence[GInt]) -> list[GInt]:
 
 def _conic_matrix(coeffs: Sequence[Scalar]) -> tuple[tuple[Scalar, ...], ...]:
     a, b, c, d, e, f = coeffs
-    half = Scalar.of(Fraction(1, 2))
+    half = gaussian(1, 0, 2)
     return ((a, b * half, c * half),
             (b * half, d, e * half),
             (c * half, e * half, f))
@@ -485,7 +487,7 @@ def _plane_line(key: Sequence[GInt]) -> list[GInt]:
 
 
 def _scalars(vec: Sequence[GInt]) -> list[Scalar]:
-    return [Scalar(Fraction(re), Fraction(im)) for re, im in vec]
+    return [Scalar(re, im) for re, im in vec]
 
 
 def _from_plane(rows, u: Sequence[Scalar]) -> tuple[Scalar, ...]:

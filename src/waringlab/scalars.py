@@ -1,9 +1,11 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-A Scalar is a pair (re, im) of `fractions.Fraction` values representing
-re + im*i.  All arithmetic is exact; nothing in this package ever rounds a
-Scalar to a float.  Scalars with im == 0 behave as plain rationals and report
-field_tag "Rational", everything else reports "GaussianRational".
+A Scalar is re + im*i held as one Gaussian-integer numerator over one
+denominator, (a + b*i) / d with ints a, b, d > 0 and gcd(a, b, d) == 1, the
+shape of univariate.Interval.  So + - * / take a few int products and one
+gcd and build no Fraction; re and im are Fraction views.  Nothing here ever
+rounds a Scalar to a float.  Scalars with im == 0 report field_tag
+"Rational", everything else reports "GaussianRational".
 
 Serialization uses canonical strings "p/q" with q >= 1 and gcd(|p|, q) == 1,
 so equal scalars always serialize to identical bytes.
@@ -12,12 +14,9 @@ so equal scalars always serialize to identical bytes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Union
-
-_ZERO_F = Fraction(0)
-_ONE_F = Fraction(1)
 
 ScalarLike = Union["Scalar", int, Fraction]
 
@@ -61,25 +60,53 @@ def parse_int(obj: dict, key: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
+def parse_list(value, what: str) -> list:
+    """value, which must be a JSON array, not a string or an object."""
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a JSON array, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _scalar(a: int, b: int, d: int) -> "Scalar":
+    """(a + b*i) / d from ints already in lowest terms with d > 0."""
+    z = object.__new__(Scalar)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def gaussian(a: int, b: int = 0, d: int = 1) -> "Scalar":
+    """(a + b*i) / d for ints with d != 0, in lowest terms."""
+    g = gcd(a, b, d) if d > 0 else -gcd(a, b, d)
+    return _scalar(a // g, b // g, d // g)
+
+
 class Scalar:
-    re: Fraction = _ZERO_F
-    im: Fraction = _ZERO_F
+    """re + im*i held as (a + b*i) / d: ints a, b and d > 0 with
+    gcd(a, b, d) == 1, so zero is (0, 0, 1) and equality is on the ints."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: int | Fraction = 0, im: int | Fraction = 0) -> None:
+        (p, q), (r, s) = re.as_integer_ratio(), im.as_integer_ratio()
+        d = q * s // gcd(q, s)
+        # each part in lowest terms over the lcm leaves gcd(a, b, d) == 1
+        self.a, self.b, self.d = p * (d // q), r * (d // s), d
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def of(value: ScalarLike, imag: ScalarLike | None = None) -> "Scalar":
         if imag is not None:
-            a = Scalar.of(value)
-            b = Scalar.of(imag)
-            if not (a.im == 0 and b.im == 0):
+            a, b = Scalar.of(value), Scalar.of(imag)
+            if a.b or b.b:
                 raise ValueError("Scalar.of(re, im) expects rational parts")
-            return Scalar(a.re, b.re)
+            return gaussian(a.a * b.d, b.a * a.d, a.d * b.d)
         if isinstance(value, Scalar):
             return value
         if isinstance(value, (int, Fraction)):
-            return Scalar(Fraction(value))
+            n, d = value.as_integer_ratio()
+            return _scalar(n, 0, d)
         raise ValueError(f"cannot coerce {value!r} to Scalar")
 
     @staticmethod
@@ -92,63 +119,84 @@ class Scalar:
         return Scalar(parse_rational(obj["re"]), parse_rational(obj.get("im", "0")))
 
     def to_json(self) -> dict:
-        return {"re": format_rational(self.re), "im": format_rational(self.im)}
+        g, h = gcd(self.a, self.d), gcd(self.b, self.d)
+        return {"re": f"{self.a // g}/{self.d // g}",
+                "im": f"{self.b // h}/{self.d // h}"}
 
-    # -- predicates --------------------------------------------------------
+    # -- views and predicates ----------------------------------------------
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @property
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def __bool__(self) -> bool:
-        return bool(self.re or self.im)
+        return bool(self.a or self.b)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.b == 0
 
     @property
     def field_tag(self) -> str:
-        return "Rational" if self.im == 0 else "GaussianRational"
+        return "Rational" if self.b == 0 else "GaussianRational"
+
+    def __eq__(self, o: object) -> bool:
+        if not isinstance(o, Scalar):
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.d == o.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        if o.re == 0 and o.im == 0:
-            return self
-        if self.re == 0 and self.im == 0:
-            return o
-        return Scalar(self.re + o.re, self.im + o.im)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        d, e = self.d, o.d
+        g = gcd(d, e)
+        if g == 1:
+            return _scalar(self.a * e + o.a * d, self.b * e + o.b * d, d * e)
+        # as for Fraction, only the primes of g can divide the result
+        s, t = e // g, d // g
+        a, b = self.a * s + o.a * t, self.b * s + o.b * t
+        h = gcd(a, b, g)
+        return _scalar(a // h, b // h, d * s // h)
 
     __radd__ = __add__
 
     def __sub__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        return Scalar(self.re - o.re, self.im - o.im)
+        return self + -(other if type(other) is Scalar else Scalar.of(other))
 
     def __rsub__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) - self
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _scalar(-self.a, -self.b, self.d)
 
     def __mul__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        if self.im == 0 and o.im == 0:
-            return Scalar(self.re * o.re)
-        return Scalar(self.re * o.re - self.im * o.im,
-                      self.re * o.im + self.im * o.re)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        return gaussian(a * c - b * e, a * e + b * c, self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: ScalarLike) -> "Scalar":
-        o = Scalar.of(other)
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        return Scalar((self.re * o.re + self.im * o.im) / n,
-                      (self.im * o.re - self.re * o.im) / n)
+        o = other if type(other) is Scalar else Scalar.of(other)
+        a, b, c, e = self.a, self.b, o.a, o.b
+        if not e:
+            if not c:
+                raise ZeroDivisionError("division by zero Scalar")
+            return gaussian(a * o.d, b * o.d, self.d * c)
+        return gaussian((a * c + b * e) * o.d, (b * c - a * e) * o.d,
+                        self.d * (c * c + e * e))
 
     def __rtruediv__(self, other: ScalarLike) -> "Scalar":
         return Scalar.of(other) / self
@@ -166,11 +214,11 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
+        return _scalar(self.a, -self.b, self.d)
 
     def norm(self) -> Fraction:
         """Squared absolute value, an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- ordering (for deterministic output only, not a field order) -------
 
@@ -178,10 +226,9 @@ class Scalar:
         return (self.re, self.im)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.im == 0:
-            return f"Scalar({self.re})"
-        return f"Scalar({self.re}, {self.im}i)"
+        im = f", {self.im}i" if self.b else ""
+        return f"Scalar({self.re}{im})"
 
 
-ZERO = Scalar()
-ONE = Scalar(_ONE_F)
+ZERO = _scalar(0, 0, 1)
+ONE = _scalar(1, 0, 1)

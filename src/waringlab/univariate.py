@@ -44,7 +44,7 @@ from typing import Optional, Sequence, TypeVar
 
 from . import linalg
 from .linalg import GInt
-from .scalars import _CERT_PRIMES, ZERO, Scalar
+from .scalars import _CERT_PRIMES, ZERO, Scalar, gaussian
 
 # int in, int out; Fraction in, Fraction out; Scalar in, Scalar out.
 C = TypeVar("C", int, Fraction, Scalar)
@@ -349,7 +349,7 @@ def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
                 break
         else:
             return None
-        roots.append(Scalar(Fraction(a, q), Fraction(b, q)))
+        roots.append(gaussian(a, b, q))
         w = rest
     if len(w) == 3:
         pair = solve_quadratic(*reversed(w))
@@ -538,13 +538,15 @@ class RootBox:
                 "radius": format_rational(self.radius)}
 
 
-def _dyadic(x: Fraction, bits: int) -> Fraction:
-    scale = 1 << bits
-    return Fraction(round(x * scale), scale)
+def _round_half_even(n: int, d: int) -> int:
+    """n / d rounded to the nearest int, ties to even, as Fraction's round."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or (2 * r == d and q & 1))
 
 
 def _dyadic_scalar(z: Scalar, bits: int) -> Scalar:
-    return Scalar(_dyadic(z.re, bits), _dyadic(z.im, bits))
+    return gaussian(_round_half_even(z.a << bits, z.d),
+                    _round_half_even(z.b << bits, z.d), 1 << bits)
 
 
 def certified_root_boxes(p: Sequence[Scalar],
@@ -680,11 +682,6 @@ class Interval:
         d = lcm(da, db)
         self.a, self.b, self.d = a * (d // da), b * (d // db), d
 
-    @staticmethod
-    def exact(x: Fraction) -> "Interval":
-        n, d = x.as_integer_ratio()
-        return _interval(n, n, d)
-
     @property
     def lo(self) -> Fraction:
         return Fraction(self.a, self.d)
@@ -746,14 +743,14 @@ class BoxScalar:
 
     @staticmethod
     def exact(z: Scalar) -> "BoxScalar":
-        return BoxScalar(Interval.exact(z.re), Interval.exact(z.im))
+        return BoxScalar(_interval(z.a, z.a, z.d), _interval(z.b, z.b, z.d))
 
     @staticmethod
     def from_box(box: RootBox) -> "BoxScalar":
-        r = box.radius
-        return BoxScalar(
-            Interval(box.center.re - r, box.center.re + r),
-            Interval(box.center.im - r, box.center.im + r))
+        (p, q), c = box.radius.as_integer_ratio(), box.center
+        r, d = p * c.d, c.d * q
+        return BoxScalar(_interval(c.a * q - r, c.a * q + r, d),
+                         _interval(c.b * q - r, c.b * q + r, d))
 
     def __add__(self, o: "BoxScalar") -> "BoxScalar":
         return BoxScalar(self.re + o.re, self.im + o.im)

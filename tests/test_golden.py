@@ -3,9 +3,10 @@
 tests/golden/ holds the output of `generate` and `verify` for every cell
 of `suite --seed 0`, of `rank` on eight forms and of `h1` on three point
 sets (two of the forms and one set have non-real entries);
-test_cli.py::test_suite_runs_full_grid compares the suite bytes.  Criterion 8 only compares a run with itself, so
-these files are what holds a refactor to the same output.  The module needs
-only the standard library, so any interpreter can compare the corpus:
+test_cli.py::test_suite_runs_full_grid compares the suite bytes.
+Criterion 8 only compares a run with itself, so these files are what holds
+a refactor to the same output.  The module needs only the standard
+library, so any interpreter can compare the corpus:
 
     PYTHONPATH=src python tests/test_golden.py --check
 

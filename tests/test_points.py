@@ -566,6 +566,19 @@ def test_curve_json_roundtrip():
     assert CurveSpec.from_json(pair.to_json()) == pair
 
 
+def test_curve_json_needs_arrays_for_plane_and_conic():
+    # a digit string was read element by element as a row or a coefficient
+    # list
+    plane = [P(1, 0, 0), P(0, 1, 0), P(0, 0, 1)]
+    obj = CurveSpec.conic(plane, [ZERO, ZERO, ONE, Scalar.of(-1),
+                                  ZERO, ZERO]).to_json()
+    for key, value in (("conic", "001000"), ("conic", {"0": 1}),
+                       ("plane", ["100", "010", "001"]), ("plane", "abc")):
+        bad = dict(obj, **{key: value})
+        with pytest.raises(ValueError, match="JSON array"):
+            CurveSpec.from_json(bad)
+
+
 def test_conjugate_curve_fixes_real_lines():
     line = CurveSpec.line(P(1, 2, 3), P(0, 1, -1))
     assert line.is_real and _conj_line(line) == line

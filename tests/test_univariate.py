@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from waringlab.linalg import _clear
 from waringlab.scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 import waringlab.univariate as univariate
-from waringlab.univariate import (BoxScalar, Interval, _bisect,
-                                  _cannot_split, _fp_at, _gsqrt,
+from waringlab.univariate import (BoxScalar, Interval, RootBox, _bisect,
+                                  _cannot_split, _dyadic_scalar, _fp_at,
+                                  _gsqrt,
                                   _homogenized_sign, _round_out, _snap,
                                   _variations, all_roots_real,
                                   certified_root_boxes,
@@ -1288,3 +1289,29 @@ def test_realness_and_the_certified_none_build_no_fraction(monkeypatch):
     assert made == []
     assert got == want == [True, False, False, False]
     assert none is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(0, 12), st.integers(1, 6))
+def test_dyadic_scalar_rounds_as_fraction_round(a, b, e, bits):
+    # denominators 2^e with e > bits give ties, which go to even
+    scale = 1 << bits
+    for d in (2 ** e, 3 ** e):
+        z = Scalar(Fraction(a, d), Fraction(b, d))
+        want = Scalar(Fraction(round(z.re * scale), scale),
+                      Fraction(round(z.im * scale), scale))
+        assert _dyadic_scalar(z, bits) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.fractions(max_denominator=100), st.fractions(max_denominator=100),
+       st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1,
+                    max_denominator=10 ** 6))
+def test_box_scalars_hold_their_values(re, im, r):
+    z = Scalar(re, im)
+    exact = BoxScalar.exact(z)
+    assert (exact.re, exact.im) == (Interval(re, re), Interval(im, im))
+    box = BoxScalar.from_box(RootBox(z, r))
+    assert (box.re, box.im) == (Interval(re - r, re + r),
+                                Interval(im - r, im + r))
