@@ -36,7 +36,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import GInt
-from .scalars import ONE, ZERO, Scalar, parse_int
+from .scalars import ONE, ZERO, Scalar, parse_int, parse_list
 
 Exponent = tuple[int, ...]
 
@@ -175,7 +175,7 @@ class HomogeneousForm:
         num_vars = parse_int(obj, "m") + 1
         degree = parse_int(obj, "d")
         coeffs = {}
-        for t in obj["terms"]:
+        for t in parse_list(obj["terms"], "'terms'"):
             exp = t["exp"]
             if type(exp) is not list or any(type(e) is not int for e in exp):
                 raise ValueError(f"'exp' must list integers, got {exp!r}")

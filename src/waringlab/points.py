@@ -98,7 +98,7 @@ class PointSet:
     points: tuple[ProjectivePoint, ...]
 
     def __post_init__(self) -> None:
-        # over one common denominator the int parts order as the sort keys
+        # int parts over one common denominator compare as the sort keys do
         den = lcm(*(c.d for p in self.points for c in p.coords))
         unique: dict = {}
         for p in self.points:

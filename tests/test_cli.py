@@ -181,15 +181,17 @@ def _inputs_with(tmp_path, value):
 
 
 def test_strings_and_objects_are_not_read_as_arrays(tmp_path, capsys):
-    # each was read element by element and answered with exit 0: the
-    # forms 1, 2, 3 and 5, 6, 7 and the points [1:0] and [0:1]
+    # each was read element by element and answered: the forms 1, 2, 3
+    # and 5, 6, 7, the points [1:0] and [0:1], and a zero form P
     triple = _raw_triple()
     triple["S_C"]["points"][0] = "001"
+    empty_terms = _raw_triple()
+    empty_terms["P"]["terms"] = ""
     inputs = [({"d": 2, "c": "123"}, ("rank",)),
               ({"d": 2, "c": {"5": "a", "6": "b", "7": "c"}}, ("rank",)),
               ({"m": 1, "points": ["10", "01"]}, ("h1", "--d", "2")),
               ({"m": 1, "points": [{"1": 0, "0": 1}]}, ("h1", "--d", "2")),
-              (triple, ("verify",))]
+              (triple, ("verify",)), (empty_terms, ("verify",))]
     for k, (obj, argv) in enumerate(inputs):
         path = tmp_path / f"in{k}.json"
         path.write_text(json.dumps(obj))
