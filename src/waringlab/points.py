@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from . import linalg
@@ -98,14 +98,9 @@ class PointSet:
     points: tuple[ProjectivePoint, ...]
 
     def __post_init__(self) -> None:
-        # int parts over one common denominator compare as the sort keys do
-        den = lcm(*(c.d for p in self.points for c in p.coords))
-        unique: dict = {}
-        for p in self.points:
-            unique.setdefault(tuple(v * (den // c.d) for c in p.coords
-                                    for v in (c.a, c.b)), p)
-        object.__setattr__(self, "points",
-                           tuple(unique[k] for k in sorted(unique)))
+        # canonical points are equal exactly when their coordinates are
+        object.__setattr__(self, "points", tuple(sorted(
+            dict.fromkeys(self.points), key=ProjectivePoint.sort_key)))
         if self.points:
             m = self.points[0].m
             if any(p.m != m for p in self.points):

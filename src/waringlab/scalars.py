@@ -83,7 +83,12 @@ def gaussian(a: int, b: int = 0, d: int = 1) -> "Scalar":
 
 class Scalar:
     """re + im*i held as (a + b*i) / d: ints a, b and d > 0 with
-    gcd(a, b, d) == 1, so zero is (0, 0, 1) and equality is on the ints."""
+    gcd(a, b, d) == 1, so zero is (0, 0, 1) and equality is on the ints.
+
+    A Scalar is immutable by contract: nothing assigns a, b or d after
+    construction, as hashes and the cached keys of points and curves rely
+    on them.  Slots without a raising __setattr__ keep construction at
+    plain attribute stores on the arithmetic path."""
 
     __slots__ = ("a", "b", "d")
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,7 @@ from waringlab.points import (LINE, REDUCIBLE_CONIC, SMOOTH_CONIC,
                               _line_key, find_rich_conics,
                               find_rich_lines,
                               spanning_rank, split_on_curve)
-from waringlab.scalars import ONE, ZERO, Scalar
+from waringlab.scalars import ONE, ZERO, Scalar, gaussian
 from waringlab.spans import parametrize_line
 
 
@@ -594,3 +596,28 @@ def test_deterministic_sort_keys():
     pts = [P(rng.randint(-5, 5), rng.randint(-5, 5), 1) for _ in range(8)]
     keys = [p.sort_key() for p in PointSet.of(pts)]
     assert keys == sorted(keys)
+
+
+def test_point_set_work_and_keys_stay_per_point():
+    # ordering on one common denominator of the whole set scaled every key
+    # int to the sum of the distinct denominators' sizes
+    rng = random.Random(5)
+
+    def part() -> Scalar:
+        return gaussian(rng.getrandbits(200), rng.getrandbits(200),
+                        rng.getrandbits(200) | 1)
+
+    pts = [ProjectivePoint((ONE, part(), part())) for _ in range(300)]
+    size = sum(sys.getsizeof(v) for p in pts for c in p.coords
+               for v in (c.a, c.b, c.d))
+    scaled = [ProjectivePoint(tuple(c * 3 for c in p.coords))
+              for p in pts[:20]]
+    tracemalloc.start()
+    try:
+        s = PointSet(tuple(pts + scaled))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * size
+    assert list(s) == sorted(set(pts), key=lambda p: [
+        (Fraction(c.a, c.d), Fraction(c.b, c.d)) for c in p.coords])
