@@ -599,8 +599,8 @@ def test_deterministic_sort_keys():
 
 
 def test_point_set_work_and_keys_stay_per_point():
-    # ordering on one common denominator of the whole set scaled every key
-    # int to the sum of the distinct denominators' sizes
+    # keys over one common denominator of the whole set would each be as
+    # long as all the distinct denominators together
     rng = random.Random(5)
 
     def part() -> Scalar:
