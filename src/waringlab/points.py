@@ -125,10 +125,6 @@ class PointSet:
             raise ValueError("empty set has no ambient dimension")
         return self.points[0].m
 
-    @property
-    def field_tag(self) -> str:
-        return "R" if all(p.is_real for p in self.points) else "C"
-
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet(self.points + other.points)
 

@@ -27,9 +27,7 @@ MAX_LITERAL = 10_000
 
 # Primes p = 4q + 1 with q prime, each paired with a square root s of -1
 # (2 is a non-residue because p = 5 mod 8).  Sending re + im*i to re + im*s
-# is a ring map from the p-integral Gaussian rationals onto F_p.  As
-# gcd(r, p - 1) <= 4 whenever 4 < r < q, no binomial t^r - c with c != 0 of
-# such a degree splits mod p, which is the shape of a monomial's kernel.
+# is a ring map from the p-integral Gaussian rationals onto F_p.
 _CERT_PRIMES = tuple((p, pow(2, (p - 1) // 4, p))
                      for p in (1000003157, 2305843009213694597))
 

@@ -4,9 +4,9 @@ Polynomials are coefficient lists in ascending degree: Scalar lists for
 the algebra over Q(i), int lists for the Sturm chains.  The three tests
 that decide each rank step (is it squarefree, does it split over Q(i), are
 all its roots real) take Scalar or Fraction lists, clear them once, and
-then run on integers or on Gaussian integers as (re, im) int pairs.  One
-modular image, re + im*i sent to re + im*s in F_p with s a square root of
--1 mod a fixed prime p = 1 mod 4, serves every modular step.
+then run on integers or on Gaussian integers as (re, im) int pairs.  Each
+modular step sends re + im*i to re + im*s in F_p, s a square root of -1
+mod a prime p = 5 mod 8: a large fixed one or, for roots, a small one.
 
 Real roots are counted on one Sturm chain of int lists: each remainder is
 a pseudo-remainder with a positive multiplier, negated and divided by its
@@ -18,24 +18,27 @@ interval by the signs of the chain's first member; the bisection keeps
 both ends over one denominator.  Quadratics over Q(i) are solved on
 cleared Gaussian-integer coefficients by a square root in Z[i].
 
-Roots are produced in two modes.  Exact mode returns None when a good
-reduction does not split into linear factors, with no float work.
-Otherwise it snaps a float Durand-Kerner sweep to small rationals, skips
-candidates whose image is no root mod p, and admits one only by an exact
-Gaussian-integer Horner sum, whose partial sums deflate the cleared list;
-a None rests on the certificate or on the snapper.  The same reductions
-give is_squarefree a fast path that only ever answers True; gcds run a
-fraction-free remainder sequence over Z[i].  Implicit mode returns
-certified disks: exact dyadic Newton polishing plus the bound that some
-root lies within n*|p(z)/p'(z)| of z, all comparisons done in rational
-arithmetic.  An Interval holds integer ends over one positive denominator:
-products multiply the denominators, sums align them (powers of two by a
-shift, others through their lcm), and the outward rounding to a dyadic
-grid is decided on those integers, so interval_solve builds no Fraction.
+Roots are produced in two modes.  Exact mode needs no float: at the first
+small prime with a good reduction it finds the image's roots by trying
+every residue, lifts them p-adically, reads each root times the leading
+coefficient, a Gaussian integer, off its class modulo a power of a prime
+of Z[i] over p, and admits it only by an exact Horner sum whose partial
+sums deflate the cleared list.  Too few roots mod p or a refused candidate
+proves no split; a squarefree list with no good small prime is the one
+None without a certificate.  Good reductions also give is_squarefree a
+fast path that only ever answers True; gcds run a fraction-free remainder
+sequence over Z[i].  Implicit mode returns certified disks: a float
+sweep's guesses, exact dyadic Newton polishing and the bound that some
+root lies within n*|p(z)/p'(z)| of z, compared in rational arithmetic.  An
+Interval holds integer ends over one positive denominator: products
+multiply the denominators, sums align them (powers of two by a shift,
+others through their lcm), and the outward rounding to a dyadic grid is
+decided on those integers, so interval_solve builds no Fraction.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,24 +165,12 @@ def solve_quadratic(a: GInt, b: GInt,
             linalg._quotient((-s[0] - br, -s[1] - bi), two_a))
 
 
-# -- exact Gaussian-rational root extraction ----------------------------------
-
-_SNAP_DENOMS = (1, 6, 60, 840, 10 ** 4, 10 ** 6, 10 ** 9, 10 ** 12)
-
-
-def _snap(x: float) -> list[Fraction]:
-    out = []
-    f = Fraction(x)
-    for dlim in _SNAP_DENOMS:
-        cand = f.limit_denominator(dlim)
-        if not out or cand != out[-1]:
-            out.append(cand)
-    return out
-
-
 # -- modular images --------------------------------------------------------------
 
-# The primes p and the images s of i are the table scalars._CERT_PRIMES.
+# Primes p = 5 mod 8 below 2^12, where 2 is a non-residue, so that
+# s = 2^((p - 1)/4) is a square root of -1 mod p.
+_SPLIT_PRIMES = tuple(p for p in range(5, 1 << 12, 8)
+                      if all(p % k for k in range(3, isqrt(p) + 1, 2)))
 
 
 def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
@@ -200,6 +191,14 @@ def _fp_rem(a: list[int], b: list[int], p: int) -> list[int]:
 def _fp_monic(a: list[int], p: int) -> list[int]:
     inv = pow(a[-1], -1, p)
     return [c * inv % p for c in a]
+
+
+def _fp_eval(a: list[int], z: int, m: int) -> int:
+    """a(z) mod m by a Horner sum."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * z + c) % m
+    return acc
 
 
 def _good_reduction(w: Sequence[GInt], p: int,
@@ -223,143 +222,113 @@ def _good_reduction(w: Sequence[GInt], p: int,
     return out if len(x) == 1 else None
 
 
-def _cannot_split(w: Sequence[GInt]) -> bool:
-    """True when a good reduction proves w does not split in Q(i).
+# -- exact Gaussian-rational roots -------------------------------------------
 
-    A good image is that of g = w / lead, which is integral at the prime
-    (p, i - s) of Z[i]; that localization is integrally closed, so a split
-    g reduces to a product of linear factors.  A squarefree image does so
-    exactly when it divides t^p - t, i.e. when t^p = t mod the image.  The
-    first good reduction decides; a later prime is tried only after bad
-    ones.  False proves nothing.
-    """
-    for p, s in _CERT_PRIMES:
-        gm = _good_reduction(w, p, s)
-        if gm is None:
-            continue
-        acc = [1]
-        for bit in bin(p)[2:]:
-            sq = [0] * (2 * len(acc) - 1)
-            for i, x in enumerate(acc):
-                for j, y in enumerate(acc):
-                    sq[i + j] += x * y
-            if bit == "1":
-                sq.insert(0, 0)
-            acc = _fp_rem([c % p for c in sq], gm, p)
-        return acc != [0, 1]
-    return False
-
-
-def _fp_at(image: list[int], z: int, q: int, p: int) -> int:
-    """q^n * image(z / q) mod p, by a homogenized Horner sum."""
-    acc, qpow = image[-1], 1
-    for c in image[-2::-1]:
-        qpow = qpow * q % p
-        acc = (acc * z + c * qpow) % p
-    return acc
-
-
-def _float_roots(w: Sequence[GInt]) -> list[complex]:
-    """Durand-Kerner sweep; purely heuristic, every output gets verified.
-    Each monic coefficient w_k / w_n is rounded once from its exact value."""
-    lr, li = w[-1]
-    norm = lr * lr + li * li
-    coeffs = [complex((x * lr + y * li) / norm, (y * lr - x * li) / norm)
-              for x, y in w]
-    n = len(coeffs) - 1
-    if n <= 0:
-        return []
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) if n else 1.0
-    zs = [bound * (0.41 + 0.87j) ** (k + 1) for k in range(n)]
-    for _ in range(400):
-        moved = 0.0
-        for i in range(n):
-            num = 0j
-            for c in reversed(coeffs):
-                num = num * zs[i] + c
-            den = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    den *= zs[i] - zs[j]
-            if den == 0:
-                zs[i] += 1e-6 + 1e-6j
-                continue
-            step = num / den
-            zs[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-14:
-            break
-    return zs
-
-
-def _candidates(w: Sequence[GInt]):
-    """Snapped float roots (a + b i)/q of w as (a, b, q), real part outer."""
-    for z0 in _float_roots(w):
-        ims = [x.as_integer_ratio() for x in _snap(z0.imag)]
-        for a, da in (x.as_integer_ratio() for x in _snap(z0.real)):
-            for b, db in ims:
-                q = lcm(da, db)
-                yield a * (q // da), b * (q // db), q
-
-
-def _deflate(w: Sequence[GInt], a: int, b: int,
-             q: int) -> Optional[list[GInt]]:
-    """w / (t - z/q), z = a + b i, over Z[i] and over its rational-integer
-    content; None when z/q is no root.  The Horner sums u_(n-1) = w_n,
-    u_(k-1) = q^(n-k) w_k + z u_k end in q^n w(z/q), and u_k q^k is q^(n-1)
-    times the quotient's t^k coefficient."""
-    ur, ui = w[-1]
-    us, qpow = [], 1
-    for cr, ci in w[-2::-1]:
-        us.append((ur, ui))
-        qpow *= q
-        ur, ui = ur * a - ui * b + cr * qpow, ur * b + ui * a + ci * qpow
-    if ur or ui:
-        return None
-    out = [(x * q ** k, y * q ** k) for k, (x, y) in enumerate(reversed(us))]
-    g = gcd(*(v for c in out for v in c))
-    return [(x // g, y // g) for x, y in out]
+def _deflate(w: list[GInt], roots: Sequence[tuple[int, int, int]]
+             ) -> Optional[list[GInt]]:
+    """w over t - z/q for each root z/q = (a + b i)/q in turn, over Z[i]
+    and over its rational-integer content; None as soon as one is no root
+    of what is left.  The Horner sums u_(n-1) = w_n, u_(k-1) = q^(n-k) w_k
+    + z u_k end in q^n w(z/q), and u_k q^k is q^(n-1) times the quotient's
+    t^k coefficient."""
+    for a, b, q in roots:
+        ur, ui = w[-1]
+        us, qpow = [], 1
+        for cr, ci in w[-2::-1]:
+            us.append((ur, ui))
+            qpow *= q
+            ur, ui = ur * a - ui * b + cr * qpow, ur * b + ui * a + ci * qpow
+        if ur or ui:
+            return None
+        w = [(x * q ** k, y * q ** k) for k, (x, y) in enumerate(reversed(us))]
+        g = gcd(*(v for c in w for v in c))
+        w = [(x // g, y // g) for x, y in w]
+    return w
 
 
 def roots_over_gaussians(p: Sequence[Scalar]) -> Optional[list[Scalar]]:
-    """All roots of p, each verified exactly in Q(i); None if p fails to split.
-
-    p is cleared to Gaussian integers once.  From degree 3 up, a good
-    reduction that does not split (_cannot_split) gives None without float
-    work.  Otherwise snapped float roots are candidates: one whose image
-    under i -> s is no root mod p is skipped, and only an exact Horner sum
-    admits one and divides it out (_deflate), so multiplicities are honest.
-    """
+    """All roots of p with multiplicity, each verified exactly in Q(i);
+    None if p fails to split.  Every None is certified but one: a
+    squarefree p of degree 3 or more with no good reduction mod any prime
+    of _SPLIT_PRIMES."""
     w = linalg._clear(poly_trim(p))[0]
     if not w:
         raise ValueError("zero polynomial has no root list")
-    if len(w) > 3 and _cannot_split(w):
-        return None
-    roots: list[Scalar] = []
-    mod, s = _CERT_PRIMES[-1]
-    while len(w) > 3:
-        image = [(re + s * im) % mod for re, im in w]
-        for a, b, q in _candidates(w):
-            if _fp_at(image, (a + s * b) % mod, q, mod):
-                continue
-            rest = _deflate(w, a, b, q)
-            if rest is not None:
-                break
-        else:
-            return None
-        roots.append(gaussian(a, b, q))
-        w = rest
+    roots = _roots(w)
+    if roots is not None:
+        roots.sort(key=lambda z: z.sort_key())
+    return roots
+
+
+def _roots(w: list[GInt]) -> Optional[list[Scalar]]:
+    """The roots of the cleared list w, or None.  Degrees 1 and 2 are
+    solved directly; from degree 3 up the first good reduction decides
+    (_lifted_roots).  With none, a squarefree w gives None, and any other
+    loses the roots of gcd(w, w') first (_deflate), leaving each root once.
+    """
     if len(w) == 3:
         pair = solve_quadratic(*reversed(w))
-        if pair is None:
-            return None
-        roots.extend(pair)
-    elif len(w) == 2:
-        roots.append(linalg._quotient((-w[0][0], -w[0][1]), w[1]))
-    roots.sort(key=lambda z: z.sort_key())
-    return roots
+        return None if pair is None else list(pair)
+    if len(w) < 3:
+        return [linalg._quotient((-w[0][0], -w[0][1]), w[1])] if w[1:] else []
+    for p in _SPLIT_PRIMES:
+        s = pow(2, (p - 1) // 4, p)
+        image = _good_reduction(w, p, s)
+        if image is not None:
+            return _lifted_roots(w, p, s, image)
+    g = _zgcd(w, [(i * x, i * y) for i, (x, y) in enumerate(w)][1:])
+    inner = _roots(g) if len(g) > 1 else None
+    rest = inner and _deflate(w, [(z.a, z.b, z.d) for z in inner])
+    outer = rest and _roots(rest)
+    return outer and inner + outer
+
+
+def _lifted_roots(w: list[GInt], p: int, s: int,
+                  image: list[int]) -> Optional[list[Scalar]]:
+    """The roots of w, of degree n >= 3, from its good image mod p under
+    i -> s, or None when w does not split over Q(i).
+
+    For a root r, w_n r lies in Z[i], which is integrally closed, and
+    |w_n r| <= B = |w_n| + max |w_k| (Cauchy).  A split w reduces to n
+    distinct roots of the image, so fewer prove it does not split.  Each
+    root z is Newton-lifted with s to m = p^(2^j) > 4 B^2.  Z[i] -> Z/m,
+    i -> s, has kernel (g), g = pi^(2^j) for pi = x + y i with N(pi) = p
+    and x + y s = 0 mod p, and the class of c = w_n z mod g holds one
+    Gaussian integer of norm below m/4, c - g round(c/g): for a split w,
+    w_n r.  So a candidate that _deflate refuses proves it does not split.
+    """
+    n = len(w) - 1
+    zs = [z for z in range(p) if not _fp_eval(image, z, p)]
+    if len(zs) < n:
+        return None
+    x = next(x for x in range(1, p) if isqrt(p - x * x) ** 2 == p - x * x)
+    y = isqrt(p - x * x)
+    gr, gi = x, y if (x + y * s) % p == 0 else -y
+    lr, li = w[-1]
+    b = isqrt(lr * lr + li * li) + isqrt(max(u * u + v * v
+                                             for u, v in w[:-1])) + 2
+    m = p
+    while m <= 4 * b * b:
+        m *= m
+        s = (s - (s * s + 1) * pow(2 * s, -1, m)) % m
+        f = [(re + s * im) % m for re, im in w]
+        df = [k * c for k, c in enumerate(f)][1:]
+        zs = [(z - _fp_eval(f, z, m) * pow(_fp_eval(df, z, m), -1, m)) % m
+              for z in zs]
+        gr, gi = gr * gr - gi * gi, 2 * gr * gi
+    lead, q = (lr + s * li) % m, lr * lr + li * li
+    cands = []
+    for z in zs:
+        c = lead * z % m
+        # beta = c - g round(c conj(g) / m), then r = beta conj(w_n) / q
+        ur, ui = _round_half_even(c * gr, m), _round_half_even(-c * gi, m)
+        br, bi = c - gr * ur + gi * ui, -gr * ui - gi * ur
+        a, e = br * lr + bi * li, bi * lr - br * li
+        k = gcd(a, e, q)
+        cands.append((a // k, e // k, q // k))
+    if _deflate(w, cands) is None:
+        return None
+    return [gaussian(a, e, d) for a, e, d in cands]
 
 
 # -- Sturm chains on integers ------------------------------------------------
@@ -547,6 +516,43 @@ def _round_half_even(n: int, d: int) -> int:
 def _dyadic_scalar(z: Scalar, bits: int) -> Scalar:
     return gaussian(_round_half_even(z.a << bits, z.d),
                     _round_half_even(z.b << bits, z.d), 1 << bits)
+
+
+def _float_roots(w: Sequence[GInt]) -> list[complex]:
+    """Durand-Kerner sweep; purely heuristic, every output gets verified.
+    Each monic coefficient w_k / w_n is rounded once from its exact value.
+    A sweep that ends off the finite floats runs again from the Fujiwara
+    bound 2 max |w_k / w_n|^(1/(n-k))."""
+    lr, li = w[-1]
+    norm = lr * lr + li * li
+    coeffs = [complex((x * lr + y * li) / norm, (y * lr - x * li) / norm)
+              for x, y in w]
+    n = len(coeffs) - 1
+    for bound in (1.0 + max(abs(c) for c in coeffs[:-1]),
+                  2 * max(abs(c) ** (1 / (n - k))
+                          for k, c in enumerate(coeffs[:-1]))):
+        zs = [bound * (0.41 + 0.87j) ** (k + 1) for k in range(n)]
+        for _ in range(400):
+            moved = 0.0
+            for i in range(n):
+                num = 0j
+                for c in reversed(coeffs):
+                    num = num * zs[i] + c
+                den = 1.0 + 0j
+                for j in range(n):
+                    if j != i:
+                        den *= zs[i] - zs[j]
+                if den == 0:
+                    zs[i] += 1e-6 + 1e-6j
+                    continue
+                step = num / den
+                zs[i] -= step
+                moved = max(moved, abs(step))
+            if moved < 1e-14:
+                break
+        if all(cmath.isfinite(z) for z in zs):
+            break
+    return zs
 
 
 def certified_root_boxes(p: Sequence[Scalar],

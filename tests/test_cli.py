@@ -318,6 +318,32 @@ def test_rank_command_accepts_bare_string_coefficients(tmp_path, capsys):
     assert json.loads(err)["error"] == "ValueError"
 
 
+@pytest.mark.parametrize("d, roots", [
+    # a degree-20 kernel whose monic coefficients reach 19!
+    (64, [Fraction(k) for k in range(20)]),
+    # roots over 7^30 that no small denominator approximates
+    (6, [Fraction(3 ** 40 + k, 7 ** 30) for k in range(3)]),
+])
+def test_rank_command_finds_exact_roots_without_floats(tmp_path, capsys, d,
+                                                      roots):
+    """sum_k (x + r_k y)^d, whose scaled coefficients are the power sums
+    of the r_k: complex and real rank len(roots), both exact, on [1 : r_k]."""
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"d": d, "c": [
+        str(sum(r ** j for r in roots)) for j in range(d + 1)]}))
+    rc, out, _ = run(capsys, "rank", str(path))
+    assert rc == 0
+    payload = json.loads(out)
+    want = sorted(Scalar.of(r).to_json()["re"] for r in roots)
+    for part in (payload["complex"], payload["real"]):
+        assert part["rank"] == len(roots)
+        decomposition = part["decomposition"]
+        assert decomposition["mode"] == "exact"
+        points = decomposition["points"]
+        assert all(p[0] == {"re": "1/1", "im": "0/1"} for p in points)
+        assert sorted(p[1]["re"] for p in points) == want
+
+
 def test_rank_command_nonreal_form(tmp_path, capsys):
     form = BinaryForm.from_plain([ONE, ZERO, ZERO, Scalar.of(0, 1)])
     path = tmp_path / "form.json"

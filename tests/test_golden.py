@@ -22,6 +22,7 @@ import json
 import sys
 from pathlib import Path
 
+from waringlab import univariate
 from waringlab.cli import _suite_grid, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -113,6 +114,29 @@ def test_output_matches_golden_bytes(golden, argv, tmp_path):
     out = tmp_path / "out.json"
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_exact_rank_outputs_run_no_float_root_finder(monkeypatch, tmp_path):
+    """With the float sweep made to raise, every rank input whose
+    decompositions are all exact still writes its golden bytes."""
+    def no_floats(w):
+        raise AssertionError("the float root finder ran")
+
+    monkeypatch.setattr(univariate, "_float_roots", no_floats)
+    checked = []
+    for golden, argv in JOBS:
+        if not golden.startswith("rank/"):
+            continue
+        want = (GOLDEN / golden).read_bytes()
+        parts = [p for p in json.loads(want).values()
+                 if isinstance(p, dict) and "decomposition" in p]
+        if all(p["decomposition"]["mode"] == "exact" for p in parts):
+            out = tmp_path / "out.json"
+            assert main(argv + ["--out", str(out)]) == 0
+            assert out.read_bytes() == want
+            checked.append(golden)
+    assert checked == ["rank/gap-cubic.json", "rank/octic-pair.json",
+                       "rank/gaussian-cubic.json"]
 
 
 def test_inputs_match_their_definitions():

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 from waringlab.linalg import _clear
 from waringlab.scalars import _CERT_PRIMES, ONE, ZERO, Scalar
 import waringlab.univariate as univariate
-from waringlab.univariate import (BoxScalar, Interval, RootBox, _bisect,
-                                  _cannot_split, _dyadic_scalar, _fp_at,
-                                  _gsqrt,
-                                  _homogenized_sign, _round_out, _snap,
+from waringlab.univariate import (_SPLIT_PRIMES, BoxScalar, Interval,
+                                  RootBox, _bisect, _dyadic_scalar, _gsqrt,
+                                  _homogenized_sign, _round_out,
                                   _variations, all_roots_real,
                                   certified_root_boxes,
                                   interval_solve, is_squarefree,
@@ -89,7 +88,7 @@ def from_sympy(poly):
     return [Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs())]
 
 
-# -- references: the Fraction Sturm chain, the Scalar root path and the
+# -- references: the Fraction Sturm chain, sympy's roots over Q(i) and the
 #    Scalar square roots that the integer ones replaced ------------------------
 
 def poly_monic(a):
@@ -278,134 +277,21 @@ def ref_solve_quadratic(a, b, c):
     return ((-b + s) / two_a, (-b - s) / two_a)
 
 
-def _fp(z, p, s):
-    """The image re + im*s of z in F_p, or None when a denominator hits p."""
-    try:
-        return (z.re.numerator * pow(z.re.denominator, -1, p)
-                + s * z.im.numerator * pow(z.im.denominator, -1, p)) % p
-    except ValueError:
-        return None
-
-
-def ref_fp_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    while len(a) > db:
-        f = a.pop() * inv % p
-        if f:
-            k = len(a) - db
-            for i in range(db):
-                a[k + i] = (a[k + i] - f * b[i]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def ref_good_reduction(a, p, s):
-    out = [_fp(c, p, s) for c in a]
-    if None in out or not out[-1]:
-        return None
-    x, y = out, [c * i % p for i, c in enumerate(out)][1:]
-    while y and y[-1] == 0:
-        y.pop()
-    while y:
-        x, y = y, ref_fp_rem(x, y, p)
-    return out if len(x) == 1 else None
-
-
-def ref_cannot_split(g):
-    for p, s in _CERT_PRIMES:
-        gm = ref_good_reduction(g, p, s)
-        if gm is None:
-            continue
-        acc = [1]
-        for bit in bin(p)[2:]:
-            sq = [0] * (2 * len(acc) - 1)
-            for i, x in enumerate(acc):
-                for j, y in enumerate(acc):
-                    sq[i + j] += x * y
-            if bit == "1":
-                sq.insert(0, 0)
-            acc = ref_fp_rem([c % p for c in sq], gm, p)
-        return acc != [0, 1]
-    return False
-
-
-def ref_float_roots(p):
-    coeffs = [complex(float(c.re), float(c.im)) for c in poly_trim(p)]
-    n = len(coeffs) - 1
-    if n <= 0:
-        return []
-    lead = coeffs[-1]
-    coeffs = [c / lead for c in coeffs]
-    bound = 1.0 + max(abs(c) for c in coeffs[:-1]) if n else 1.0
-    zs = [bound * (0.41 + 0.87j) ** (k + 1) for k in range(n)]
-    for _ in range(400):
-        moved = 0.0
-        for i in range(n):
-            num = 0j
-            for c in reversed(coeffs):
-                num = num * zs[i] + c
-            den = 1.0 + 0j
-            for j in range(n):
-                if j != i:
-                    den *= zs[i] - zs[j]
-            if den == 0:
-                zs[i] += 1e-6 + 1e-6j
-                continue
-            step = num / den
-            zs[i] -= step
-            moved = max(moved, abs(step))
-        if moved < 1e-14:
-            break
-    return zs
+def from_sympy_number(x):
+    re, im = (sympy.Rational(v) for v in x.as_real_imag())
+    return Scalar.of(Fraction(int(re.p), int(re.q)),
+                     Fraction(int(im.p), int(im.q)))
 
 
 def ref_roots_over_gaussians(p):
-    """The Scalar root path: monic, certificate, snap, evaluate, divide."""
-    work = poly_monic(p)
-    deg = len(work) - 1
-    if deg < 0:
-        raise ValueError("zero polynomial has no root list")
-    if deg >= 3 and ref_cannot_split(work):
+    """The roots of p in Q(i) with multiplicity from sympy's root finder
+    over QQ_I, sorted, or None when they number fewer than the degree."""
+    poly = to_sympy_poly(p)
+    found = poly.ground_roots()
+    if sum(found.values()) < poly.degree():
         return None
-    roots = []
-    while len(work) - 1 > 0:
-        if len(work) - 1 == 1:
-            roots.append(-work[0] / work[1])
-            break
-        if len(work) - 1 == 2:
-            pair = ref_solve_quadratic(work[2], work[1], work[0])
-            if pair is None:
-                return None
-            roots.extend(pair)
-            break
-        found = None
-        p, s = _CERT_PRIMES[-1]
-        image = [_fp(c, p, s) for c in work]
-        filtering = None not in image
-        for z0 in ref_float_roots(work):
-            for re_c in _snap(z0.real):
-                for im_c in _snap(z0.imag):
-                    cand = Scalar(re_c, im_c)
-                    x = _fp(cand, p, s) if filtering else None
-                    if x is not None and ref_fp_rem(image, [-x % p, 1], p):
-                        continue
-                    if not poly_eval(work, cand):
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            return None
-        roots.append(found)
-        work, rem = poly_divmod(work, [-found, ONE])
-        assert not rem
-    roots.sort(key=lambda z: z.sort_key())
-    return roots
+    roots = [from_sympy_number(x) for x, k in found.items() for _ in range(k)]
+    return sorted(roots, key=lambda z: z.sort_key())
 
 
 def test_fraction_operations_match_sympy_and_stay_fractions():
@@ -795,6 +681,20 @@ def test_certified_root_boxes_cover_all_roots():
         assert len(hits) == 1
 
 
+def test_certified_root_boxes_restart_an_overflowing_sweep():
+    """prod_(k<20) (t - k) + 1: from the Cauchy bound, about 20!, the first
+    sweep overflows to non-finite guesses; the sweep from the Fujiwara
+    bound certifies all twenty disks."""
+    p = from_real_roots(*range(20))
+    p[0] = p[0] + ONE
+    radius = Fraction(1, 10 ** 40)
+    boxes = certified_root_boxes(p, radius)
+    assert len(boxes) == 20
+    for box in boxes:
+        value = poly_eval(p, box.center)
+        assert value.norm() < Fraction(1, 10 ** 20)
+
+
 def test_certified_root_boxes_reject_non_squarefree():
     p = poly_mul([ONE, ONE], [ONE, ONE])
     with pytest.raises(ValueError):
@@ -991,58 +891,7 @@ def test_interval_chain_keeps_denominators_bounded():
     assert z.hi.denominator.bit_length() < 4000
 
 
-def gaussian_image(z, p, s):
-    return (z[0] + s * z[1]) % p
-
-
-def candidate(z):
-    """z = (a + b i)/q as (a, b, q) over one denominator."""
-    (a, da), (b, db) = z.re.as_integer_ratio(), z.im.as_integer_ratio()
-    q = da * db
-    return a * db, b * da, q
-
-
-def test_modular_filter_never_discards_true_roots():
-    # roots_over_gaussians skips a candidate z/q when the image of
-    # q^n w(z/q) is nonzero mod p, w the cleared polynomial; the image is a
-    # ring map, so it is the image of the exact value and a true root
-    # survives
-    rng = random.Random(5)
-    p, s = _CERT_PRIMES[-1]
-    checked = 0
-    for _ in range(200):
-        deg = rng.randint(1, 6)
-        coeffs = [Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                            Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-                  for _ in range(deg + 1)]
-        cand = Scalar.of(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                         Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        w, den = _clear(poly_trim(coeffs))
-        a, b, q = candidate(cand)
-        got = _fp_at([gaussian_image(z, p, s) for z in w],
-                     gaussian_image((a, b), p, s), q, p)
-        value = poly_eval(coeffs, cand) * Scalar.of(den * q ** (len(w) - 1))
-        assert value.re.denominator == value.im.denominator == 1
-        assert got == gaussian_image((value.re.numerator,
-                                      value.im.numerator), p, s)
-        checked += 1
-    assert checked == 200
-
-    # (t - w)(t - 1): both roots survive the filter
-    w = Scalar.of(Fraction(3, 7), Fraction(-2, 5))
-    cleared = _clear([w, -(ONE + w), ONE])[0]
-    image = [gaussian_image(z, p, s) for z in cleared]
-
-    def kept(z):
-        a, b, q = candidate(z)
-        return not _fp_at(image, gaussian_image((a, b), p, s), q, p)
-
-    assert kept(w)
-    assert kept(ONE)
-    assert not kept(Scalar.of(17))
-
-
-# -- modular certificates ----------------------------------------------------
+# -- the root finder over Q(i) ----------------------------------------------
 
 P1, P2 = (p for p, _ in _CERT_PRIMES)
 
@@ -1061,7 +910,17 @@ def test_certificate_primes():
         assert (s * s + 1) % p == 0
 
 
+def test_split_primes():
+    assert _SPLIT_PRIMES == tuple(p for p in sympy.primerange(2, 1 << 12)
+                                  if p % 8 == 5)
+    for p in _SPLIT_PRIMES:
+        s = pow(2, (p - 1) // 4, p)
+        assert (s * s + 1) % p == 0
+
+
 def test_split_polynomials_pass_the_certificate():
+    """Products of distinct Gaussian-rational linear factors return their
+    roots."""
     rng = random.Random(31)
     checked = 0
     for _ in range(60):
@@ -1070,7 +929,8 @@ def test_split_polynomials_pass_the_certificate():
                  for _ in range(rng.randint(3, 6))}
         if len(roots) < 3:
             continue
-        assert not _cannot_split(_clear(from_roots(roots))[0])
+        got = roots_over_gaussians(from_roots(roots))
+        assert got == sorted(roots, key=lambda z: z.sort_key())
         checked += 1
     assert checked >= 50
 
@@ -1081,8 +941,11 @@ def test_split_polynomials_keep_their_roots():
         [ONE, Scalar.of(-2), i, Scalar.of(3, -1)],
         [Scalar.of(Fraction(1, 2)), Scalar.of(Fraction(-2, 3), 1),
          Scalar.of(5), -i, Scalar.of(-1)],
-        # the first prime divides a denominator, so its reduction is bad
+        # the first certificate prime divides a denominator
         [Scalar.of(Fraction(1, P1)), ONE, Scalar.of(-1)],
+        # 5 and 13 each leave two roots equal mod p: the first good prime
+        # is 29
+        [Scalar.of(k) for k in (0, 5, 13, 65)],
     ]
     for roots in cases:
         got = roots_over_gaussians(from_roots(roots))
@@ -1092,15 +955,35 @@ def test_split_polynomials_keep_their_roots():
 def test_non_split_binomials_are_certified():
     for p in ([Scalar.of(-2), ZERO, ZERO, ZERO, ZERO, ONE],
               [Scalar.of(3)] + [ZERO] * 7 + [ONE]):
-        assert _cannot_split(_clear(p)[0])
         assert roots_over_gaussians(p) is None
 
 
-def test_bad_reductions_fall_through_to_the_snapper():
+def test_a_binomial_over_both_certificate_primes_does_not_split():
     # every certificate prime divides the constant's denominator
     p = [Scalar.of(Fraction(-1, P1 * P2)), ZERO, ZERO, ZERO, ZERO, ONE]
-    assert not _cannot_split(_clear(p)[0])
     assert roots_over_gaussians(p) is None
+
+
+def test_roots_need_no_float_root_finder(monkeypatch):
+    """With the float sweep made to raise, split products (repeated roots,
+    denominators 7^30) return their roots and the rest return None."""
+    def no_floats(w):
+        raise AssertionError("the float root finder ran")
+
+    big = 7 ** 30
+    split = [[Scalar.of(Fraction(3 ** 40 + k, big)) for k in range(3)],
+             [Scalar.of(k) for k in range(20)],
+             [ONE, ONE, Scalar.of(Fraction(-2, big), 1), Scalar.of(0, 1),
+              Scalar.of(0, 1), Scalar.of(0, 1)]]
+    rest = [[Scalar.of(-2), ZERO, ZERO, ZERO, ZERO, ONE],
+            poly_mul(from_roots(split[0]), [Scalar.of(-2), ZERO, ONE]),
+            poly_mul(from_roots(split[2]), [ONE, ONE, ONE])]
+    monkeypatch.setattr(univariate, "_float_roots", no_floats)
+    for roots in split:
+        got = roots_over_gaussians(from_roots(roots))
+        assert got == sorted(roots, key=lambda z: z.sort_key())
+    for p in rest:
+        assert roots_over_gaussians(p) is None
 
 
 def test_is_squarefree_agrees_with_exact_gcd():
@@ -1207,13 +1090,23 @@ def test_gaussian_gcd_matches_the_euclidean_one(a, b, common):
                                 == 1)
 
 
-@given(st.lists(gaussian_rationals, min_size=1, max_size=5),
+deep_rationals = st.builds(
+    lambda a, b, da, db: Scalar.of(Fraction(a, da), Fraction(b, db)),
+    st.integers(-3 ** 40, 3 ** 40), st.integers(-4, 4),
+    st.sampled_from([1, 7, 7 ** 30]), st.integers(1, 4))
+
+
+@given(st.lists(gaussian_rationals | deep_rationals, min_size=1, max_size=5),
+       st.integers(0, 2),
        st.sampled_from([None, (-2, 0, 1), (2, 0, 1), (1, 1, 1), (3, 0, 2)]),
        gaussian_rationals.filter(bool))
-@settings(max_examples=120, deadline=None)
-def test_cleared_root_path_matches_the_scalar_one(roots, quad, c):
-    """Products of Gaussian-rational linear factors, with and without an
-    irreducible quadratic, times a constant: the same roots, or None."""
+@settings(max_examples=50, deadline=None)
+def test_cleared_root_path_matches_the_scalar_one(roots, repeat, quad, c):
+    """Products of Gaussian-rational linear factors, some repeated and some
+    with denominators up to 7^30, with and without an irreducible
+    quadratic, times a constant: sympy's roots over Q(i), or None.  Each
+    sympy factorization over QQ_I takes 0.1-0.7 s, hence fewer examples."""
+    roots = roots + roots[:repeat]
     p = from_roots(roots)
     if quad is not None:
         p = poly_mul(p, [Scalar.of(x) for x in quad])
@@ -1222,6 +1115,8 @@ def test_cleared_root_path_matches_the_scalar_one(roots, quad, c):
     assert got == ref_roots_over_gaussians(p)
     if quad is None:
         assert got == sorted(roots, key=lambda z: z.sort_key())
+    else:
+        assert got is None
 
 
 gaussian_integers = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
