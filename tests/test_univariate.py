@@ -964,6 +964,16 @@ def test_a_binomial_over_both_certificate_primes_does_not_split():
     assert roots_over_gaussians(p) is None
 
 
+def test_no_good_small_prime_gives_the_uncertified_none():
+    # every prime of _SPLIT_PRIMES divides the leading coefficient
+    lead = 1
+    for q in _SPLIT_PRIMES:
+        lead *= q
+    p = [Scalar.of(-2), ZERO, ZERO, Scalar.of(lead)]
+    assert is_squarefree(p)
+    assert roots_over_gaussians(p) is None
+
+
 def test_roots_need_no_float_root_finder(monkeypatch):
     """With the float sweep made to raise, split products (repeated roots,
     denominators 7^30) return their roots and the rest return None."""
